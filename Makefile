@@ -72,10 +72,9 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) . | $(GO) run ./cmd/pabench -o $(BENCHJSON)
 
 # Scaling harness (BenchmarkScale): FT and CG swept past the paper's 16
-# nodes — per engine, N up to 1024, base and top gears — writing the
-# scaling artifact $(BENCH2JSON) next to the reproduction's $(BENCHJSON).
-# The simulated seconds/joules in the rows are engine-independent (the
-# equivalence contract); ns/op is what the event engine buys.
+# nodes — N up to 1024, base and top gears — writing the scaling artifact
+# $(BENCH2JSON) next to the reproduction's $(BENCHJSON). Each row carries
+# the simulated seconds/joules next to the real ns/op of simulating them.
 bench-scale:
 	PASP_BENCH_SUITE=scale $(GO) test -run '^$$' -bench Scale -benchmem -benchtime $(BENCHTIME) . | \
 		PASP_BENCH_SUITE=scale $(GO) run ./cmd/pabench -o $(BENCH2JSON)
@@ -92,8 +91,8 @@ trace-smoke:
 
 # Trace conformance smoke: extract the module's communication skeleton with
 # palint, run the FT kernel with the protocol recorder attached at N = 2, 4
-# and 8 (quick suite) plus N = 64 on the event engine (scale suite — the
-# protocol contract past the paper's grid), and replay each log against the
+# and 8 (quick suite) plus N = 64 (scale suite — the protocol contract
+# past the paper's grid), and replay each log against the
 # skeleton with paverify. A non-zero exit means the run performed a phase
 # transition, collective or message endpoint the static extraction does not
 # predict — the commcheck passes and the runtime have drifted apart. CI
@@ -111,7 +110,7 @@ conformance-smoke:
 			-commlog comm_$$n.json -kernel ft >> $(CONFREPORT) \
 			|| { cat $(CONFREPORT); exit 1; }; \
 	done
-	@$(GO) run ./cmd/patrace -kernel ft -n 64 -f 600 -suite scale -engine event \
+	@$(GO) run ./cmd/patrace -kernel ft -n 64 -f 600 -suite scale \
 		-out /dev/null -commlog comm_64.json >/dev/null || exit 1; \
 	$(GO) run ./cmd/paverify -skeleton $(SKELJSON) \
 		-commlog comm_64.json -kernel ft >> $(CONFREPORT) \

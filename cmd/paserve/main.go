@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	paserve [-addr :8080] [-suite paper|quick|scale] [-engine goroutine|event]
+//	paserve [-addr :8080] [-suite paper|quick|scale]
 //	        [-max-inflight 4] [-retry-after 1] [-max-body 65536]
 //	        [-warm ft,ep] [-drain 10s]
 //	        [-events events.jsonl] [-ring 256] [-trace serve-trace.json]
@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"pasp/internal/experiments"
-	"pasp/internal/mpi"
 	"pasp/internal/obs"
 	"pasp/internal/serve"
 )
@@ -59,7 +58,6 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("paserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	suite := fs.String("suite", "paper", "kernel class scale: paper, quick or scale")
-	engine := fs.String("engine", "", "rank runtime override: goroutine or event (default: the suite platform's engine)")
 	maxInflight := fs.Int("max-inflight", 4, "maximum concurrently simulating requests (cache hits are unlimited)")
 	retryAfter := fs.Int("retry-after", 1, "Retry-After seconds on 429 responses")
 	maxBody := fs.Int64("max-body", 64<<10, "request body byte cap")
@@ -75,13 +73,6 @@ func run(args []string, stdout io.Writer) error {
 	s, err := experiments.SuiteByName(*suite)
 	if err != nil {
 		return err
-	}
-	if *engine != "" {
-		e := mpi.Engine(*engine)
-		if err := e.Validate(); err != nil {
-			return err
-		}
-		s.Platform.Engine = e
 	}
 
 	// Telemetry sinks are wired before warming so even warm-up simulations

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	pasim [-bench ep|ft|lu|cg|mg|is|sp] [-np 4] [-mhz 600] [-suite paper|quick|scale] [-v]
-//	      [-engine goroutine|event] [-timeline out.csv] [-chaos spec] [-trace out.trace.json] [-metrics]
+//	      [-timeline out.csv] [-chaos spec] [-trace out.trace.json] [-metrics]
 //
 // The -chaos flag perturbs the run through the deterministic fault-injection
 // harness (package faults); its argument is a comma-separated key=value spec,
@@ -25,7 +25,6 @@ import (
 
 	"pasp/internal/experiments"
 	"pasp/internal/faults"
-	"pasp/internal/mpi"
 	"pasp/internal/obs"
 	"pasp/internal/units"
 )
@@ -35,7 +34,6 @@ func main() {
 	np := flag.Int("np", 4, "number of processors")
 	mhz := flag.Float64("mhz", 600, "operating frequency in MHz")
 	suite := flag.String("suite", "paper", "kernel class scale: paper, quick or scale")
-	engine := flag.String("engine", "", "rank runtime override: goroutine or event (default: the suite platform's engine)")
 	verbose := flag.Bool("v", false, "print the per-phase breakdown")
 	timeline := flag.String("timeline", "", "write the per-rank trace timeline CSV to this file")
 	chaos := flag.String("chaos", "", "fault-injection spec, e.g. seed=1,jitter=0.5,drop=0.01 (see faults.ParseSpec)")
@@ -47,14 +45,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pasim: %v\n", err)
 		os.Exit(2)
-	}
-	if *engine != "" {
-		e := mpi.Engine(*engine)
-		if err := e.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "pasim: %v\n", err)
-			os.Exit(2)
-		}
-		s.Platform.Engine = e
 	}
 	cfg, err := faults.ParseSpec(*chaos)
 	if err != nil {

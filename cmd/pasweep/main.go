@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	pasweep [-bench ep|ft|lu|cg|mg|is|sp] [-suite paper|quick|scale] [-engine goroutine|event] [-csv]
+//	pasweep [-bench ep|ft|lu|cg|mg|is|sp] [-suite paper|quick|scale] [-csv]
 package main
 
 import (
@@ -17,13 +17,11 @@ import (
 	"strings"
 
 	"pasp/internal/experiments"
-	"pasp/internal/mpi"
 )
 
 func main() {
 	bench := flag.String("bench", "ft", "kernel: ep, ft, lu, cg, mg, is or sp")
 	suite := flag.String("suite", "paper", "experiment scale: paper, quick or scale")
-	engine := flag.String("engine", "", "rank runtime override: goroutine or event (default: the suite platform's engine)")
 	csv := flag.Bool("csv", false, "emit CSV instead of tables")
 	flag.Parse()
 
@@ -34,14 +32,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pasweep: %v\n", err)
 		os.Exit(2)
-	}
-	if *engine != "" {
-		e := mpi.Engine(*engine)
-		if err := e.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "pasweep: %v\n", err)
-			os.Exit(2)
-		}
-		s.Platform.Engine = e
 	}
 	k, err := s.Kernel(*bench)
 	if err != nil {

@@ -7,8 +7,7 @@
 // Usage:
 //
 //	patrace -kernel ft -n 16 -f 1.4ghz [-suite paper|quick|scale] [-chaos spec]
-//	        [-engine goroutine|event] [-out run.trace.json] [-manifest run.json]
-//	        [-metrics] [-commlog comm.json]
+//	        [-out run.trace.json] [-manifest run.json] [-metrics] [-commlog comm.json]
 //
 // With -commlog the run also records its communication-protocol events
 // (phase transitions, message endpoints, collective entries) and writes
@@ -33,7 +32,6 @@ import (
 
 	"pasp/internal/experiments"
 	"pasp/internal/faults"
-	"pasp/internal/mpi"
 	"pasp/internal/obs"
 	"pasp/internal/trace"
 	"pasp/internal/units"
@@ -66,7 +64,6 @@ func run(args []string, stdout io.Writer) error {
 	n := fs.Int("n", 4, "number of processors")
 	freq := fs.String("f", "1400mhz", "operating frequency: 1.4ghz, 1400mhz or plain MHz")
 	suite := fs.String("suite", "paper", "kernel class scale: paper, quick or scale")
-	engine := fs.String("engine", "", "rank runtime override: goroutine or event (default: the suite platform's engine)")
 	chaos := fs.String("chaos", "", "fault-injection spec, e.g. seed=1,jitter=0.5 (see faults.ParseSpec)")
 	out := fs.String("out", "run.trace.json", "write the Chrome trace-event JSON here")
 	manifest := fs.String("manifest", "", "write the run manifest JSON here")
@@ -83,13 +80,6 @@ func run(args []string, stdout io.Writer) error {
 	s, err := experiments.SuiteByName(*suite)
 	if err != nil {
 		return err
-	}
-	if *engine != "" {
-		e := mpi.Engine(*engine)
-		if err := e.Validate(); err != nil {
-			return err
-		}
-		s.Platform.Engine = e
 	}
 	cfg, err := faults.ParseSpec(*chaos)
 	if err != nil {

@@ -36,13 +36,6 @@ type Platform struct {
 	// part of the platform's identity, so perturbed campaigns are keyed
 	// apart from clean ones in the campaign store.
 	Faults faults.Config
-	// Engine selects the mpi rank runtime for every world the platform
-	// builds. Engines are timing-equivalent (pinned by the cross-engine
-	// differential tests), so this only changes how fast the simulation
-	// runs, not what it computes. It is still part of the campaign-store
-	// key via the platform fingerprint, which keeps cache entries
-	// attributable to the runtime that produced them.
-	Engine mpi.Engine
 }
 
 // PentiumM returns the paper's platform: 16 Dell Inspiron 8600 nodes
@@ -54,11 +47,6 @@ func PentiumM() Platform {
 		Net:      simnet.FastEthernet(),
 		Prof:     power.PentiumM(),
 		MaxNodes: 16,
-		// The event engine is the default runtime: identical results to the
-		// goroutine engine (see the differential goldens in internal/npb)
-		// with far less real scheduler time, which is what keeps the full
-		// paper reproduction under its wall-clock budget.
-		Engine: mpi.EngineEvent,
 	}
 }
 
@@ -79,9 +67,6 @@ func (p Platform) Validate() error {
 	if err := p.Faults.Validate(); err != nil {
 		return err
 	}
-	if err := p.Engine.Validate(); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -94,7 +79,7 @@ func (p Platform) World(n int, mhz float64) (mpi.World, error) {
 	if err != nil {
 		return mpi.World{}, err
 	}
-	w := mpi.World{N: n, Net: p.Net, Mach: p.Mach, Prof: p.Prof, State: st, Faults: p.Faults, Engine: p.Engine}
+	w := mpi.World{N: n, Net: p.Net, Mach: p.Mach, Prof: p.Prof, State: st, Faults: p.Faults}
 	// A configured P-state transition latency relaxes the paper's
 	// Assumption 2: gear switches are no longer free. DVFS policies that
 	// set their own SwitchSec override this downstream.
@@ -162,13 +147,14 @@ type RunFunc func(w mpi.World) (*mpi.Result, error)
 // caller that went away — an HTTP client that disconnected, a drained
 // server — stops paying for the rest of a campaign it no longer wants.
 //
-// Under the event engine the frequency axis is swept by record/replay:
-// kernel control flow, data movement and message shapes do not depend on
-// the operating frequency, so the kernel executes for real once per rank
-// count (at the grid's base frequency, recording every rank's operation
-// stream) and the remaining frequencies re-time the recorded stream
-// through the same mpi timing paths — bit-identical to direct runs (see
-// mpi.Replay) at a fifth of the work on the paper's five-frequency grid.
+// A grid with more than one frequency is swept by record/replay: kernel
+// control flow, data movement and message shapes do not depend on the
+// operating frequency, so the kernel executes for real once per rank count
+// (at the grid's first frequency, recording every rank's operation stream)
+// and the remaining frequencies re-time the recorded stream through the
+// same mpi timing paths — bit-identical to direct runs (see mpi.Replay) at
+// a fifth of the work on the paper's five-frequency grid. A single-gear
+// grid runs every cell directly.
 func Sweep(ctx context.Context, p Platform, g Grid, run RunFunc) ([]Cell, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -183,7 +169,7 @@ func Sweep(ctx context.Context, p Platform, g Grid, run RunFunc) ([]Cell, error)
 		}
 	}
 	errs := make([]error, len(cells))
-	if p.Engine == mpi.EngineEvent && len(g.MHz) > 1 {
+	if len(g.MHz) > 1 {
 		// Replay path: one unit per rank count, so a unit's record run and
 		// its replays share a worker while independent rank counts spread
 		// across the pool.

@@ -137,9 +137,8 @@ func TestSweepDeterministicAcrossRuns(t *testing.T) {
 // sweepBytes runs one sweep of a small chaos-enabled campaign and folds
 // every cell into one byte string: the full timeline CSV plus the exact
 // time/energy of each cell, in grid order.
-func sweepBytes(t *testing.T, p Platform) string {
+func sweepBytes(t *testing.T, p Platform, g Grid) string {
 	t.Helper()
-	g := Grid{Ns: []int{1, 2, 4}, MHz: []float64{600, 1000, 1400}}
 	cells, err := Sweep(context.Background(), p, g, func(w mpi.World) (*mpi.Result, error) {
 		return mpi.Run(w, func(c *mpi.Ctx) error {
 			c.SetPhase("work")
@@ -174,21 +173,23 @@ func sweepBytes(t *testing.T, p Platform) string {
 // TestSweepGOMAXPROCSDeterminism pins the campaign worker pool's
 // scheduling independence: the same sweep must produce the same bytes with
 // the pool serialized (GOMAXPROCS=1), at a modest width and oversubscribed
-// (GOMAXPROCS=8 against 3 sweep units), on both engines and with the event
-// engine's record/replay frequency axis in play. Work distribution may
-// change; bytes may not.
+// (GOMAXPROCS=8 against 3 sweep units), on both of Sweep's branches — the
+// record/replay frequency axis of a multi-gear grid and the per-cell runs
+// of a single-gear grid. Work distribution may change; bytes may not.
 func TestSweepGOMAXPROCSDeterminism(t *testing.T) {
-	for _, eng := range []mpi.Engine{mpi.EngineGoroutine, mpi.EngineEvent} {
-		p := PentiumM()
-		p.Engine = eng
-		p.Faults = faults.Config{Seed: 11, LatencyJitterFrac: 0.5, DropProb: 0.05}
-		base := sweepBytes(t, p)
+	p := PentiumM()
+	p.Faults = faults.Config{Seed: 11, LatencyJitterFrac: 0.5, DropProb: 0.05}
+	for _, g := range []Grid{
+		{Ns: []int{1, 2, 4}, MHz: []float64{600, 1000, 1400}},
+		{Ns: []int{1, 2, 4}, MHz: []float64{1000}},
+	} {
+		base := sweepBytes(t, p, g)
 		for _, procs := range []int{1, 2, 8} {
 			prev := runtime.GOMAXPROCS(procs)
-			got := sweepBytes(t, p)
+			got := sweepBytes(t, p, g)
 			runtime.GOMAXPROCS(prev)
 			if got != base {
-				t.Errorf("%s engine: sweep bytes changed under GOMAXPROCS=%d", eng, procs)
+				t.Errorf("%d-gear grid: sweep bytes changed under GOMAXPROCS=%d", len(g.MHz), procs)
 			}
 		}
 	}

@@ -91,8 +91,8 @@ func Quick() Suite {
 	}
 }
 
-// Scale returns the scaling suite: the event-engine regime past the
-// paper's 16 nodes, N ∈ {16, 64, 256, 1024} at the base and top gears.
+// Scale returns the scaling suite: the regime past the paper's 16 nodes,
+// N ∈ {16, 64, 256, 1024} at the base and top gears.
 // FT and CG are the scaling kernels — CG's 1-D band decomposition (with an
 // explicit narrow band, so the halo stays below the per-rank row count)
 // reaches the full 1024 ranks, while FT's pencil transpose needs Ny and Nz

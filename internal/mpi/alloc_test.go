@@ -7,71 +7,20 @@ import (
 )
 
 // pingPongAllocs measures the allocations of one full Run executing rounds
-// eager ping-pong exchanges between two ranks.
-func pingPongAllocs(t *testing.T, rounds int) float64 {
-	t.Helper()
-	w := testWorld(2, 600)
-	data := []float64{1, 2, 3, 4}
-	return testing.AllocsPerRun(3, func() {
-		_, err := Run(w, func(c *Ctx) error {
-			for r := 0; r < rounds; r++ {
-				if c.Rank() == 0 {
-					if err := c.Send(1, 7, data, 32); err != nil {
-						return err
-					}
-					got, err := c.Recv(1, 8)
-					if err != nil {
-						return err
-					}
-					c.Free(got)
-				} else {
-					got, err := c.Recv(0, 7)
-					if err != nil {
-						return err
-					}
-					c.Free(got)
-					if err := c.Send(0, 8, data, 32); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestEagerPathAllocs pins the steady-state allocation cost of the eager
-// Send/Recv path. Differencing two round counts cancels every per-Run fixed
-// cost (goroutines, mailboxes, result assembly) and isolates the per-round
-// marginal allocations. Before payload pooling each round allocated at
-// least two payload snapshots (one per Send); the freelist brings the
-// steady state to zero, and the budget of one allocation per round keeps
-// the required ≥50% reduction enforced with headroom for runtime noise.
-func TestEagerPathAllocs(t *testing.T) {
-	const r = 64
-	base := pingPongAllocs(t, r)
-	double := pingPongAllocs(t, 2*r)
-	perRound := (double - base) / r
-	if perRound > 1.0 {
-		t.Errorf("eager ping-pong allocates %.2f allocs/round, want ≤ 1 (pre-pooling cost was ≥ 2)", perRound)
-	}
-}
-
-// obsPingPongAllocs is pingPongAllocs with a fresh observability recorder
-// attached to each Run, measuring the enabled recording path.
-func obsPingPongAllocs(t *testing.T, rounds int) float64 {
+// ping-pong exchanges of vbytes-sized messages between two ranks; observe
+// attaches a fresh observability recorder to each Run.
+func pingPongAllocs(t *testing.T, rounds, vbytes int, observe bool) float64 {
 	t.Helper()
 	data := []float64{1, 2, 3, 4}
 	return testing.AllocsPerRun(3, func() {
 		w := testWorld(2, 600)
-		w.Obs = obs.NewRecorder()
+		if observe {
+			w.Obs = obs.NewRecorder()
+		}
 		_, err := Run(w, func(c *Ctx) error {
 			for r := 0; r < rounds; r++ {
 				if c.Rank() == 0 {
-					if err := c.Send(1, 7, data, 32); err != nil {
+					if err := c.Send(1, 7, data, vbytes); err != nil {
 						return err
 					}
 					got, err := c.Recv(1, 8)
@@ -85,7 +34,7 @@ func obsPingPongAllocs(t *testing.T, rounds int) float64 {
 						return err
 					}
 					c.Free(got)
-					if err := c.Send(0, 8, data, 32); err != nil {
+					if err := c.Send(0, 8, data, vbytes); err != nil {
 						return err
 					}
 				}
@@ -96,6 +45,42 @@ func obsPingPongAllocs(t *testing.T, rounds int) float64 {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestEagerPathAllocs pins the steady state of the eager Send/Recv path at
+// zero allocations per round: heap slots, mailbox rings and the payload
+// freelist all reach their working set during warm-up, after which
+// parking, hand-off and delivery allocate nothing. Differencing two round
+// counts cancels every per-Run fixed cost (goroutines, queues, result
+// assembly). The only marginal allocations left are the trace log's
+// amortized slice doublings (~2 across the extra 64 rounds); the 0.1
+// budget admits those while rejecting any real per-message cost — before
+// payload pooling each round allocated at least two payload snapshots.
+func TestEagerPathAllocs(t *testing.T) {
+	const r = 64
+	base := pingPongAllocs(t, r, 32, false)
+	double := pingPongAllocs(t, 2*r, 32, false)
+	perRound := (double - base) / r
+	if perRound > 0.1 {
+		t.Errorf("eager ping-pong allocates %.2f allocs/round in steady state, want ~0 (trace-log growth only)", perRound)
+	}
+}
+
+// TestEventEnginePingPongAllocs holds the engine's park-and-resume path to
+// the same zero-per-round budget as TestEagerPathAllocs. A message above
+// the rendezvous threshold parks its sender until the receiver reports the
+// completion time, so every round blocks and wakes each rank at least
+// once; the token hand-off, the run heap and the rendezvous reply must
+// reuse their storage rather than allocate per round.
+func TestEventEnginePingPongAllocs(t *testing.T) {
+	const r = 64
+	vbytes := testWorld(2, 600).Net.EagerBytes + 1
+	base := pingPongAllocs(t, r, vbytes, false)
+	double := pingPongAllocs(t, 2*r, vbytes, false)
+	perRound := (double - base) / r
+	if perRound > 0.1 {
+		t.Errorf("rendezvous ping-pong allocates %.2f allocs/round in steady state, want ~0 (trace-log growth only)", perRound)
+	}
 }
 
 // TestObsEnabledSteadyStateAllocs pins the recording hot path's allocation
@@ -107,8 +92,8 @@ func obsPingPongAllocs(t *testing.T, rounds int) float64 {
 // the marginal cost the lock-free design promises is zero.
 func TestObsEnabledSteadyStateAllocs(t *testing.T) {
 	const r = 64
-	base := obsPingPongAllocs(t, r)
-	double := obsPingPongAllocs(t, 2*r)
+	base := pingPongAllocs(t, r, 32, true)
+	double := pingPongAllocs(t, 2*r, 32, true)
 	perRound := (double - base) / r
 	if perRound > 1.0 {
 		t.Errorf("observed eager ping-pong allocates %.2f allocs/round, want ≤ 1 (recording must be alloc-free per message)", perRound)

@@ -36,20 +36,14 @@ func log2ceil(n int) int {
 // recycle marks a deposit whose snapshot references cannot outlive the
 // epoch: every reader copies or combines it before its own collective call
 // returns. Such a deposit is parked on the Ctx and reclaimed into the
-// buffer cache one epoch later — by the same argument that lets the
-// runtime rotate two snapshot containers (see runtime.sync), a rank
-// returns from epoch k+1's synchronization only after every rank finished
-// reading epoch k, so the parked buffers provably have no readers left.
+// buffer cache one epoch later — by the same argument that lets the engine
+// rotate two snapshot containers (see engine.deposit), a rank returns from
+// epoch k+1's synchronization only after every rank finished reading
+// epoch k, so the parked buffers provably have no readers left.
 // Gather and Scatter hand deposit slices to their callers and must pass
 // recycle = false.
 func (c *Ctx) collective(payload any, cost float64, recycle bool) (*collSnapshot, error) {
-	var snap *collSnapshot
-	var err error
-	if c.ev != nil {
-		snap, err = c.ev.eng.deposit(c, payload)
-	} else {
-		snap, err = c.rt.sync(c.rank, c.clock, payload)
-	}
+	snap, err := c.eng.deposit(c, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -85,7 +79,7 @@ func (c *Ctx) collective(payload any, cost float64, recycle bool) (*collSnapshot
 	// entry max re-synchronizes on the slowest (most-jittered) rank.
 	if c.faults != nil {
 		if extra := c.faults.Collective(cost); extra > 0 {
-			if err := c.advanceFault(extra, trace.Fault, c.rt.w.PollUtil); err != nil {
+			if err := c.advanceFault(extra, trace.Fault, c.eng.w.PollUtil); err != nil {
 				return nil, err
 			}
 		}
@@ -104,7 +98,7 @@ func (c *Ctx) Barrier() error {
 	if n == 1 {
 		return nil
 	}
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	rounds := log2ceil(n)
 	c.noteMsgs(rounds, 0)
 	cost := float64(rounds) * (2*c.cpuOverhead(0) + net.LatencySec)
@@ -137,7 +131,7 @@ func (c *Ctx) Bcast(root int, data []float64, vbytes int) ([]float64, error) {
 	if n == 1 {
 		return data, nil
 	}
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	b := collBytes(data, vbytes)
 	c.noteMsgs(1, b) // binomial tree: each rank forwards at most once per round; one send on average
 	rounds := float64(log2ceil(n))
@@ -191,7 +185,7 @@ func reduceAll(snap *collSnapshot, op Op) ([]float64, error) {
 // ranks exchanging and combining b bytes per round.
 func (c *Ctx) reduceCost(b int) float64 {
 	n := c.Size()
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	rounds := float64(log2ceil(n))
 	c.noteMsgs(log2ceil(n), b)
 	perRound := 2*c.cpuOverhead(b) + net.LatencySec +
@@ -276,7 +270,7 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 		}
 	}
 	c.noteMsgs(n-1, b)
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	perRound := 2*c.cpuOverhead(b) + net.LatencySec + net.ContendedWireTime(b, n)
 	cost := float64(n-1) * perRound
 	// Deposit copies are private to the snapshot while the epoch is live;
@@ -319,7 +313,7 @@ func (c *Ctx) Allgather(data []float64, vbytes int) ([][]float64, error) {
 	}
 	b := collBytes(data, vbytes)
 	c.noteMsgs(n-1, b)
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	perRound := 2*c.cpuOverhead(b) + net.LatencySec + net.ContendedWireTime(b, n)
 	cost := float64(n-1) * perRound
 	snap, err := c.collective(c.snapshotPayload(data), cost, true)
@@ -353,7 +347,7 @@ func (c *Ctx) Gather(root int, data []float64, vbytes int) ([][]float64, error) 
 	}
 	b := collBytes(data, vbytes)
 	c.noteMsgs(1, b)
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	// Binomial gather: log₂n rounds; message sizes double toward the root,
 	// bounded by the total payload converging on one port.
 	rounds := float64(log2ceil(n))
@@ -419,7 +413,7 @@ func (c *Ctx) Scatter(root int, parts [][]float64, vbytesPerPart int) ([]float64
 		b = 8
 	}
 	c.noteMsgs(1, b)
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	rounds := float64(log2ceil(n))
 	cost := rounds*(2*c.cpuOverhead(b)+net.LatencySec) + net.WireTime(b*(n-1))
 	// recycle = false: every rank keeps its slice of root's deposit, so

@@ -16,13 +16,20 @@ import (
 // counters, energy meter and trace. All methods must be called from the
 // rank's own goroutine.
 type Ctx struct {
-	rt   *runtime
+	eng  *engine
 	rank int
 
-	// ev is the rank's event-engine scheduling state; nil under the
-	// goroutine engine. Communication primitives branch on it to pick the
-	// blocking mechanism — all timing arithmetic is engine-independent.
-	ev *evRank
+	// resume carries the execution token to this rank. The flags below are
+	// the rank's scheduling state, touched only by the token holder (see
+	// engine.go): queued marks the rank as present in the run heap, blocked
+	// as parked inside a communication primitive, exited as having returned
+	// from its body, inSync as parked inside a collective epoch, and
+	// rdvWaiting/rdvDone carry a rendezvous sender's completion time from
+	// the receiver.
+	resume                          chan struct{}
+	queued, blocked, exited, inSync bool
+	rdvWaiting                      bool
+	rdvDone                         float64
 
 	// rec is the rank's operation tape when the world carries a Recording;
 	// nil otherwise, the same nil-pointer hot-path guard as faults and obs.
@@ -69,9 +76,10 @@ type Ctx struct {
 
 	// bufCache recycles payload buffers between Free calls and later
 	// snapshot copies. It is touched only from the rank's own goroutine;
-	// buffers migrate between ranks through the mailbox channels, whose
-	// send/receive pairs provide the ownership hand-off (and the
-	// happens-before edge the race detector checks).
+	// buffers migrate between ranks through the engine's message queues,
+	// and ownership passes with the execution token: the send on the next
+	// rank's resume channel is the hand-off (and the happens-before edge
+	// the race detector checks).
 	bufCache [][]float64
 
 	// collFree / collFreeParts hold this rank's deposit from its previous
@@ -82,11 +90,6 @@ type Ctx struct {
 	// slices to callers, so theirs are never recycled.
 	collFree      []float64
 	collFreeParts [][]float64
-
-	// done is the rank's reusable rendezvous-completion channel. A sender
-	// has at most one rendezvous in flight, so one buffered slot suffices
-	// for the whole run instead of one channel per large message.
-	done chan float64
 
 	// ovFreq/ovBytes/ovSecs/ovValid memoize simnet.Config.CPUOverhead for
 	// the handful of distinct message sizes a kernel uses, keyed by the
@@ -117,7 +120,7 @@ func (c *Ctx) cpuOverhead(bytes int) float64 {
 	if c.ovValid[slot] && c.ovBytes[slot] == bytes {
 		return c.ovSecs[slot]
 	}
-	o := c.rt.w.Net.CPUOverhead(bytes, c.state.Freq)
+	o := c.eng.w.Net.CPUOverhead(bytes, c.state.Freq)
 	c.ovBytes[slot], c.ovSecs[slot], c.ovValid[slot] = bytes, o, true
 	return o
 }
@@ -170,28 +173,30 @@ func (c *Ctx) snapshotPayload(data []float64) []float64 {
 	return b
 }
 
-func newCtx(rt *runtime, rank int) *Ctx {
+func newCtx(e *engine, rank int) *Ctx {
+	w := &e.w
 	c := &Ctx{
-		rt:    rt,
-		rank:  rank,
-		state: rt.w.State,
-		meter: power.NewMeter(rt.w.Prof),
-		phase: "main",
+		eng:    e,
+		rank:   rank,
+		resume: make(chan struct{}, 1),
+		state:  w.State,
+		meter:  power.NewMeter(w.Prof),
+		phase:  "main",
 	}
-	if rt.w.Faults.Enabled() {
-		c.faults = faults.NewRank(rt.w.Faults, rank)
+	if w.Faults.Enabled() {
+		c.faults = faults.NewRank(w.Faults, rank)
 	}
-	if rt.w.Obs != nil {
-		c.obs = rt.w.Obs.Rank(rank)
+	if w.Obs != nil {
+		c.obs = w.Obs.Rank(rank)
 		c.obs.Phase(c.phase, 0)
-		c.msgHist = rt.w.Obs.Metrics().Histogram("mpi.msg_bytes", obs.MsgBytesBuckets)
+		c.msgHist = w.Obs.Metrics().Histogram("mpi.msg_bytes", obs.MsgBytesBuckets)
 	}
-	c.comm = rt.w.Comm
-	if rt.w.traceHint != nil {
-		c.log.Grow(rt.w.traceHint[rank])
+	c.comm = w.Comm
+	if w.traceHint != nil {
+		c.log.Grow(w.traceHint[rank])
 	}
-	if rt.w.Record != nil {
-		c.rec = &rt.w.Record.tapes[rank]
+	if w.Record != nil {
+		c.rec = &w.Record.tapes[rank]
 	}
 	return c
 }
@@ -200,7 +205,7 @@ func newCtx(rt *runtime, rank int) *Ctx {
 func (c *Ctx) Rank() int { return c.rank }
 
 // Size returns the number of ranks in the job.
-func (c *Ctx) Size() int { return c.rt.w.N }
+func (c *Ctx) Size() int { return c.eng.w.N }
 
 // Now returns the rank's current virtual time in seconds.
 func (c *Ctx) Now() float64 { return c.clock }
@@ -223,7 +228,7 @@ func (c *Ctx) SetPState(st power.PState) {
 	if st == c.state {
 		return
 	}
-	dt := c.rt.w.GearSwitchSec
+	dt := c.eng.w.GearSwitchSec
 	if dt > 0 {
 		start := c.clock
 		c.clock += float64(dt)
@@ -231,7 +236,7 @@ func (c *Ctx) SetPState(st power.PState) {
 		// relock stalls the pipeline but the core stays powered.
 		_ = c.meter.Accumulate(c.state, 1, dt)
 		c.log.Append(trace.Event{Rank: c.rank, Phase: "dvfs-switch", Kind: trace.Comm, Start: start, End: c.clock,
-			Watts: float64(c.rt.w.Prof.NodePower(c.state, 1))})
+			Watts: float64(c.eng.w.Prof.NodePower(c.state, 1))})
 		c.commSec += float64(dt)
 	}
 	c.state = st
@@ -243,7 +248,7 @@ func (c *Ctx) SetPState(st power.PState) {
 
 // Machine returns the node timing model, letting kernels size working sets
 // against the cache geometry.
-func (c *Ctx) Machine() machine.Config { return c.rt.w.Mach }
+func (c *Ctx) Machine() machine.Config { return c.eng.w.Mach }
 
 // SetPhase labels subsequent trace events; kernels call it at phase
 // boundaries ("fft-z", "exchange", ...). When the world has an OnPhase
@@ -262,8 +267,8 @@ func (c *Ctx) SetPhase(name string) {
 	if c.comm != nil {
 		c.comm.Record(trace.CommEvent{Rank: c.rank, T: c.clock, Kind: trace.CommPhase, Name: name})
 	}
-	if c.rt.w.OnPhase != nil {
-		c.rt.w.OnPhase(c, name)
+	if c.eng.w.OnPhase != nil {
+		c.eng.w.OnPhase(c, name)
 	}
 }
 
@@ -280,7 +285,7 @@ func (c *Ctx) Compute(w machine.Work) error {
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opCompute, work: w})
 	}
-	dt := c.rt.w.Mach.TimeFor(w, c.Freq())
+	dt := c.eng.w.Mach.TimeFor(w, c.Freq())
 	start := c.clock
 	c.clock += float64(dt)
 	c.computeSec += float64(dt)
@@ -289,7 +294,7 @@ func (c *Ctx) Compute(w machine.Work) error {
 		return err
 	}
 	c.log.Append(trace.Event{Rank: c.rank, Phase: c.phase, Kind: trace.Compute, Start: start, End: c.clock,
-		Watts: float64(c.rt.w.Prof.NodePower(c.state, 1))})
+		Watts: float64(c.eng.w.Prof.NodePower(c.state, 1))})
 	// A straggler rank's compute stretches by its persistent slowdown —
 	// equivalent to the node running at a lower effective frequency for
 	// ON-chip work. The stretch is a separate Fault interval at busy power,
@@ -318,7 +323,7 @@ func (c *Ctx) advanceFault(dt float64, kind trace.Kind, util float64) error {
 		return err
 	}
 	c.log.Append(trace.Event{Rank: c.rank, Phase: c.phase, Kind: kind, Start: start, End: c.clock,
-		Watts: float64(c.rt.w.Prof.NodePower(c.state, util))})
+		Watts: float64(c.eng.w.Prof.NodePower(c.state, util))})
 	return nil
 }
 
@@ -332,11 +337,11 @@ func (c *Ctx) advanceComm(end float64) error {
 	start := c.clock
 	c.clock = end
 	c.commSec += dt
-	if err := c.meter.Accumulate(c.state, c.rt.w.PollUtil, units.Seconds(dt)); err != nil {
+	if err := c.meter.Accumulate(c.state, c.eng.w.PollUtil, units.Seconds(dt)); err != nil {
 		return err
 	}
 	c.log.Append(trace.Event{Rank: c.rank, Phase: c.phase, Kind: trace.Comm, Start: start, End: end,
-		Watts: float64(c.rt.w.Prof.NodePower(c.state, c.rt.w.PollUtil))})
+		Watts: float64(c.eng.w.Prof.NodePower(c.state, c.eng.w.PollUtil))})
 	return nil
 }
 

@@ -5,36 +5,35 @@ import (
 	"fmt"
 )
 
-// This file is the discrete-event engine: the alternative runtime selected
-// by World{Engine: EngineEvent}.
+// This file is the rank runtime: a discrete-event engine that executes a
+// job's ranks as cooperative coroutines.
 //
-// The goroutine engine simulates virtual time with real concurrency — every
-// rank is a goroutine and every message queue a channel, so the Go scheduler
-// burns wall-clock time context-switching through rendezvous that are pure
-// arithmetic in the model. The event engine removes the scheduler from the
-// hot path: ranks still run as goroutines (they are the cheapest coroutine
-// Go offers), but exactly one is ever runnable. A single execution token is
-// handed from rank to rank; a rank that would block parks itself and pops
-// the next runnable rank from an indexed min-heap ordered by
-// (virtual clock, rank). The chain of token hand-offs serializes every
-// access to the engine and runtime state — no locks, no channel select, and
-// bit-identical results at any GOMAXPROCS, because the wake order is a pure
-// function of virtual time.
+// Ranks run as goroutines (the cheapest coroutine Go offers), but exactly
+// one is ever runnable. A single execution token is handed from rank to
+// rank; a rank that would block parks itself and pops the next runnable
+// rank from an indexed min-heap ordered by (virtual clock, rank). The chain
+// of token hand-offs serializes every access to the engine state — no
+// locks, no channel select, and bit-identical results at any GOMAXPROCS,
+// because the wake order is a pure function of virtual time.
 //
-// Equivalence contract (pinned by the engine differential tests and the
-// cross-engine goldens in internal/npb): all timing arithmetic lives in the
-// shared Ctx/p2p/coll code paths; the engines differ only in how a rank
-// blocks and is woken. Per-pair FIFO message order and collective epoch
-// semantics are preserved exactly, so TimelineCSV, energy totals, chrome
-// traces and fault-injection draw sequences are byte-identical across
-// engines.
+// Frozen-digest contract: all timing arithmetic lives in the Ctx/p2p/coll
+// code, and the engine only decides how a rank blocks and is woken. Its
+// outputs are pinned by digests that a second, goroutine-per-rank runtime
+// with channel mailboxes produced before it was retired
+// (testdata/chaos_program.golden here, the kernel matrix in internal/npb):
+// per-pair FIFO message order and collective epoch semantics must keep
+// TimelineCSV, energy totals, metric snapshots and fault-injection draw
+// sequences byte-identical to them.
 
-// ErrDeadlock is returned by every parked rank when the event engine finds
-// all live ranks blocked with no runnable work: a genuine communication
+// ErrDeadlock is returned by every parked rank when the engine finds all
+// live ranks blocked with no runnable work: a genuine communication
 // deadlock in virtual time (e.g. two ranks in matched rendezvous sends).
-// The goroutine engine hangs on such programs; the event engine, which
-// knows the global blocked set, reports them.
 var ErrDeadlock = errors.New("mpi: deadlock: every live rank is blocked")
+
+// mailboxDepth plays the role of MPICH's eager-buffer pool: a sender with
+// this many undelivered messages to one peer parks until the receiver
+// drains some — as real MPI does when its unexpected-message queue fills.
+const mailboxDepth = 1024
 
 // evItem is one heap entry: a runnable rank keyed by its virtual clock.
 // Ties break toward the lower rank, making the wake order total and
@@ -44,30 +43,9 @@ type evItem struct {
 	rank int32
 }
 
-// evRank is the engine's per-rank scheduling state. All fields are accessed
-// only by the token holder (or, for resume, through the token hand-off
-// itself).
-type evRank struct {
-	eng    *evEngine
-	rank   int
-	resume chan struct{}
-	// queued marks the rank as already present in the run heap.
-	queued bool
-	// blocked marks the rank as parked inside a communication primitive.
-	blocked bool
-	// done marks the rank's body as returned.
-	done bool
-	// inSync marks the rank as parked inside a collective epoch.
-	inSync bool
-	// rdvWaiting/rdvDone implement the rendezvous completion hand-off that
-	// the goroutine engine does with the per-rank done channel.
-	rdvWaiting bool
-	rdvDone    float64
-}
-
-// evQueue is one src→dst message queue: the event engine's mailbox. A plain
-// ring buffer suffices because only the token holder ever touches it; the
-// waiter fields park at most one receiver and one backpressured sender.
+// evQueue is one src→dst message queue. A plain ring buffer suffices
+// because only the token holder ever touches it; the waiter fields park at
+// most one receiver and one backpressured sender.
 type evQueue struct {
 	buf        []message
 	head, n    int
@@ -97,11 +75,17 @@ func (q *evQueue) pop() message {
 	return m
 }
 
-// evEngine is the shared scheduler state of one event-engine job.
-type evEngine struct {
-	rt   *runtime
+// collSnapshot is the outcome of one collective synchronization epoch.
+type collSnapshot struct {
+	clocks   []float64
+	payloads []any
+}
+
+// engine is the shared state of one running job. Every field is touched
+// only by the token holder.
+type engine struct {
+	w    World
 	ctxs []*Ctx
-	rank []evRank
 	heap []evItem
 	// queues holds the src→dst mailboxes, keyed src*n+dst and created on
 	// first use: kernels are neighbour- or collective-structured, so most of
@@ -116,31 +100,65 @@ type evEngine struct {
 	// deadlocked distinguishes a detected virtual-time deadlock from an
 	// ordinary rank error.
 	deadlocked bool
-	// finish is closed by the last exiting rank; the driver goroutine waits
-	// on it.
+	// finish is closed by the last exiting rank; Run waits on it.
 	finish chan struct{}
+
+	// snaps are the two rotating collective-epoch containers and epoch the
+	// number of completed epochs; see deposit.
+	snaps [2]collSnapshot
+	epoch int
+	// arrived counts the deposits of the epoch in progress.
+	arrived int
 }
 
-func newEvEngine(rt *runtime, ctxs []*Ctx) *evEngine {
-	n := rt.w.N
-	e := &evEngine{
-		rt:     rt,
-		ctxs:   ctxs,
-		rank:   make([]evRank, n),
+func newEngine(w World) *engine {
+	n := w.N
+	e := &engine{
+		w:      w,
+		ctxs:   make([]*Ctx, n),
 		heap:   make([]evItem, 0, n),
 		queues: make(map[int]*evQueue),
 		live:   n,
 		finish: make(chan struct{}),
 	}
-	for i := range e.rank {
-		e.rank[i] = evRank{eng: e, rank: i, resume: make(chan struct{}, 1)}
+	for i := range e.snaps {
+		e.snaps[i] = collSnapshot{clocks: make([]float64, n), payloads: make([]any, n)}
+	}
+	for rank := range e.ctxs {
+		e.ctxs[rank] = newCtx(e, rank)
 	}
 	return e
 }
 
+// run executes fn on every rank and returns each rank's error. The rank
+// goroutines are cooperative coroutines: each waits for the token, runs its
+// body (parking inside communication primitives), and retires through
+// exit. run seeds the heap with every rank at virtual time zero, hands the
+// token to the first, and waits for the last to leave.
+func (e *engine) run(fn RankFunc) []error {
+	errs := make([]error, len(e.ctxs))
+	for rank, c := range e.ctxs {
+		//palint:ignore nakedgo -- coroutine fan-out: each goroutine writes only its own errs slot and all engine state is serialized by the execution token; the finish channel publishes the writes to Run
+		go func(rank int, c *Ctx) {
+			<-c.resume
+			if err := fn(c); err != nil {
+				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
+				e.abortAll()
+			}
+			e.exit(c)
+		}(rank, c)
+	}
+	for rank := range e.ctxs {
+		e.makeRunnable(rank)
+	}
+	e.handoff()
+	<-e.finish
+	return errs
+}
+
 //palint:hotpath
-func (e *evEngine) queue(src, dst int) *evQueue {
-	key := src*e.rt.w.N + dst
+func (e *engine) queue(src, dst int) *evQueue {
+	key := src*e.w.N + dst
 	if q, ok := e.queues[key]; ok {
 		return q
 	}
@@ -153,8 +171,8 @@ func (e *evEngine) queue(src, dst int) *evQueue {
 // (virtual clock, rank).
 //
 //palint:hotpath
-func (e *evEngine) heapPush(it evItem) {
-	e.heap = append(e.heap, it) //palint:ignore hotalloc -- capacity is preallocated to N in newEvEngine; at most N ranks are ever queued
+func (e *engine) heapPush(it evItem) {
+	e.heap = append(e.heap, it) //palint:ignore hotalloc -- capacity is preallocated to N in newEngine; at most N ranks are ever queued
 	i := len(e.heap) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -167,7 +185,7 @@ func (e *evEngine) heapPush(it evItem) {
 }
 
 //palint:hotpath
-func (e *evEngine) heapPop() evItem {
+func (e *engine) heapPop() evItem {
 	top := e.heap[0]
 	last := len(e.heap) - 1
 	e.heap[0] = e.heap[last]
@@ -203,47 +221,52 @@ func evLess(a, b evItem) bool {
 // since it is parked) virtual clock.
 //
 //palint:hotpath
-func (e *evEngine) makeRunnable(rank int) {
-	r := &e.rank[rank]
-	if r.done || r.queued {
+func (e *engine) makeRunnable(rank int) {
+	c := e.ctxs[rank]
+	if c.exited || c.queued {
 		return
 	}
-	r.queued = true
-	e.heapPush(evItem{key: e.ctxs[rank].clock, rank: int32(rank)})
+	c.queued = true
+	e.heapPush(evItem{key: c.clock, rank: int32(rank)})
 }
 
 // handoff passes the execution token to the runnable rank with the lowest
-// virtual clock. Called by a rank that is about to park or exit — or by the
-// driver to start the job — so exactly one rank runs at any instant.
+// virtual clock. Called by a rank that is about to park or exit — or by run
+// to start the job — so exactly one rank runs at any instant.
 //
 //palint:hotpath
-func (e *evEngine) handoff() {
+func (e *engine) handoff() {
 	if len(e.heap) == 0 {
 		e.breakDeadlock()
 	}
-	it := e.heapPop()
-	r := &e.rank[it.rank]
-	r.queued = false
-	r.resume <- struct{}{}
+	c := e.ctxs[e.heapPop().rank]
+	c.queued = false
+	c.resume <- struct{}{}
 }
 
 // breakDeadlock handles an empty run heap with live ranks remaining: every
 // live rank is parked and none can ever be woken — a communication deadlock
 // in virtual time. Wake them all for teardown; each returns ErrDeadlock
 // from its pending operation.
-func (e *evEngine) breakDeadlock() {
+func (e *engine) breakDeadlock() {
 	e.deadlocked = true
-	e.aborted = true
-	for i := range e.rank {
-		if r := &e.rank[i]; !r.done && r.blocked {
-			e.makeRunnable(i)
-		}
-	}
+	e.abortAll()
 	if len(e.heap) == 0 {
-		// Unreachable: exit() closes finish when the last rank leaves, and a
+		// Unreachable: exit closes finish when the last rank leaves, and a
 		// non-last exit hands the token to someone, so live > 0 implies at
 		// least one blocked rank.
-		panic("mpi: event engine: live ranks but nothing runnable or blocked")
+		panic("mpi: engine: live ranks but nothing runnable or blocked")
+	}
+}
+
+// abortAll starts job teardown: every parked rank is woken to observe the
+// abort and unwind.
+func (e *engine) abortAll() {
+	e.aborted = true
+	for rank, c := range e.ctxs {
+		if !c.exited && c.blocked {
+			e.makeRunnable(rank)
+		}
 	}
 }
 
@@ -251,32 +274,31 @@ func (e *evEngine) breakDeadlock() {
 // a genuine wake-up and an error when the job is being torn down.
 //
 //palint:hotpath
-func (e *evEngine) park(c *Ctx) error {
-	r := c.ev
+func (e *engine) park(c *Ctx) error {
 	if e.aborted {
 		return e.teardownErr()
 	}
-	r.blocked = true
+	c.blocked = true
 	e.handoff()
-	<-r.resume
-	r.blocked = false
+	<-c.resume
+	c.blocked = false
 	if e.aborted {
 		return e.teardownErr()
 	}
 	return nil
 }
 
-func (e *evEngine) teardownErr() error {
+func (e *engine) teardownErr() error {
 	if e.deadlocked {
 		return ErrDeadlock
 	}
 	return ErrAborted
 }
 
-// exit retires the calling rank's body. The last rank out signals the
-// driver; anyone else passes the token on.
-func (e *evEngine) exit(rank int) {
-	e.rank[rank].done = true
+// exit retires the calling rank's body. The last rank out signals Run;
+// anyone else passes the token on.
+func (e *engine) exit(c *Ctx) {
+	c.exited = true
 	e.live--
 	if e.live == 0 {
 		close(e.finish)
@@ -285,23 +307,11 @@ func (e *evEngine) exit(rank int) {
 	e.handoff()
 }
 
-// abortAll starts job teardown after a rank error: every parked rank is
-// woken to observe the abort and unwind.
-func (e *evEngine) abortAll() {
-	e.aborted = true
-	for i := range e.rank {
-		if r := &e.rank[i]; !r.done && r.blocked {
-			e.makeRunnable(i)
-		}
-	}
-}
-
-// send enqueues m on the src→dst queue, waking a parked receiver and
-// honouring the mailboxDepth backpressure the goroutine engine gets from
-// its channel capacity.
+// send enqueues m on the c→dst queue, waking a parked receiver and parking
+// the sender while the queue holds mailboxDepth messages.
 //
 //palint:hotpath
-func (e *evEngine) send(c *Ctx, dst int, m message) error {
+func (e *engine) send(c *Ctx, dst int, m message) error {
 	q := e.queue(c.rank, dst)
 	for q.n == mailboxDepth {
 		q.sendWaiter = c.rank
@@ -322,7 +332,7 @@ func (e *evEngine) send(c *Ctx, dst int, m message) error {
 // recv dequeues the next message from src, parking until one arrives.
 //
 //palint:hotpath
-func (e *evEngine) recv(c *Ctx, src int) (message, error) {
+func (e *engine) recv(c *Ctx, src int) (message, error) {
 	q := e.queue(src, c.rank)
 	for q.n == 0 {
 		q.waiter = c.rank
@@ -344,106 +354,70 @@ func (e *evEngine) recv(c *Ctx, src int) (message, error) {
 // receiver completes the transfer and reports the sender-side finish time.
 //
 //palint:hotpath
-func (e *evEngine) waitRendezvous(c *Ctx) (float64, error) {
-	r := c.ev
-	r.rdvWaiting = true
-	for r.rdvWaiting {
+func (e *engine) waitRendezvous(c *Ctx) (float64, error) {
+	c.rdvWaiting = true
+	for c.rdvWaiting {
 		if err := e.park(c); err != nil {
-			r.rdvWaiting = false
+			c.rdvWaiting = false
 			return 0, err
 		}
 	}
-	return r.rdvDone, nil
+	return c.rdvDone, nil
 }
 
 // completeRendezvous is the receiver-side half of waitRendezvous: it
 // delivers the sender's completion time and wakes it. A sender already torn
-// down (teardown races the completion exactly as the goroutine engine's
-// abandoned done channel does) is left alone.
+// down is left alone.
 //
 //palint:hotpath
-func (e *evEngine) completeRendezvous(src int, doneAt float64) {
-	r := &e.rank[src]
-	if r.done || !r.rdvWaiting {
+func (e *engine) completeRendezvous(src int, doneAt float64) {
+	c := e.ctxs[src]
+	if c.exited || !c.rdvWaiting {
 		return
 	}
-	r.rdvDone = doneAt
-	r.rdvWaiting = false
+	c.rdvDone = doneAt
+	c.rdvWaiting = false
 	e.makeRunnable(src)
 }
 
-// deposit is the event engine's collective epoch: the runtime's shared
-// clock/payload arrays are safe to touch without the mutex because only the
-// token holder runs. The last arrival publishes the rotating snapshot
-// (same two-container argument as runtime.sync) and wakes every parked
-// participant; earlier arrivals park until then.
+// deposit is the collective epoch: the calling rank writes its entry clock
+// and payload into the epoch's container, and the last arrival completes
+// the epoch and wakes every parked participant; earlier arrivals park until
+// then. Every rank returns the same snapshot, whose contents depend only on
+// the deposits, so every collective is deterministic.
+//
+// Two containers rotate instead of one being allocated per epoch. Reusing
+// container k&1 for epoch k+2 is safe: a rank deposits for epoch k+2 only
+// after it finished reading epoch k+1's snapshot, which it read only after
+// epoch k+1 completed — and that needed every rank's epoch k+1 deposit,
+// made only after that rank finished reading epoch k. So no reader of
+// container k&1 remains by the time it is overwritten. The deposited
+// payload values themselves are never recycled here; collectives hand them
+// to callers.
 //
 //palint:hotpath
-func (e *evEngine) deposit(c *Ctx, payload any) (*collSnapshot, error) {
-	rt := c.rt
-	rt.clocks[c.rank] = c.clock
-	rt.payloads[c.rank] = payload
-	rt.arrived++
-	if rt.arrived == rt.w.N {
-		snap := &rt.snaps[rt.epoch&1]
-		rt.epoch++
-		copy(snap.clocks, rt.clocks)
-		copy(snap.payloads, rt.payloads)
-		rt.snapshot = snap
-		rt.arrived = 0
-		for i := range e.rank {
-			if r := &e.rank[i]; r.inSync {
-				r.inSync = false
-				e.makeRunnable(i)
+func (e *engine) deposit(c *Ctx, payload any) (*collSnapshot, error) {
+	snap := &e.snaps[e.epoch&1]
+	snap.clocks[c.rank] = c.clock
+	snap.payloads[c.rank] = payload
+	e.arrived++
+	if e.arrived == e.w.N {
+		e.arrived = 0
+		e.epoch++
+		for rank, p := range e.ctxs {
+			if p.inSync {
+				p.inSync = false
+				e.makeRunnable(rank)
 			}
 		}
 		return snap, nil
 	}
-	r := c.ev
-	r.inSync = true
-	for r.inSync {
+	c.inSync = true
+	for c.inSync {
 		if err := e.park(c); err != nil {
-			r.inSync = false
+			c.inSync = false
 			return nil, err
 		}
 	}
-	// A later epoch cannot have overwritten the snapshot pointer: it would
-	// need all N deposits, and this rank has not deposited again.
-	return rt.snapshot, nil
-}
-
-// runEvent executes fn on every rank under the event engine. The rank
-// goroutines are cooperative coroutines: each waits for the token, runs its
-// body (parking inside communication primitives), and retires through
-// exit(). The driver seeds the heap with every rank at virtual time zero,
-// hands the token to the first, and waits for the last to leave.
-func runEvent(w World, fn RankFunc) (*Result, error) {
-	rt := newRuntime(w)
-	ctxs := make([]*Ctx, w.N)
-	errs := make([]error, w.N)
-	for rank := 0; rank < w.N; rank++ {
-		ctxs[rank] = newCtx(rt, rank)
-	}
-	e := newEvEngine(rt, ctxs)
-	for rank := 0; rank < w.N; rank++ {
-		ctxs[rank].ev = &e.rank[rank]
-	}
-	for rank := 0; rank < w.N; rank++ {
-		//palint:ignore nakedgo -- event-engine coroutine fan-out: each goroutine writes only its own errs slot and all engine state is serialized by the execution token; the finish channel publishes the writes to the driver
-		go func(rank int) {
-			self := &e.rank[rank]
-			<-self.resume
-			if err := fn(ctxs[rank]); err != nil {
-				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
-				e.abortAll()
-			}
-			e.exit(rank)
-		}(rank)
-	}
-	for rank := 0; rank < w.N; rank++ {
-		e.makeRunnable(rank)
-	}
-	e.handoff()
-	<-e.finish
-	return finishRun(w, ctxs, errs)
+	return snap, nil
 }

@@ -1,76 +1,106 @@
 package mpi
 
 import (
+	"crypto/sha256"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	stdruntime "runtime"
+	"strings"
 	"testing"
 
 	"pasp/internal/faults"
+	"pasp/internal/papi"
 )
 
-// runBothEngines executes the same program under both engines and returns
-// the two results.
-func runBothEngines(t *testing.T, w World, fn RankFunc) (gor, ev *Result) {
+// checkDigestGolden compares digest lines of the form "<case> <component>
+// <value>" line by line against the named testdata file, so a mismatch
+// names the case and component that drifted. Lines starting with # are
+// comments. The file is rewritten under -update.
+func checkDigestGolden(t *testing.T, name, header string, got []string) {
 	t.Helper()
-	wg := w
-	wg.Engine = EngineGoroutine
-	gor, err := Run(wg, fn)
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(header+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("goroutine engine: %v", err)
+		t.Fatalf("%v (run with -update to create)", err)
 	}
-	we := w
-	we.Engine = EngineEvent
-	ev, err = Run(we, fn)
-	if err != nil {
-		t.Fatalf("event engine: %v", err)
+	var want []string
+	for _, l := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if !strings.HasPrefix(l, "#") {
+			want = append(want, l)
+		}
 	}
-	return gor, ev
-}
-
-// requireIdentical asserts the engine-equivalence contract on two results:
-// byte-identical timeline, bit-identical makespan and energy, identical
-// communication profile.
-func requireIdentical(t *testing.T, label string, a, b *Result) {
-	t.Helper()
-	if a.Trace.TimelineCSV() != b.Trace.TimelineCSV() {
-		t.Errorf("%s: timelines differ", label)
+	if len(got) != len(want) {
+		t.Fatalf("%d digest lines, %s has %d", len(got), name, len(want))
 	}
-	if a.Seconds != b.Seconds || a.Joules != b.Joules {
-		t.Errorf("%s: outcome differs: %.17g s %.17g J vs %.17g s %.17g J",
-			label, a.Seconds, a.Joules, b.Seconds, b.Joules)
-	}
-	if a.Counters != b.Counters {
-		t.Errorf("%s: PAPI counters differ: %+v vs %+v", label, a.Counters, b.Counters)
-	}
-	for r := range a.PerRank {
-		if a.PerRank[r] != b.PerRank[r] {
-			t.Errorf("%s: rank %d stats differ: %+v vs %+v", label, r, a.PerRank[r], b.PerRank[r])
+	for i, w := range want {
+		if got[i] != w {
+			f := strings.SplitN(w, " ", 3)
+			t.Errorf("%s %s drifted from %s:\n got  %s\n want %s", f[0], f[1], name, got[i], w)
 		}
 	}
 }
 
-// TestEngineDifferential is the equivalence contract at the mpi level: the
+// resultDigest renders a result as digest lines: the timeline's SHA-256,
+// makespan and energy at full precision, the summed PAPI counters and
+// every rank's stats.
+func resultDigest(label string, res *Result) []string {
+	lines := []string{
+		fmt.Sprintf("%s timeline %x", label, sha256.Sum256([]byte(res.Trace.TimelineCSV()))),
+		fmt.Sprintf("%s seconds %.17g", label, res.Seconds),
+		fmt.Sprintf("%s joules %.17g", label, res.Joules),
+	}
+	ctr := label + " counters"
+	for e := papi.Event(0); e < papi.NumEvents; e++ {
+		ctr += fmt.Sprintf(" %s=%.17g", e, res.Counters.Get(e))
+	}
+	lines = append(lines, ctr)
+	for r, s := range res.PerRank {
+		lines = append(lines, fmt.Sprintf("%s rank%d seconds=%.17g compute=%.17g comm=%.17g joules=%.17g msgs=%d msgbytes=%d fault=%.17g retries=%d",
+			label, r, s.Seconds, s.ComputeSec, s.CommSec, s.Joules, s.Msgs, s.MsgBytes, s.FaultSec, s.Retries))
+	}
+	return lines
+}
+
+// TestEngineDifferential is the engine differential at the mpi level: the
 // chaos program (compute, eager, rendezvous, exchange and collective paths)
-// must produce byte-identical results under both engines, clean and under
-// a fixed chaos seed, across rank counts.
+// at N ∈ {2, 3, 4, 8}, clean and under a fixed chaos seed, against the
+// frozen output of the retired goroutine engine. That engine was a second
+// runtime sharing only the timing code, and testdata/chaos_program.golden
+// holds its digests, so the file is an oracle independent of how the
+// remaining engine blocks and wakes ranks.
 func TestEngineDifferential(t *testing.T) {
+	var got []string
 	for _, n := range []int{2, 3, 4, 8} {
-		clean, cleanEv := runBothEngines(t, testWorld(n, 1400), chaosProgram)
-		requireIdentical(t, "clean", clean, cleanEv)
-		chaos, chaosEv := runBothEngines(t, chaosWorld(n, chaosCfg), chaosProgram)
-		requireIdentical(t, "chaos", chaos, chaosEv)
-		if chaosEv.FaultSec() == 0 || chaosEv.Retries() == 0 {
-			t.Errorf("n=%d: chaos run under the event engine injected nothing", n)
+		for _, mode := range []struct {
+			label string
+			w     World
+		}{{"clean", testWorld(n, 1400)}, {"chaos", chaosWorld(n, chaosCfg)}} {
+			res, err := Run(mode.w, chaosProgram)
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, mode.label, err)
+			}
+			if mode.w.Faults.Enabled() && (res.FaultSec() == 0 || res.Retries() == 0) {
+				t.Errorf("n=%d: chaos run injected nothing", n)
+			}
+			got = append(got, resultDigest(fmt.Sprintf("n%d/%s", n, mode.label), res)...)
 		}
 	}
+	checkDigestGolden(t, "chaos_program.golden",
+		"# chaosProgram digests: <case> <component> <value>.\n# Regenerate: go test ./internal/mpi -run TestEngineDifferential -update\n", got)
 }
 
-// TestEventEngineGOMAXPROCS1 pins scheduler independence: the event engine
-// must produce the same bytes with the Go scheduler reduced to one P, where
-// any accidental reliance on parallel wake-up order would surface.
+// TestEventEngineGOMAXPROCS1 pins scheduler independence: the engine must
+// produce the same bytes with the Go scheduler reduced to one P, where any
+// accidental reliance on parallel wake-up order would surface.
 func TestEventEngineGOMAXPROCS1(t *testing.T) {
 	w := chaosWorld(4, chaosCfg)
-	w.Engine = EngineEvent
 	base, err := Run(w, chaosProgram)
 	if err != nil {
 		t.Fatal(err)
@@ -82,18 +112,15 @@ func TestEventEngineGOMAXPROCS1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if base.Trace.TimelineCSV() != single.Trace.TimelineCSV() {
-		t.Error("event engine timeline changed under GOMAXPROCS=1")
+		t.Error("timeline changed under GOMAXPROCS=1")
 	}
 }
 
 // TestEventDeadlockDetected: a program where every rank receives first can
-// never progress. The goroutine engine would hang; the event engine, which
-// sees the global blocked set, must detect the empty run heap and fail
-// every rank with ErrDeadlock.
+// never progress. The engine, which sees the global blocked set, must
+// detect the empty run heap and fail every rank with ErrDeadlock.
 func TestEventDeadlockDetected(t *testing.T) {
-	w := testWorld(2, 600)
-	w.Engine = EngineEvent
-	_, err := Run(w, func(c *Ctx) error {
+	_, err := Run(testWorld(2, 600), func(c *Ctx) error {
 		got, err := c.Recv(1-c.Rank(), 1)
 		if err != nil {
 			return err
@@ -106,14 +133,12 @@ func TestEventDeadlockDetected(t *testing.T) {
 	}
 }
 
-// TestEventEngineErrorPropagates: a failing rank must tear the event-engine
-// job down exactly as under the goroutine engine, preferring the root-cause
+// TestEventEngineErrorPropagates: a failing rank must wake the ranks the
+// engine has parked in a collective, and Run must prefer the root-cause
 // error over the aborts it induced.
 func TestEventEngineErrorPropagates(t *testing.T) {
-	w := testWorld(4, 600)
-	w.Engine = EngineEvent
 	boom := errors.New("boom")
-	_, err := Run(w, func(c *Ctx) error {
+	_, err := Run(testWorld(4, 600), func(c *Ctx) error {
 		if c.Rank() == 2 {
 			return boom
 		}
@@ -124,19 +149,20 @@ func TestEventEngineErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestEventEngineTagMismatchAborts mirrors the goroutine engine's
-// wrong-tag teardown on the event path.
+// TestEventEngineTagMismatchAborts: a rendezvous-sized message parks its
+// sender until the receiver reports completion. When the receiver finds the
+// wrong tag instead, the parked sender must be woken and the job must fail
+// with the mismatch, not with the abort it induced.
 func TestEventEngineTagMismatchAborts(t *testing.T) {
 	w := testWorld(2, 600)
-	w.Engine = EngineEvent
 	_, err := Run(w, func(c *Ctx) error {
 		if c.Rank() == 0 {
-			return c.Send(1, 7, []float64{1}, 0)
+			return c.Send(1, 7, []float64{1}, w.Net.EagerBytes+1)
 		}
 		_, err := c.Recv(0, 8)
 		return err
 	})
-	if err == nil || errors.Is(err, ErrAborted) {
+	if err == nil || !strings.Contains(err.Error(), "expected tag 8") {
 		t.Fatalf("tag mismatch returned %v, want the mismatch error", err)
 	}
 }
@@ -146,9 +172,7 @@ func TestEventEngineTagMismatchAborts(t *testing.T) {
 // queue and resume correctly — same FIFO contents, no loss, no reordering.
 func TestEventEngineBackpressure(t *testing.T) {
 	const msgs = mailboxDepth + 16
-	w := testWorld(2, 600)
-	w.Engine = EngineEvent
-	res, err := Run(w, func(c *Ctx) error {
+	res, err := Run(testWorld(2, 600), func(c *Ctx) error {
 		data := []float64{1}
 		if c.Rank() == 0 {
 			for i := 0; i < msgs; i++ {
@@ -175,12 +199,32 @@ func TestEventEngineBackpressure(t *testing.T) {
 	}
 }
 
-// replayWorld builds the (world, recording) pair for the replay tests:
-// capture the chaos program at recMHz, then hand back a world at playMHz.
-func recordChaos(t *testing.T, n int, mhz float64, cfg faults.Config, eng Engine) *Recording {
+// requireIdentical asserts that two results agree bit for bit: timeline,
+// makespan and energy, counters and every rank's stats.
+func requireIdentical(t *testing.T, label string, a, b *Result) {
 	t.Helper()
-	w := chaosWorld(n, cfg)
-	w.Engine = eng
+	if a.Trace.TimelineCSV() != b.Trace.TimelineCSV() {
+		t.Errorf("%s: timelines differ", label)
+	}
+	if a.Seconds != b.Seconds || a.Joules != b.Joules {
+		t.Errorf("%s: outcome differs: %.17g s %.17g J vs %.17g s %.17g J",
+			label, a.Seconds, a.Joules, b.Seconds, b.Joules)
+	}
+	if a.Counters != b.Counters {
+		t.Errorf("%s: PAPI counters differ: %+v vs %+v", label, a.Counters, b.Counters)
+	}
+	for r := range a.PerRank {
+		if a.PerRank[r] != b.PerRank[r] {
+			t.Errorf("%s: rank %d stats differ: %+v vs %+v", label, r, a.PerRank[r], b.PerRank[r])
+		}
+	}
+}
+
+// recordChaos captures the chaos program at mhz into a fresh Recording.
+func recordChaos(t *testing.T, n int, mhz float64, cfg faults.Config) *Recording {
+	t.Helper()
+	w := testWorld(n, mhz)
+	w.Faults = cfg
 	rec := NewRecording()
 	w.Record = rec
 	if _, err := Run(w, chaosProgram); err != nil {
@@ -192,44 +236,18 @@ func recordChaos(t *testing.T, n int, mhz float64, cfg faults.Config, eng Engine
 	return rec
 }
 
-// TestReplayMatchesDirect is the record/replay contract: replaying a tape
-// captured at one frequency into a world at another frequency must be
-// bit-identical to running the program directly at the target frequency —
-// clean and under chaos, across engines and across the engine boundary
-// (record under one engine, replay under the other).
-func TestReplayMatchesDirect(t *testing.T) {
+// checkReplay records the chaos program at recMHz and replays the tape
+// into a 1400 MHz world, which must be bit-identical to running the
+// program directly there, clean and under chaos.
+func checkReplay(t *testing.T, recMHz float64) {
+	t.Helper()
 	for _, cfg := range []faults.Config{{}, chaosCfg} {
 		label := "clean"
 		if cfg.Enabled() {
 			label = "chaos"
 		}
-		for _, recEng := range []Engine{EngineGoroutine, EngineEvent} {
-			for _, playEng := range []Engine{EngineGoroutine, EngineEvent} {
-				rec := recordChaos(t, 4, 600, cfg, recEng)
-				target := chaosWorld(4, cfg)
-				target.Engine = playEng
-				direct, err := Run(target, chaosProgram)
-				if err != nil {
-					t.Fatal(err)
-				}
-				replayed, err := Replay(target, rec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, label+"/rec="+string(recEng)+"/play="+string(playEng), direct, replayed)
-			}
-		}
-	}
-}
-
-// TestReplayAtOtherFrequency replays a 600 MHz tape at 1400 MHz and checks
-// it against a direct 1400 MHz run — the cross-frequency property
-// cluster.Sweep's replay fast path rests on.
-func TestReplayAtOtherFrequency(t *testing.T) {
-	for _, cfg := range []faults.Config{{}, chaosCfg} {
-		rec := recordChaos(t, 4, 600, cfg, EngineEvent)
+		rec := recordChaos(t, 4, recMHz, cfg)
 		target := chaosWorld(4, cfg)
-		target.Engine = EngineEvent
 		direct, err := Run(target, chaosProgram)
 		if err != nil {
 			t.Fatal(err)
@@ -238,15 +256,29 @@ func TestReplayAtOtherFrequency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdentical(t, "cross-frequency", direct, replayed)
+		requireIdentical(t, label, direct, replayed)
 	}
+}
+
+// TestReplayMatchesDirect is the record/replay contract: replaying a tape
+// in a world identical to the one it was captured in reproduces the direct
+// run bit for bit.
+func TestReplayMatchesDirect(t *testing.T) {
+	checkReplay(t, 1400)
+}
+
+// TestReplayAtOtherFrequency replays a 600 MHz tape at 1400 MHz and checks
+// it against a direct 1400 MHz run — the cross-frequency property
+// cluster.Sweep's replay fast path rests on.
+func TestReplayAtOtherFrequency(t *testing.T) {
+	checkReplay(t, 600)
 }
 
 // TestRecordingSingleUse: a Recording attaches to exactly one run, rejects
 // replay before completion, rejects rank-count mismatches, and recording
 // refuses an OnPhase hook.
 func TestRecordingSingleUse(t *testing.T) {
-	rec := recordChaos(t, 2, 600, faults.Config{}, EngineGoroutine)
+	rec := recordChaos(t, 2, 600, faults.Config{})
 
 	w := testWorld(2, 600)
 	w.Record = rec
@@ -267,66 +299,5 @@ func TestRecordingSingleUse(t *testing.T) {
 	hooked.OnPhase = func(c *Ctx, phase string) {}
 	if _, err := Run(hooked, chaosProgram); err == nil {
 		t.Error("recording with an OnPhase hook succeeded")
-	}
-}
-
-// eventPingPongAllocs is pingPongAllocs under the event engine.
-func eventPingPongAllocs(t *testing.T, rounds int) float64 {
-	t.Helper()
-	w := testWorld(2, 600)
-	w.Engine = EngineEvent
-	data := []float64{1, 2, 3, 4}
-	return testing.AllocsPerRun(3, func() {
-		_, err := Run(w, func(c *Ctx) error {
-			for r := 0; r < rounds; r++ {
-				if c.Rank() == 0 {
-					if err := c.Send(1, 7, data, 32); err != nil {
-						return err
-					}
-					got, err := c.Recv(1, 8)
-					if err != nil {
-						return err
-					}
-					c.Free(got)
-				} else {
-					got, err := c.Recv(0, 7)
-					if err != nil {
-						return err
-					}
-					c.Free(got)
-					if err := c.Send(0, 8, data, 32); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestEventEnginePingPongAllocs pins the event core's steady state at zero
-// allocations per event: heap slots, mailbox rings and the payload
-// freelist all reach their working set during warm-up, after which parking,
-// hand-off and delivery allocate nothing. Differencing two round counts
-// cancels the per-Run fixed cost exactly as in TestEagerPathAllocs. The
-// only marginal allocations left are the shared trace log's amortized slice
-// doublings (~2 across the extra 64 rounds, engine-independent); the 0.1
-// budget admits those while rejecting any real per-event cost, and the
-// direct comparison against the goroutine engine pins the core at no worse
-// than the runtime it replaces.
-func TestEventEnginePingPongAllocs(t *testing.T) {
-	const r = 64
-	base := eventPingPongAllocs(t, r)
-	double := eventPingPongAllocs(t, 2*r)
-	perRound := (double - base) / r
-	if perRound > 0.1 {
-		t.Errorf("event-engine ping-pong allocates %.2f allocs/round in steady state, want ~0 (trace-log growth only)", perRound)
-	}
-	gorPerRound := (pingPongAllocs(t, 2*r) - pingPongAllocs(t, r)) / r
-	if perRound > gorPerRound {
-		t.Errorf("event engine allocates more per round (%.2f) than the goroutine engine (%.2f)", perRound, gorPerRound)
 	}
 }

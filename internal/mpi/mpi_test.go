@@ -139,6 +139,8 @@ func TestPerPairFIFO(t *testing.T) {
 	}
 }
 
+// TestTagMismatchAborts: a receive that finds the wrong tag fails the job
+// with the mismatch itself, not with the abort it induces.
 func TestTagMismatchAborts(t *testing.T) {
 	_, err := Run(testWorld(2, 600), func(c *Ctx) error {
 		if c.Rank() == 0 {
@@ -147,8 +149,8 @@ func TestTagMismatchAborts(t *testing.T) {
 		_, err := c.Recv(0, 2)
 		return err
 	})
-	if err == nil {
-		t.Fatal("tag mismatch not reported")
+	if err == nil || errors.Is(err, ErrAborted) {
+		t.Fatalf("tag mismatch returned %v, want the mismatch error", err)
 	}
 }
 
@@ -431,6 +433,9 @@ func TestSingleRankCollectives(t *testing.T) {
 	}
 }
 
+// TestRankErrorAbortsJob: a failing rank tears the job down — a rank
+// parked in a receive from it is woken with ErrAborted — and Run returns
+// the root cause rather than the abort it induced.
 func TestRankErrorAbortsJob(t *testing.T) {
 	boom := errors.New("boom")
 	_, err := Run(testWorld(2, 600), func(c *Ctx) error {
@@ -441,11 +446,8 @@ func TestRankErrorAbortsJob(t *testing.T) {
 		_, err := c.Recv(0, 0)
 		return err
 	})
-	if err == nil {
-		t.Fatal("job error lost")
-	}
-	if !errors.Is(err, boom) && !errors.Is(err, ErrAborted) {
-		t.Errorf("unexpected error: %v", err)
+	if !errors.Is(err, boom) {
+		t.Fatalf("got %v, want the root cause", err)
 	}
 }
 

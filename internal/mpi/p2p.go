@@ -19,13 +19,12 @@ type message struct {
 	// rendezvous and exchange protocols, where the transfer cannot start
 	// before both sides are ready.
 	ready float64
-	// rendezvous marks a large message whose sender blocks until the
-	// receiver drains it; done carries the sender's completion time back.
+	// rendezvous marks a large message whose sender parks until the
+	// receiver drains it and reports the sender's completion time.
 	rendezvous bool
 	// exchange marks a message sent from inside SendRecv, whose timing is
 	// symmetric (both sides block).
 	exchange bool
-	done     chan float64
 }
 
 // Bytes returns the size used for timing: the virtual byte count when set,
@@ -37,8 +36,6 @@ func (m message) Bytes() int {
 	return 8 * len(m.data)
 }
 
-func (c *Ctx) box(src, dst int) chan message { return c.rt.box(src, dst) }
-
 // msgFaultDelays draws the chaos perturbation of one received message and
 // splits it into the retry backoff (dropped transmissions redelivered after
 // exponentially backed-off timeouts) and the fault stretch (degraded
@@ -47,7 +44,7 @@ func (c *Ctx) box(src, dst int) chan message { return c.rt.box(src, dst) }
 // sees, and the receiving rank's draw stream advances in its own program
 // order. The caller must have checked c.faults != nil.
 func (c *Ctx) msgFaultDelays(bytes int) (backoff, stretch float64) {
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	f := c.faults.Message(net.LatencySec)
 	c.retries += f.Retries
 	backoff = c.faults.BackoffSec(f.Retries)
@@ -61,10 +58,10 @@ func (c *Ctx) msgFaultDelays(bytes int) (backoff, stretch float64) {
 // stretch under the Fault kind, both billed at the poll utilization (the
 // receiver busy-waits through them like any other communication stall).
 func (c *Ctx) chargeMsgFaults(backoff, stretch float64) error {
-	if err := c.advanceFault(backoff, trace.Retry, c.rt.w.PollUtil); err != nil {
+	if err := c.advanceFault(backoff, trace.Retry, c.eng.w.PollUtil); err != nil {
 		return err
 	}
-	return c.advanceFault(stretch, trace.Fault, c.rt.w.PollUtil)
+	return c.advanceFault(stretch, trace.Fault, c.eng.w.PollUtil)
 }
 
 // Send transmits data to rank dst with the given tag. vbytes, when
@@ -87,47 +84,23 @@ func (c *Ctx) Send(dst, tag int, data []float64, vbytes int) error {
 	m := message{tag: tag, data: c.snapshotPayload(data), vbytes: vbytes}
 	b := m.Bytes()
 	c.noteMsgs(1, b)
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	o := c.cpuOverhead(b)
 	m.ready = c.clock + o
 
 	if net.Rendezvous(b) {
 		m.rendezvous = true
-		if c.ev != nil {
-			// Event engine: enqueue, then park until the receiver reports
-			// the sender-side completion time. The completion flags are set
-			// by the receiver under the execution token, so no channel is
-			// needed.
-			if err := c.ev.eng.send(c, dst, m); err != nil {
-				return err
-			}
-			doneAt, err := c.ev.eng.waitRendezvous(c)
-			if err != nil {
-				return err
-			}
-			c.egressFree = doneAt
-			return c.advanceComm(doneAt)
+		// Enqueue, then park until the receiver reports the sender-side
+		// completion time.
+		if err := c.eng.send(c, dst, m); err != nil {
+			return err
 		}
-		if c.done == nil {
-			c.done = make(chan float64, 1)
+		doneAt, err := c.eng.waitRendezvous(c)
+		if err != nil {
+			return err
 		}
-		m.done = c.done
-		select {
-		case c.box(c.rank, dst) <- m:
-		case <-c.rt.abort:
-			return ErrAborted
-		}
-		select {
-		case doneAt := <-m.done:
-			c.egressFree = doneAt
-			return c.advanceComm(doneAt)
-		case <-c.rt.abort:
-			// The receiver may still complete this rendezvous during
-			// teardown; abandon the channel so a stale completion can never
-			// be mistaken for a future message's.
-			c.done = nil
-			return ErrAborted
-		}
+		c.egressFree = doneAt
+		return c.advanceComm(doneAt)
 	}
 
 	// Eager: inject as soon as both the stack work is done and the port is
@@ -139,26 +112,10 @@ func (c *Ctx) Send(dst, tag int, data []float64, vbytes int) error {
 	injectEnd := injectStart + net.WireTime(b)
 	c.egressFree = injectEnd
 	m.arrival = injectEnd + net.LatencySec
-	if err := c.post(dst, m); err != nil {
+	if err := c.eng.send(c, dst, m); err != nil {
 		return err
 	}
 	return c.advanceComm(m.ready)
-}
-
-// post enqueues an outbound message on the engine-appropriate queue,
-// blocking on mailboxDepth backpressure.
-//
-//palint:hotpath
-func (c *Ctx) post(dst int, m message) error {
-	if c.ev != nil {
-		return c.ev.eng.send(c, dst, m)
-	}
-	select {
-	case c.box(c.rank, dst) <- m: //palint:ignore hotalloc -- the mailbox literal allocates only on a pair's first message; every later send reuses the published channel
-		return nil
-	case <-c.rt.abort:
-		return ErrAborted
-	}
 }
 
 // Recv receives the next message from rank src, which must carry the given
@@ -181,25 +138,15 @@ func (c *Ctx) recvTimed(src, tag int) ([]float64, error) {
 		return nil, err
 	}
 	c.noteP2P(trace.CommRecv, src, tag)
-	var m message
-	if c.ev != nil {
-		var err error
-		if m, err = c.ev.eng.recv(c, src); err != nil {
-			return nil, err
-		}
-	} else {
-		select {
-		case m = <-c.box(src, c.rank):
-		case <-c.rt.abort:
-			return nil, ErrAborted
-		}
+	m, err := c.eng.recv(c, src)
+	if err != nil {
+		return nil, err
 	}
 	if m.tag != tag {
-		c.rt.doAbort()
 		return nil, fmt.Errorf("mpi: rank %d expected tag %d from rank %d, got %d", c.rank, tag, src, m.tag)
 	}
 	b := m.Bytes()
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	or := c.cpuOverhead(b)
 
 	switch {
@@ -207,14 +154,11 @@ func (c *Ctx) recvTimed(src, tag int) ([]float64, error) {
 		// Transfer starts once both sides are ready; the sender streams the
 		// data (staying busy), the receiver gets it a latency plus wire
 		// time later.
+		// The receiver's own egress activity could also delay its CTS; the
+		// model ignores that minor effect.
 		start := m.ready
 		if c.clock > start {
 			start = c.clock
-		}
-		if c.egressFree > start {
-			// Receiver's CTS cannot overtake its own port activity; a minor
-			// effect, ignored for the ingress side.
-			_ = start
 		}
 		var backoff, stretch float64
 		if c.faults != nil {
@@ -224,11 +168,7 @@ func (c *Ctx) recvTimed(src, tag int) ([]float64, error) {
 		}
 		wire := net.WireTime(b)
 		senderDone := start + wire + backoff + stretch
-		if c.ev != nil {
-			c.ev.eng.completeRendezvous(src, senderDone)
-		} else {
-			m.done <- senderDone
-		}
+		c.eng.completeRendezvous(src, senderDone)
 		end := start + net.LatencySec + wire
 		if end < c.ingressBusy+wire {
 			end = c.ingressBusy + wire
@@ -305,12 +245,12 @@ func (c *Ctx) SendRecv(dst, src, tag int, data []float64, vbytes int) ([]float64
 		c.rec.add(recOp{kind: opSendRecv, peer: dst, peer2: src, tag: tag, nlen: len(data), vbytes: vbytes})
 	}
 	c.noteP2P(trace.CommSend, dst, tag)
-	net := &c.rt.w.Net
+	net := &c.eng.w.Net
 	out := message{tag: tag, data: c.snapshotPayload(data), vbytes: vbytes, exchange: true}
 	c.noteMsgs(1, out.Bytes())
 	out.ready = c.clock + c.cpuOverhead(out.Bytes())
 	c.egressFree = out.ready + net.WireTime(out.Bytes())
-	if err := c.post(dst, out); err != nil {
+	if err := c.eng.send(c, dst, out); err != nil {
 		return nil, err
 	}
 	got, err := c.recvTimed(src, tag)

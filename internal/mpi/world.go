@@ -3,7 +3,8 @@
 // need) whose cost model is the simulated cluster rather than the wall
 // clock.
 //
-// Each rank runs as a goroutine and owns a virtual clock. Computation
+// Each rank runs as a coroutine under a discrete-event scheduler
+// (engine.go) and owns a virtual clock. Computation
 // advances the clock through the node timing model (package machine);
 // communication advances it through the network model (package simnet).
 // Messages carry both real payloads (so kernels compute verifiable results)
@@ -18,8 +19,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"pasp/internal/faults"
 	"pasp/internal/machine"
@@ -39,35 +38,6 @@ var ErrAborted = errors.New("mpi: job aborted because another rank failed")
 // ReduceInsPerByte is the endpoint instruction cost of combining one byte
 // of a reduction payload (one load + one add per element, amortized).
 const ReduceInsPerByte = 1.5
-
-// Engine selects the runtime that executes a job's ranks. Both engines run
-// the same Ctx/p2p/collective code and produce byte-identical timelines,
-// energy totals and traces (the equivalence is pinned by differential
-// tests); they differ only in how a rank blocks.
-type Engine string
-
-const (
-	// EngineGoroutine runs every rank as a goroutine with channel
-	// rendezvous — the original runtime, and the zero-value default.
-	EngineGoroutine Engine = "goroutine"
-	// EngineEvent runs ranks as cooperative coroutines under a
-	// discrete-event scheduler: one execution token, an indexed min-heap of
-	// runnable ranks ordered by virtual clock, no locks and no channel
-	// select on the hot path. Same results, much less real scheduler time,
-	// and virtual-time deadlocks are detected (ErrDeadlock) instead of
-	// hanging. See engine.go.
-	EngineEvent Engine = "event"
-)
-
-// Validate reports an error for an unknown engine name; the empty string
-// selects EngineGoroutine.
-func (e Engine) Validate() error {
-	switch e {
-	case "", EngineGoroutine, EngineEvent:
-		return nil
-	}
-	return fmt.Errorf("mpi: unknown engine %q (want %q or %q)", string(e), EngineGoroutine, EngineEvent)
-}
 
 // World configures a simulated job: cluster size, machine/network models,
 // and the P-state every node runs at.
@@ -112,9 +82,6 @@ type World struct {
 	// (cmd/paverify). Nil follows the same contract as Obs and Faults: no
 	// allocation, no timing change, bit-identical traces.
 	Comm *trace.CommRecorder
-	// Engine selects the rank runtime; the zero value is EngineGoroutine.
-	// Engines are timing-equivalent, so this is purely a performance knob.
-	Engine Engine
 	// Record, when non-nil, captures every rank's operation stream (phases,
 	// compute work, message and collective shapes) so the run can be
 	// re-timed at another frequency with Replay without re-executing kernel
@@ -154,9 +121,6 @@ func (w World) Validate() error {
 		return fmt.Errorf("mpi: negative gear-switch time")
 	}
 	if err := w.Faults.Validate(); err != nil {
-		return err
-	}
-	if err := w.Engine.Validate(); err != nil {
 		return err
 	}
 	return nil
@@ -256,125 +220,6 @@ func (r *Result) Retries() int {
 	return n
 }
 
-// runtime is the shared state of a running job.
-type runtime struct {
-	w     World
-	boxes []atomic.Pointer[mailbox] // n×n mailboxes, indexed src*n+dst
-
-	mu       sync.Mutex
-	clocks   []float64
-	payloads []any
-	arrived  int
-	release  chan struct{}
-	snapshot *collSnapshot
-	snaps    [2]collSnapshot // rotating epoch containers, see sync
-	epoch    int
-
-	abortOnce sync.Once
-	abort     chan struct{}
-}
-
-// mailbox wraps one src→dst message channel so a pair's queue can be
-// published atomically on first use.
-type mailbox struct{ ch chan message }
-
-// mailboxDepth plays the role of MPICH's eager-buffer pool: a sender with
-// more than this many undelivered messages to one peer blocks until the
-// receiver drains some — as real MPI does when its unexpected-message queue
-// fills.
-const mailboxDepth = 1024
-
-// collSnapshot is the outcome of one collective synchronization epoch.
-type collSnapshot struct {
-	clocks   []float64
-	payloads []any
-}
-
-func newRuntime(w World) *runtime {
-	n := w.N
-	r := &runtime{
-		w:        w,
-		clocks:   make([]float64, n),
-		payloads: make([]any, n),
-		abort:    make(chan struct{}),
-	}
-	// The event engine replaces the n² channel mailboxes with lazily created
-	// ring buffers (engine.go) and the release broadcast with token wake-ups,
-	// so neither is allocated for it — at N = 1024 the empty mailbox array
-	// alone would cost 16 MB.
-	if w.Engine != EngineEvent {
-		r.boxes = make([]atomic.Pointer[mailbox], n*n)
-		r.release = make(chan struct{})
-	}
-	for i := range r.snaps {
-		r.snaps[i] = collSnapshot{
-			clocks:   make([]float64, n),
-			payloads: make([]any, n),
-		}
-	}
-	return r
-}
-
-// box returns the mailbox from src to dst, creating it on first use. Kernels
-// are neighbour- or collective-structured, so most of the n² pairs never
-// exchange a point-to-point message; creating every deep channel eagerly
-// cost tens of megabytes per 16-rank world. Which goroutine wins the
-// publication race is irrelevant to the simulation: message timing depends
-// only on virtual clocks and per-pair FIFO order, not on channel identity.
-func (r *runtime) box(src, dst int) chan message {
-	i := src*r.w.N + dst
-	if mb := r.boxes[i].Load(); mb != nil {
-		return mb.ch
-	}
-	mb := &mailbox{ch: make(chan message, mailboxDepth)}
-	if r.boxes[i].CompareAndSwap(nil, mb) {
-		return mb.ch
-	}
-	return r.boxes[i].Load().ch
-}
-
-func (r *runtime) doAbort() {
-	r.abortOnce.Do(func() { close(r.abort) })
-}
-
-// sync blocks until all n ranks have deposited (clock, payload) and returns
-// the epoch's snapshot. The snapshot's contents depend only on the deposits,
-// so every collective is deterministic.
-func (r *runtime) sync(rank int, clock float64, payload any) (*collSnapshot, error) {
-	r.mu.Lock()
-	r.clocks[rank] = clock
-	r.payloads[rank] = payload
-	r.arrived++
-	if r.arrived == r.w.N {
-		// Rotate between two preallocated snapshot containers instead of
-		// allocating one per epoch. Reusing container k at epoch k+2 is safe:
-		// a rank deposits for epoch k+2 only after it finished reading epoch
-		// k+1's snapshot, which it read only after epoch k completed — so no
-		// reader of container k remains by the time it is overwritten. The
-		// deposited payload values themselves are never recycled; collectives
-		// hand them to callers.
-		snap := &r.snaps[r.epoch&1]
-		r.epoch++
-		copy(snap.clocks, r.clocks)
-		copy(snap.payloads, r.payloads)
-		r.snapshot = snap
-		r.arrived = 0
-		rel := r.release
-		r.release = make(chan struct{})
-		r.mu.Unlock()
-		close(rel)
-		return snap, nil
-	}
-	rel := r.release
-	r.mu.Unlock()
-	select {
-	case <-rel:
-		return r.snapshot, nil
-	case <-r.abort:
-		return nil, ErrAborted
-	}
-}
-
 // Run executes fn on every rank of the world and aggregates the outcome.
 // The first rank error aborts the job and is returned.
 func Run(w World, fn RankFunc) (*Result, error) {
@@ -398,31 +243,8 @@ func Run(w World, fn RankFunc) (*Result, error) {
 	if w.Comm != nil {
 		w.Comm.Start(w.N)
 	}
-	if w.Engine == EngineEvent {
-		return runEvent(w, fn)
-	}
-	rt := newRuntime(w)
-	ctxs := make([]*Ctx, w.N)
-	errs := make([]error, w.N)
-	var wg sync.WaitGroup
-	for rank := 0; rank < w.N; rank++ {
-		ctxs[rank] = newCtx(rt, rank)
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			if err := fn(ctxs[rank]); err != nil {
-				errs[rank] = fmt.Errorf("rank %d: %w", rank, err)
-				rt.doAbort()
-			}
-		}(rank)
-	}
-	wg.Wait()
-	return finishRun(w, ctxs, errs)
-}
-
-// finishRun is the engine-independent tail of a job: error selection,
-// recording completion, aggregation and observation.
-func finishRun(w World, ctxs []*Ctx, errs []error) (*Result, error) {
+	e := newEngine(w)
+	errs := e.run(fn)
 	// Prefer the root cause: a rank that failed on its own error rather
 	// than one torn down by the abort.
 	var aborted error
@@ -442,11 +264,11 @@ func finishRun(w World, ctxs []*Ctx, errs []error) (*Result, error) {
 		return nil, aborted
 	}
 	if w.Record != nil {
-		w.Record.finish(ctxs)
+		w.Record.finish(e.ctxs)
 	}
-	res := aggregate(w, ctxs)
+	res := aggregate(w, e.ctxs)
 	if w.Obs != nil {
-		observeRun(w, ctxs, res)
+		observeRun(w, e.ctxs, res)
 	}
 	return res, nil
 }

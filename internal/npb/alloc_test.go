@@ -2,17 +2,14 @@ package npb
 
 import (
 	"testing"
-
-	"pasp/internal/mpi"
 )
 
 // ftRunAllocs measures the allocations of one full FT run at the given
-// iteration count on 4 ranks under the given engine.
-func ftRunAllocs(t *testing.T, iters int, eng mpi.Engine) float64 {
+// iteration count on 4 ranks.
+func ftRunAllocs(t *testing.T, iters int) float64 {
 	t.Helper()
 	ft := FT{Nx: 16, Ny: 16, Nz: 16, Iters: iters}
 	w := npbWorld(4, 600)
-	w.Engine = eng
 	return testing.AllocsPerRun(3, func() {
 		if _, _, err := ft.Run(w); err != nil {
 			t.Fatal(err)
@@ -29,17 +26,11 @@ func ftRunAllocs(t *testing.T, iters int, eng mpi.Engine) float64 {
 // single owner and are never pooled). Measured ~45 allocs/iteration at 4
 // ranks; the budget leaves ~2× headroom while still catching a return of
 // the per-iteration fresh-scratch pattern, which costs hundreds.
-// TestFTIterationAllocs runs the budget under both engines: the event
-// core must hold the same per-iteration ceiling as the goroutine runtime
-// it replaces — its parking, hand-off and wake-up paths may not add a
-// single steady-state allocation to the kernel's marginal cost.
 func TestFTIterationAllocs(t *testing.T) {
-	for _, eng := range []mpi.Engine{mpi.EngineGoroutine, mpi.EngineEvent} {
-		base := ftRunAllocs(t, 2, eng)
-		more := ftRunAllocs(t, 6, eng)
-		perIter := (more - base) / 4
-		if perIter > 90 {
-			t.Errorf("%s engine: FT allocates %.0f allocs/iteration, want ≤ 90", eng, perIter)
-		}
+	base := ftRunAllocs(t, 2)
+	more := ftRunAllocs(t, 6)
+	perIter := (more - base) / 4
+	if perIter > 90 {
+		t.Errorf("FT allocates %.0f allocs/iteration, want ≤ 90", perIter)
 	}
 }

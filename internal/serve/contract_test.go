@@ -15,7 +15,6 @@ import (
 
 	"pasp/internal/cluster"
 	"pasp/internal/experiments"
-	"pasp/internal/mpi"
 	"pasp/internal/obs"
 )
 
@@ -33,70 +32,65 @@ var contractGears = []float64{600, 1400}
 
 // TestPredictContractGolden pins the full response contract: for every
 // kernel, every contract (N, f) on its grid, the POST /predict body must
-// be byte-identical to the committed golden — under both engines. The two
-// engine passes compare against the *same* files, which is the proof that
-// responses are engine-free: the engines are timing-equivalent by
-// construction and nothing else may leak into the bytes.
+// be byte-identical to the committed golden.
 func TestPredictContractGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale campaigns skipped in -short mode")
 	}
-	for _, engine := range []mpi.Engine{mpi.EngineEvent, mpi.EngineGoroutine} {
-		t.Run(string(engine), func(t *testing.T) {
-			s := experiments.Paper()
-			s.Platform.Engine = engine
-			srv := New(Config{Suite: s, SuiteName: "paper", MaxInFlight: 2, Registry: obs.NewRegistry()})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
+	// The subtest is named for the event engine, the rank runtime that
+	// computes every response.
+	t.Run("event", func(t *testing.T) {
+		s := experiments.Paper()
+		srv := New(Config{Suite: s, SuiteName: "paper", MaxInFlight: 2, Registry: obs.NewRegistry()})
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
 
-			for _, name := range s.KernelNames() {
-				k, err := s.Kernel(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				for _, n := range contractNs {
-					for _, f := range contractGears {
-						if !onGrid(k.Grid, n, f) {
-							continue
-						}
-						body := fmt.Sprintf(`{"kernel":%q,"n":%d,"f":%g}`, name, n, f)
-						resp, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(body))
-						if err != nil {
-							t.Fatal(err)
-						}
-						data := make([]byte, 0, 512)
-						data, rerr := appendBody(data, resp)
-						if rerr != nil {
-							t.Fatal(rerr)
-						}
-						if resp.StatusCode != http.StatusOK {
-							t.Fatalf("%s n=%d f=%g: status %d (%s)", name, n, f, resp.StatusCode, data)
-						}
-						fmt.Fprintf(&buf, "predict %s n=%d f=%g\n", name, n, f)
-						buf.Write(data)
+		for _, name := range s.KernelNames() {
+			k, err := s.Kernel(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			for _, n := range contractNs {
+				for _, f := range contractGears {
+					if !onGrid(k.Grid, n, f) {
+						continue
 					}
-				}
-				golden := filepath.Join("testdata", "contract", name+".golden")
-				if updateGolden && engine == mpi.EngineEvent {
-					if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					body := fmt.Sprintf(`{"kernel":%q,"n":%d,"f":%g}`, name, n, f)
+					resp, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(body))
+					if err != nil {
 						t.Fatal(err)
 					}
-					if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-						t.Fatal(err)
+					data := make([]byte, 0, 512)
+					data, rerr := appendBody(data, resp)
+					if rerr != nil {
+						t.Fatal(rerr)
 					}
-				}
-				want, err := os.ReadFile(golden)
-				if err != nil {
-					t.Fatalf("missing golden (regenerate with PASP_UPDATE_GOLDEN=1): %v", err)
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Errorf("%s contract drifted from %s under engine %s\ngot:\n%swant:\n%s",
-						name, golden, engine, buf.Bytes(), want)
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("%s n=%d f=%g: status %d (%s)", name, n, f, resp.StatusCode, data)
+					}
+					fmt.Fprintf(&buf, "predict %s n=%d f=%g\n", name, n, f)
+					buf.Write(data)
 				}
 			}
-		})
-	}
+			golden := filepath.Join("testdata", "contract", name+".golden")
+			if updateGolden {
+				if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden (regenerate with PASP_UPDATE_GOLDEN=1): %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("%s contract drifted from %s\ngot:\n%swant:\n%s", name, golden, buf.Bytes(), want)
+			}
+		}
+	})
 }
 
 // appendBody drains resp into dst and closes it.

@@ -331,8 +331,8 @@ func (s *Server) campaign(w http.ResponseWriter, r *http.Request, k experiments.
 
 // PredictResponse is the answer for one configuration. The fields are a
 // deterministic function of the measured campaign and the fitted models —
-// no timestamps, engine tags or pointers — which is what lets the contract
-// goldens demand byte-identical bodies across engines and GOMAXPROCS.
+// no timestamps or pointers — which is what lets the contract goldens
+// demand byte-identical bodies at any GOMAXPROCS.
 type PredictResponse struct {
 	Kernel string  `json:"kernel"`
 	N      int     `json:"n"`
