@@ -46,12 +46,13 @@ race:
 
 # go vet plus palint, the repo's domain-aware analyzer: the v1 per-file
 # checks (unguarded float division, exact float comparison, dropped
-# model-API errors, map-order output, unsynchronized goroutine writes,
-# unitcheck's dimensional analysis), the v3 interprocedural passes
-# (detsource nondeterminism tainting, ownfree payload ownership, atomicmix
-# synchronization discipline, hotalloc hot-path allocation budgets) and
-# the v4 communication passes (commshape rank-dependent collectives,
-# phasebal phase discipline, deadlock symbolic rendezvous simulation).
+# model-API errors, unsynchronized goroutine writes, unitcheck's
+# dimensional analysis), the v3 interprocedural passes (detsource
+# nondeterminism tainting and map-order output, ownfree payload ownership,
+# atomicmix synchronization discipline, hotalloc hot-path allocation
+# budgets) and the v4 communication passes (commshape rank-dependent
+# collectives, phasebal phase discipline, deadlock symbolic rendezvous
+# simulation).
 # Suppressions live in the source as //palint:ignore comments with
 # mandatory reasons; the full finding set — suppressed entries and their
 # reasons included — lands in $(LINTJSON), which CI uploads per run.
@@ -90,10 +91,10 @@ trace-smoke:
 		-out $(TRACEJSON) -manifest $(MANIFESTJSON)
 
 # Trace conformance smoke: extract the module's communication skeleton with
-# palint, run the FT kernel with the protocol recorder attached at N = 2, 4
-# and 8 (quick suite) plus N = 64 (scale suite — the protocol contract
-# past the paper's grid), and replay each log against the
-# skeleton with paverify. A non-zero exit means the run performed a phase
+# palint, record the FT kernel's operation tape at N = 2, 4 and 8 (quick
+# suite) plus N = 64 (scale suite — the protocol contract past the
+# paper's grid), and replay each tape's comm log against the skeleton
+# with paverify. A non-zero exit means the run performed a phase
 # transition, collective or message endpoint the static extraction does not
 # predict — the commcheck passes and the runtime have drifted apart. CI
 # uploads $(SKELJSON) and the report.

@@ -5,17 +5,14 @@
 // Usage:
 //
 //	pasim [-bench ep|ft|lu|cg|mg|is|sp] [-np 4] [-mhz 600] [-suite paper|quick|scale] [-v]
-//	      [-timeline out.csv] [-chaos spec] [-trace out.trace.json] [-metrics]
+//	      [-timeline out.csv] [-chaos spec]
 //
 // The -chaos flag perturbs the run through the deterministic fault-injection
 // harness (package faults); its argument is a comma-separated key=value spec,
 // e.g. -chaos "seed=1,jitter=0.5,drop=0.01". See faults.ParseSpec for keys.
 //
-// -trace exports the run as Chrome trace-event JSON (open in Perfetto or
-// chrome://tracing); -metrics prints the observability metric snapshot.
-// Either flag attaches the observability recorder, which never changes the
-// simulated numbers. For the full export pipeline (energy attribution,
-// manifest) use the dedicated patrace command.
+// To export the run as a Perfetto trace with its metric snapshot, energy
+// attribution and manifest, use the dedicated patrace command.
 package main
 
 import (
@@ -25,7 +22,6 @@ import (
 
 	"pasp/internal/experiments"
 	"pasp/internal/faults"
-	"pasp/internal/obs"
 	"pasp/internal/units"
 )
 
@@ -37,8 +33,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print the per-phase breakdown")
 	timeline := flag.String("timeline", "", "write the per-rank trace timeline CSV to this file")
 	chaos := flag.String("chaos", "", "fault-injection spec, e.g. seed=1,jitter=0.5,drop=0.01 (see faults.ParseSpec)")
-	traceOut := flag.String("trace", "", "write the run as Chrome trace-event JSON to this file (Perfetto-compatible)")
-	metrics := flag.Bool("metrics", false, "print the observability metric snapshot")
 	flag.Parse()
 
 	s, err := experiments.SuiteByName(*suite)
@@ -52,11 +46,7 @@ func main() {
 		os.Exit(2)
 	}
 	s.Platform.Faults = cfg
-	var rec *obs.Recorder
-	if *traceOut != "" || *metrics {
-		rec = obs.NewRecorder()
-	}
-	res, err := s.RunKernelObserved(*bench, *np, *mhz, rec)
+	res, err := s.RunKernelOnce(*bench, *np, *mhz)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pasim: %v\n", err)
 		os.Exit(1)
@@ -94,21 +84,5 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("timeline written to %s\n", *timeline)
-	}
-	if *metrics {
-		fmt.Printf("\nmetrics:\n%s", rec.Metrics().Snapshot().Text())
-	}
-	if *traceOut != "" {
-		data := obs.ChromeTrace(res.Trace, "pasim "+*bench)
-		n, err := obs.ValidateChromeTrace(data)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pasim: refusing to write invalid trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*traceOut, data, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "pasim: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("trace (%d events) written to %s\n", n, *traceOut)
 	}
 }

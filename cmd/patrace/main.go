@@ -9,12 +9,14 @@
 //	patrace -kernel ft -n 16 -f 1.4ghz [-suite paper|quick|scale] [-chaos spec]
 //	        [-out run.trace.json] [-manifest run.json] [-metrics] [-commlog comm.json]
 //
-// With -commlog the run also records its communication-protocol events
-// (phase transitions, message endpoints, collective entries) and writes
-// them as a deterministic rank-major JSON log; cmd/paverify replays that
-// log against the skeleton palint -skeleton extracts.
+// With -commlog the run also records each rank's operation stream (the tape
+// mpi.Replay re-times) and writes its communication-protocol projection —
+// phase transitions, message endpoints, collective entries — as a
+// deterministic rank-major JSON log; cmd/paverify replays that log against
+// the skeleton palint -skeleton extracts.
 //
-// The -f flag accepts "1.4ghz", "1400mhz" or a plain megahertz count. The
+// The -f flag accepts "1.4ghz", "1400mhz" or a plain megahertz count
+// (serve.ParseGear, the grammar paload and paserve share). The
 // exported trace is validated against the trace-event schema before it is
 // written, and the energy attribution is checked to sum to the run's total
 // energy within 1e-9 — so a zero exit status certifies a well-formed,
@@ -27,33 +29,14 @@ import (
 	"io"
 	"math"
 	"os"
-	"strconv"
-	"strings"
 
 	"pasp/internal/experiments"
 	"pasp/internal/faults"
+	"pasp/internal/mpi"
 	"pasp/internal/obs"
-	"pasp/internal/trace"
+	"pasp/internal/serve"
 	"pasp/internal/units"
 )
-
-// parseFreq parses the -f flag into megahertz: "1.4ghz", "1400mhz" or a
-// bare number (taken as MHz, the repo's CLI convention).
-func parseFreq(s string) (float64, error) {
-	t := strings.ToLower(strings.TrimSpace(s))
-	scale := 1.0
-	switch {
-	case strings.HasSuffix(t, "ghz"):
-		t, scale = strings.TrimSuffix(t, "ghz"), 1000
-	case strings.HasSuffix(t, "mhz"):
-		t = strings.TrimSuffix(t, "mhz")
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(t), 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("patrace: bad frequency %q (want e.g. 1.4ghz, 1400mhz or 1400)", s)
-	}
-	return v * scale, nil
-}
 
 // run executes the driver against args, writing human output to stdout.
 // Returned errors carry exit status 1; flag errors surface as status 2 via
@@ -73,7 +56,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	mhz, err := parseFreq(*freq)
+	mhz, err := serve.ParseGear(*freq)
 	if err != nil {
 		return err
 	}
@@ -88,11 +71,11 @@ func run(args []string, stdout io.Writer) error {
 	s.Platform.Faults = cfg
 
 	rec := obs.NewRecorder()
-	var comm *trace.CommRecorder
+	var tape *mpi.Recording
 	if *commlog != "" {
-		comm = new(trace.CommRecorder)
+		tape = mpi.NewRecording()
 	}
-	res, err := s.RunKernelTraced(*kernel, *n, mhz, rec, comm)
+	res, err := s.RunKernelTraced(*kernel, *n, mhz, rec, tape)
 	if err != nil {
 		return err
 	}
@@ -130,8 +113,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintf(stdout, "\ntrace OK (%d events) written to %s\n", nEvents, *out)
 
-	if comm != nil {
-		cdata, err := comm.JSON()
+	if tape != nil {
+		log := tape.CommLog()
+		cdata, err := log.JSON()
 		if err != nil {
 			return err
 		}
@@ -139,7 +123,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(stdout, "comm log (%d events over %d ranks) written to %s\n",
-			len(comm.Events()), comm.N(), *commlog)
+			len(log.Events), log.N, *commlog)
 	}
 
 	if *manifest != "" {

@@ -10,35 +10,6 @@ import (
 	"pasp/internal/obs"
 )
 
-func TestParseFreq(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want float64
-	}{
-		{"1.4ghz", 1400},
-		{"1.4GHz", 1400},
-		{" 0.6 ghz ", 600},
-		{"1400mhz", 1400},
-		{"1400MHz", 1400},
-		{"1400", 1400},
-		{"600", 600},
-	} {
-		got, err := parseFreq(tc.in)
-		if err != nil {
-			t.Errorf("parseFreq(%q): %v", tc.in, err)
-			continue
-		}
-		if got != tc.want { //palint:ignore floateq -- exact unit conversion
-			t.Errorf("parseFreq(%q) = %g, want %g", tc.in, got, tc.want)
-		}
-	}
-	for _, bad := range []string{"", "fast", "-600", "0", "1.4thz"} {
-		if _, err := parseFreq(bad); err == nil {
-			t.Errorf("parseFreq(%q) accepted a bad frequency", bad)
-		}
-	}
-}
-
 // TestRunEndToEnd drives the whole patrace pipeline twice into temp files
 // and checks the exports are valid, complete and byte-identical per seed —
 // the determinism contract the manifest exists to certify.
@@ -104,6 +75,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 	for _, args := range [][]string{
 		{"-kernel", "nope", "-out", out},
 		{"-f", "fast", "-out", out},
+		{"-f", "nan", "-out", out},
 		{"-suite", "huge", "-out", out},
 		{"-chaos", "seed=", "-out", out},
 	} {

@@ -90,6 +90,9 @@ func run(args []string, stdout io.Writer) (int, error) {
 	if *kernel == "" {
 		return 0, fmt.Errorf("-kernel is required")
 	}
+	if *max < 0 {
+		return 0, fmt.Errorf("-max-report must be ≥ 0, got %d", *max)
+	}
 
 	sdata, err := os.ReadFile(*skelFile)
 	if err != nil {

@@ -7,7 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"pasp/internal/analysis"
 	"pasp/internal/commspec"
+	"pasp/internal/experiments"
+	"pasp/internal/mpi"
 	"pasp/internal/trace"
 )
 
@@ -195,6 +198,7 @@ func TestUsageErrors(t *testing.T) {
 		{"unknown kernel", []string{"-skeleton", sfile, "-commlog", lfile, "-kernel", "nope"}},
 		{"missing skeleton file", []string{"-skeleton", sfile + ".gone", "-commlog", lfile, "-kernel", "ft"}},
 		{"missing commlog file", []string{"-skeleton", sfile, "-commlog", lfile + ".gone", "-kernel", "ft"}},
+		{"negative max-report", []string{"-skeleton", sfile, "-commlog", lfile, "-kernel", "ft", "-max-report", "-1"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,5 +223,50 @@ func TestMalformedInputsAreUsageErrors(t *testing.T) {
 	}
 	if _, err := run([]string{"-skeleton", sfile, "-commlog", bad, "-kernel", "ft"}, &out); err == nil {
 		t.Error("malformed comm log accepted")
+	}
+}
+
+// TestKernelsConform checks every NAS kernel's real runs against the real
+// skeleton: it extracts the module's communication skeleton in-process, as
+// `palint -skeleton` does, records each quick-suite kernel at N ∈ {2, 4, 8}
+// (MG at {2, 4}: its quick class needs two planes per rank) and requires
+// every event of the recording's comm log to be predicted.
+func TestKernelsConform(t *testing.T) {
+	root, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.Load(root, []string{"./..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	module, err := analysis.ModulePath(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := analysis.BuildSkeleton(root, module, pkgs, analysis.NewProgram(pkgs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := experiments.Quick()
+	for _, name := range s.KernelNames() {
+		k := sk.Kernel(name)
+		if k == nil {
+			t.Fatalf("kernel %s missing from the skeleton", name)
+		}
+		ns := []int{2, 4, 8}
+		if name == "mg" {
+			ns = ns[:2]
+		}
+		for _, n := range ns {
+			tape := mpi.NewRecording()
+			if _, err := s.RunKernelTraced(name, n, s.Grid.MHz[0], nil, tape); err != nil {
+				t.Fatalf("%s at N=%d: %v", name, n, err)
+			}
+			var out strings.Builder
+			if count := verify(k, tape.CommLog(), &out, 0); count != 0 {
+				t.Errorf("%s at N=%d: %d divergence(s):\n%s", name, n, count, out.String())
+			}
+		}
 	}
 }

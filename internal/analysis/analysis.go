@@ -50,7 +50,6 @@ func All() []*Analyzer {
 		FloatDiv,
 		FloatEq,
 		HotAlloc,
-		MapOrder,
 		NakedGo,
 		OwnFree,
 		PhaseBal,

@@ -137,7 +137,7 @@ func TestRunWithProgramEquivalence(t *testing.T) {
 	}
 }
 
-// BenchmarkPalintTree measures the full 13-pass suite over the repository
+// BenchmarkPalintTree measures the full 12-pass suite over the repository
 // with a shared interprocedural Program — the configuration `make lint`
 // runs. Loading is excluded: the benchmark isolates analysis cost.
 func BenchmarkPalintTree(b *testing.B) {

@@ -13,7 +13,8 @@ import (
 // output, store fingerprints, golden files and obs exports must be pure
 // functions of their inputs, so nothing in the tree may read wall-clock
 // time, the global math/rand source, or the environment — and nothing may
-// fold map-iteration order or fmt-rendered pointer identities into a value.
+// let map-iteration order reach a value or a report, or fold fmt-rendered
+// pointer identities into a value.
 // The pass is interprocedural: a helper that reads time.Now taints every
 // (module-internal) caller, a function that forwards a parameter into a
 // %v/%+v verb is checked at each call site against the concrete argument
@@ -33,6 +34,9 @@ through any chain of module-internal calls:
   - environment reads: os.Getenv / LookupEnv / Environ / Hostname
   - map iteration accumulated into an ordered value (append in the loop
     body) with no later sort in the same function
+  - map iteration whose body feeds formatted output (any fmt call but
+    Errorf, or a table row / strings.Builder / io writer method), which
+    emits report rows in randomized order; range over sorted keys instead
   - %v / %+v / %#v rendering of a type that transitively contains a
     pointer, func or chan (fmt prints their addresses, which differ every
     run — the store-fingerprint leak), checked through helpers that
@@ -48,6 +52,11 @@ func order(m map[int]int) (out []int) {
 		out = append(out, k) // flagged: no sort after the loop
 	}
 	return out
+}
+func report(w io.Writer, m map[string]float64) {
+	for name, v := range m { // flagged: random row order
+		fmt.Fprintf(w, "%s: %g\n", name, v)
+	}
 }`,
 }
 
@@ -353,7 +362,7 @@ func runDetSource(pass *Pass) {
 				}
 			}
 		}
-		checkMapOrderAccumulation(pass, info)
+		checkMapRange(pass, info)
 	})
 }
 
@@ -379,11 +388,13 @@ func reportNondetRender(pass *Pass, info *FuncInfo, arg ast.Expr, via string) {
 	}
 }
 
-// checkMapOrderAccumulation flags map-range loops that append into a slice
-// declared outside the loop when no sort call follows in the same function:
-// the element order then depends on Go's randomized map iteration. (The
-// maporder pass covers formatted-output sinks; this rule covers values.)
-func checkMapOrderAccumulation(pass *Pass, info *FuncInfo) {
+// checkMapRange applies the map-order rule to info's map-range loops, whose
+// iteration order Go randomizes. A loop whose body feeds formatted output
+// reports at its for: the rows come out in a different order every run. A
+// loop that appends into a slice reports at the append when no sort call
+// follows in the same function: the element order is run-dependent.
+// Order-insensitive accumulation (sums, map-to-map copies) is fine.
+func checkMapRange(pass *Pass, info *FuncInfo) {
 	type loopAppend struct {
 		rng *ast.RangeStmt
 		pos token.Pos
@@ -393,7 +404,7 @@ func checkMapOrderAccumulation(pass *Pass, info *FuncInfo) {
 	ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
-			if pkgPathOfCall(info.Pkg, x) == "sort" || pkgPathOfCall(info.Pkg, x) == "slices" {
+			if pkg := pkgQualifier(pass, x); pkg == "sort" || pkg == "slices" {
 				sortCalls = append(sortCalls, x.Pos())
 			}
 		case *ast.RangeStmt:
@@ -403,6 +414,11 @@ func checkMapOrderAccumulation(pass *Pass, info *FuncInfo) {
 			}
 			if _, isMap := t.Underlying().(*types.Map); !isMap {
 				return true
+			}
+			if sink := findOutputSink(pass, x.Body); sink != nil {
+				pass.Reportf(x.For,
+					"map iteration feeds %s output; iterate sorted keys for a deterministic report",
+					sinkLabel(pass, sink))
 			}
 			ast.Inspect(x.Body, func(m ast.Node) bool {
 				call, ok := m.(*ast.CallExpr)
@@ -434,19 +450,62 @@ func checkMapOrderAccumulation(pass *Pass, info *FuncInfo) {
 	}
 }
 
-// pkgPathOfCall returns the import path of the package a call's qualifier
-// names, or "".
-func pkgPathOfCall(pkg *Package, call *ast.CallExpr) string {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return ""
+// sinkMethods is the output-writing method vocabulary: table.T row
+// builders, strings.Builder / io writers, and print-like names.
+var sinkMethods = map[string]bool{
+	"AddRow":      true,
+	"AddFloats":   true,
+	"AddPercents": true,
+	"WriteString": true,
+	"WriteByte":   true,
+	"WriteRune":   true,
+	"Write":       true,
+	"Printf":      true,
+	"Print":       true,
+	"Println":     true,
+	"Fprintf":     true,
+	"Fprint":      true,
+	"Fprintln":    true,
+	"Sprintf":     true,
+	"Sprint":      true,
+	"Sprintln":    true,
+	"Appendf":     true,
+}
+
+// findOutputSink returns the first output-writing call inside body, or nil.
+func findOutputSink(pass *Pass, body *ast.BlockStmt) *ast.CallExpr {
+	var sink *ast.CallExpr
+	ast.Inspect(body, func(n ast.Node) bool {
+		if sink != nil {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		name := calleeName(call)
+		// fmt.Errorf constructs an error value, almost always followed by
+		// `return`: the loop visits one nondeterministic key, it does not
+		// emit a nondeterministic report. Flagging it would force sorted
+		// iteration onto every map-validation loop for no report benefit.
+		if pkgQualifier(pass, call) == "fmt" && name != "Errorf" {
+			sink = call
+			return false
+		}
+		if sinkMethods[name] {
+			sink = call
+			return false
+		}
+		return true
+	})
+	return sink
+}
+
+// sinkLabel names the sink for the diagnostic ("fmt.Fprintf", "AddRow").
+func sinkLabel(pass *Pass, call *ast.CallExpr) string {
+	name := calleeName(call)
+	if pkg := pkgQualifier(pass, call); pkg != "" {
+		return pkg + "." + name
 	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if pn, ok := pkg.Info.ObjectOf(id).(*types.PkgName); ok {
-		return pn.Imported().Path()
-	}
-	return ""
+	return name
 }

@@ -1,5 +1,5 @@
-// Package maporder seeds violations and non-violations for the maporder
-// analyzer's golden test.
+// Package maporder seeds violations and non-violations for the golden test
+// of detsource's map-iteration-output rule.
 package maporder
 
 import (

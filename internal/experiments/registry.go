@@ -8,7 +8,6 @@ import (
 	"pasp/internal/cluster"
 	"pasp/internal/mpi"
 	"pasp/internal/obs"
-	"pasp/internal/trace"
 )
 
 // Kernel is one registered benchmark: its runner and its campaign grid.
@@ -82,23 +81,18 @@ func (s Suite) MeasureKernel(ctx context.Context, name string) (*Campaign, error
 
 // RunKernelOnce executes the named kernel at one configuration.
 func (s Suite) RunKernelOnce(name string, n int, mhz float64) (*mpi.Result, error) {
-	return s.RunKernelObserved(name, n, mhz, nil)
-}
-
-// RunKernelObserved executes the named kernel at one configuration with an
-// observability recorder attached: the run span (stamped with the kernel
-// name), per-rank phase spans and run metrics land on rec. A nil rec is
-// exactly RunKernelOnce.
-func (s Suite) RunKernelObserved(name string, n int, mhz float64, rec *obs.Recorder) (*mpi.Result, error) {
-	return s.RunKernelTraced(name, n, mhz, rec, nil)
+	return s.RunKernelTraced(name, n, mhz, nil, nil)
 }
 
 // RunKernelTraced executes the named kernel at one configuration with an
-// observability recorder and a communication-protocol recorder attached;
-// either may be nil to disable that side. The recorders are injected on the
-// World rather than the Platform so the campaign store's content
-// fingerprint of Platform never sees a pointer.
-func (s Suite) RunKernelTraced(name string, n int, mhz float64, rec *obs.Recorder, comm *trace.CommRecorder) (*mpi.Result, error) {
+// observability recorder and an operation-stream recording attached; either
+// may be nil to disable that side. The run span (stamped with the kernel
+// name), per-rank phase spans and run metrics land on rec; tape captures
+// each rank's operation stream, whose CommLog cmd/paverify checks against
+// the static skeleton. Both are injected on the World rather than the
+// Platform so the campaign store's content fingerprint of Platform never
+// sees a pointer.
+func (s Suite) RunKernelTraced(name string, n int, mhz float64, rec *obs.Recorder, tape *mpi.Recording) (*mpi.Result, error) {
 	k, err := s.Kernel(name)
 	if err != nil {
 		return nil, err
@@ -108,7 +102,7 @@ func (s Suite) RunKernelTraced(name string, n int, mhz float64, rec *obs.Recorde
 		return nil, err
 	}
 	w.Obs = rec
-	w.Comm = comm
+	w.Record = tape
 	res, err := k.Run(w)
 	if err != nil {
 		return nil, err

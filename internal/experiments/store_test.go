@@ -209,7 +209,7 @@ func TestStoreCampaignSpan(t *testing.T) {
 func TestRunKernelObserved(t *testing.T) {
 	s := Quick()
 	rec := obs.NewRecorder()
-	res, err := s.RunKernelObserved("ft", 2, 600, rec)
+	res, err := s.RunKernelTraced("ft", 2, 600, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

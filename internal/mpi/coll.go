@@ -93,7 +93,6 @@ func (c *Ctx) Barrier() error {
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opBarrier})
 	}
-	c.noteColl("Barrier")
 	n := c.Size()
 	if n == 1 {
 		return nil
@@ -127,7 +126,6 @@ func (c *Ctx) Bcast(root int, data []float64, vbytes int) ([]float64, error) {
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opBcast, peer: root, nlen: len(data), vbytes: vbytes})
 	}
-	c.noteColl("Bcast")
 	if n == 1 {
 		return data, nil
 	}
@@ -199,7 +197,6 @@ func (c *Ctx) Allreduce(data []float64, op Op, vbytes int) ([]float64, error) {
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opAllreduce, red: op, nlen: len(data), vbytes: vbytes})
 	}
-	c.noteColl("Allreduce")
 	if c.Size() == 1 {
 		return append([]float64(nil), data...), nil
 	}
@@ -220,7 +217,6 @@ func (c *Ctx) Reduce(root int, data []float64, op Op, vbytes int) ([]float64, er
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opReduce, peer: root, red: op, nlen: len(data), vbytes: vbytes})
 	}
-	c.noteColl("Reduce")
 	if n == 1 {
 		return append([]float64(nil), data...), nil
 	}
@@ -255,7 +251,6 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 		}
 		c.rec.add(recOp{kind: opAlltoall, lens: lens, vbytes: vbytesPerPair})
 	}
-	c.noteColl("Alltoall")
 	if n == 1 {
 		return [][]float64{parts[0]}, nil
 	}
@@ -306,7 +301,6 @@ func (c *Ctx) Allgather(data []float64, vbytes int) ([][]float64, error) {
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opAllgather, nlen: len(data), vbytes: vbytes})
 	}
-	c.noteColl("Allgather")
 	n := c.Size()
 	if n == 1 {
 		return [][]float64{data}, nil
@@ -341,7 +335,6 @@ func (c *Ctx) Gather(root int, data []float64, vbytes int) ([][]float64, error) 
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opGather, peer: root, nlen: len(data), vbytes: vbytes})
 	}
-	c.noteColl("Gather")
 	if n == 1 {
 		return [][]float64{append([]float64(nil), data...)}, nil
 	}
@@ -393,7 +386,6 @@ func (c *Ctx) Scatter(root int, parts [][]float64, vbytesPerPart int) ([]float64
 		}
 		c.rec.add(recOp{kind: opScatter, peer: root, lens: lens, vbytes: vbytesPerPart})
 	}
-	c.noteColl("Scatter")
 	if n == 1 {
 		return append([]float64(nil), parts[0]...), nil
 	}

@@ -60,10 +60,6 @@ type Ctx struct {
 	obs     *obs.RankLog
 	msgHist *obs.Histogram
 
-	// comm is the world's protocol-event recorder; nil disables recording
-	// with the same nil-pointer hot-path guard as obs.
-	comm *trace.CommRecorder
-
 	// gearSwitches counts actual P-state changes for the observability
 	// metrics; a plain increment on the rare SetPState path.
 	gearSwitches int
@@ -191,7 +187,6 @@ func newCtx(e *engine, rank int) *Ctx {
 		c.obs.Phase(c.phase, 0)
 		c.msgHist = w.Obs.Metrics().Histogram("mpi.msg_bytes", obs.MsgBytesBuckets)
 	}
-	c.comm = w.Comm
 	if w.traceHint != nil {
 		c.log.Grow(w.traceHint[rank])
 	}
@@ -263,9 +258,6 @@ func (c *Ctx) SetPhase(name string) {
 	}
 	if c.obs != nil {
 		c.obs.Phase(name, c.clock)
-	}
-	if c.comm != nil {
-		c.comm.Record(trace.CommEvent{Rank: c.rank, T: c.clock, Kind: trace.CommPhase, Name: name})
 	}
 	if c.eng.w.OnPhase != nil {
 		c.eng.w.OnPhase(c, name)
@@ -353,26 +345,6 @@ func (c *Ctx) noteMsgs(count, bytesEach int) {
 	c.msgBytes += count * bytesEach
 	if c.msgHist != nil {
 		c.msgHist.ObserveN(float64(bytesEach), int64(count))
-	}
-}
-
-// noteP2P records a point-to-point protocol event when the world carries a
-// comm recorder; kind is trace.CommSend or trace.CommRecv.
-//
-//palint:hotpath
-func (c *Ctx) noteP2P(kind string, peer, tag int) {
-	if c.comm != nil {
-		c.comm.Record(trace.CommEvent{Rank: c.rank, T: c.clock, Kind: kind, Peer: peer, Tag: tag, Phase: c.phase}) //palint:ignore hotalloc -- conformance recording is opt-in; a nil recorder skips the call and the default hot path stays allocation-free
-	}
-}
-
-// noteColl records a collective entry when the world carries a comm
-// recorder; op is the collective's method name ("Barrier", "Allreduce", ...).
-//
-//palint:hotpath
-func (c *Ctx) noteColl(op string) {
-	if c.comm != nil {
-		c.comm.Record(trace.CommEvent{Rank: c.rank, T: c.clock, Kind: trace.CommColl, Name: op, Phase: c.phase}) //palint:ignore hotalloc -- conformance recording is opt-in; a nil recorder skips the call and the default hot path stays allocation-free
 	}
 }
 

@@ -11,7 +11,11 @@ import (
 	"testing"
 
 	"pasp/internal/faults"
+	"pasp/internal/machine"
 	"pasp/internal/papi"
+	"pasp/internal/power"
+	"pasp/internal/trace"
+	"pasp/internal/units"
 )
 
 // checkDigestGolden compares digest lines of the form "<case> <component>
@@ -299,5 +303,97 @@ func TestRecordingSingleUse(t *testing.T) {
 	hooked.OnPhase = func(c *Ctx, phase string) {}
 	if _, err := Run(hooked, chaosProgram); err == nil {
 		t.Error("recording with an OnPhase hook succeeded")
+	}
+}
+
+// TestRecordingCommLog pins the tape's protocol projection: phases start
+// from "main", compute and P-state operations drop out, a SendRecv becomes
+// a send to its destination then a receive from its source, every
+// collective is named after its Ctx method, and the log is rank-major.
+func TestRecordingCommLog(t *testing.T) {
+	const n = 3
+	fast, err := power.PentiumM().StateAt(units.MHz(1400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := func(c *Ctx) error {
+		r := c.Rank()
+		buf := make([]float64, 4)
+		parts := [][]float64{buf, buf, buf}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		c.SetPhase("ring")
+		if err := c.Compute(machine.W(1e4, 1e3, 0, 0)); err != nil {
+			return err
+		}
+		c.SetPState(fast)
+		got, err := c.SendRecv((r+1)%n, (r+n-1)%n, 5, buf, 0)
+		if err != nil {
+			return err
+		}
+		c.Free(got)
+		switch r {
+		case 0:
+			err = c.Send(1, 6, buf, 0)
+		case 1:
+			_, err = c.Recv(0, 6)
+		}
+		if err != nil {
+			return err
+		}
+		c.SetPhase("coll")
+		var scatter [][]float64
+		if r == 0 {
+			scatter = parts
+		}
+		for _, call := range []func() error{
+			func() error { _, err := c.Bcast(0, buf, 0); return err },
+			func() error { _, err := c.Allreduce(buf, Sum, 0); return err },
+			func() error { _, err := c.Reduce(0, buf, Sum, 0); return err },
+			func() error { _, err := c.Alltoall(parts, 0); return err },
+			func() error { _, err := c.Allgather(buf, 0); return err },
+			func() error { _, err := c.Gather(0, buf, 0); return err },
+			func() error { _, err := c.Scatter(0, scatter, 0); return err },
+		} {
+			if err := call(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	w := testWorld(n, 600)
+	tape := NewRecording()
+	w.Record = tape
+	if _, err := Run(w, prog); err != nil {
+		t.Fatal(err)
+	}
+
+	var want []trace.CommEvent
+	for r := 0; r < n; r++ {
+		want = append(want,
+			trace.CommEvent{Rank: r, Kind: trace.CommColl, Name: "Barrier", Phase: "main"},
+			trace.CommEvent{Rank: r, Kind: trace.CommPhase, Name: "ring"},
+			trace.CommEvent{Rank: r, Kind: trace.CommSend, Peer: (r + 1) % n, Tag: 5, Phase: "ring"},
+			trace.CommEvent{Rank: r, Kind: trace.CommRecv, Peer: (r + n - 1) % n, Tag: 5, Phase: "ring"})
+		switch r {
+		case 0:
+			want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommSend, Peer: 1, Tag: 6, Phase: "ring"})
+		case 1:
+			want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommRecv, Peer: 0, Tag: 6, Phase: "ring"})
+		}
+		want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommPhase, Name: "coll"})
+		for _, op := range []string{"Bcast", "Allreduce", "Reduce", "Alltoall", "Allgather", "Gather", "Scatter"} {
+			want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommColl, Name: op, Phase: "coll"})
+		}
+	}
+	log := tape.CommLog()
+	if log.N != n || len(log.Events) != len(want) {
+		t.Fatalf("log has N = %d and %d events, want %d and %d:\n%+v", log.N, len(log.Events), n, len(want), log.Events)
+	}
+	for i := range want {
+		if log.Events[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, log.Events[i], want[i])
+		}
 	}
 }

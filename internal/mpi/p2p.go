@@ -77,7 +77,6 @@ func (c *Ctx) Send(dst, tag int, data []float64, vbytes int) error {
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opSend, peer: dst, tag: tag, nlen: len(data), vbytes: vbytes})
 	}
-	c.noteP2P(trace.CommSend, dst, tag)
 	// MPI semantics: the send buffer is the caller's again as soon as Send
 	// returns, so the payload must be snapshotted here — senders routinely
 	// reuse (and mutate) their buffers immediately.
@@ -137,7 +136,6 @@ func (c *Ctx) recvTimed(src, tag int) ([]float64, error) {
 	if err := c.checkPeer("source", src); err != nil {
 		return nil, err
 	}
-	c.noteP2P(trace.CommRecv, src, tag)
 	m, err := c.eng.recv(c, src)
 	if err != nil {
 		return nil, err
@@ -244,7 +242,6 @@ func (c *Ctx) SendRecv(dst, src, tag int, data []float64, vbytes int) ([]float64
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opSendRecv, peer: dst, peer2: src, tag: tag, nlen: len(data), vbytes: vbytes})
 	}
-	c.noteP2P(trace.CommSend, dst, tag)
 	net := &c.eng.w.Net
 	out := message{tag: tag, data: c.snapshotPayload(data), vbytes: vbytes, exchange: true}
 	c.noteMsgs(1, out.Bytes())

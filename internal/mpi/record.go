@@ -6,6 +6,7 @@ import (
 
 	"pasp/internal/machine"
 	"pasp/internal/power"
+	"pasp/internal/trace"
 )
 
 // Record/replay across the frequency axis.
@@ -32,6 +33,10 @@ import (
 // payload values. No NPB kernel does — their iteration structure is fixed
 // by the class parameters — and cluster.Sweep, the only in-tree replayer,
 // records those kernels exclusively.
+//
+// The tape is also the run's communication-protocol record: cmd/paverify
+// checks its CommLog projection, so conformance covers exactly the stream
+// that replay re-times.
 
 // opKind discriminates the recorded operations.
 type opKind uint8
@@ -131,6 +136,54 @@ func (r *Recording) N() int { return r.n }
 
 // Ops returns the number of operations recorded for one rank.
 func (r *Recording) Ops(rank int) int { return len(r.tapes[rank].ops) }
+
+// collNames maps each collective kind to its Ctx method name, the label the
+// comm log and the static skeleton share.
+var collNames = [...]string{
+	opBarrier:   "Barrier",
+	opBcast:     "Bcast",
+	opAllreduce: "Allreduce",
+	opReduce:    "Reduce",
+	opAlltoall:  "Alltoall",
+	opAllgather: "Allgather",
+	opGather:    "Gather",
+	opScatter:   "Scatter",
+}
+
+// CommLog projects the recorded streams onto the communication-protocol
+// events the static skeleton predicts, rank-major. Each tape is walked from
+// the implicit phase "main": a phase transition becomes a phase event, a
+// send or receive an endpoint event, a SendRecv a send to its destination
+// then a receive from its source, and a collective a coll event, each
+// stamped with the current phase. Compute and P-state operations are
+// timing, not protocol, and are skipped.
+func (r *Recording) CommLog() *trace.CommLog {
+	l := &trace.CommLog{N: r.n}
+	for rank, t := range r.tapes {
+		phase := "main"
+		add := func(kind, name string, peer, tag int) {
+			l.Events = append(l.Events, trace.CommEvent{Rank: rank, Kind: kind, Name: name, Peer: peer, Tag: tag, Phase: phase})
+		}
+		for i := range t.ops {
+			switch o := &t.ops[i]; o.kind {
+			case opPState, opCompute:
+			case opPhase:
+				l.Events = append(l.Events, trace.CommEvent{Rank: rank, Kind: trace.CommPhase, Name: o.name})
+				phase = o.name
+			case opSend:
+				add(trace.CommSend, "", o.peer, o.tag)
+			case opRecv:
+				add(trace.CommRecv, "", o.peer, o.tag)
+			case opSendRecv:
+				add(trace.CommSend, "", o.peer, o.tag)
+				add(trace.CommRecv, "", o.peer2, o.tag)
+			default:
+				add(trace.CommColl, collNames[o.kind], 0, 0)
+			}
+		}
+	}
+	return l
+}
 
 // Replay re-times a recorded run under w — typically the same world at a
 // different P-state — without executing any kernel code. It returns the

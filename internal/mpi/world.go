@@ -76,18 +76,14 @@ type World struct {
 	// (the alloc and golden tests in obs_test.go enforce this). A
 	// Recorder instruments exactly one run; reuse panics.
 	Obs *obs.Recorder
-	// Comm, when non-nil, records the run's communication-protocol events
-	// (phase transitions, message endpoints, collective entries) for
-	// trace-conformance checking against the statically extracted skeleton
-	// (cmd/paverify). Nil follows the same contract as Obs and Faults: no
-	// allocation, no timing change, bit-identical traces.
-	Comm *trace.CommRecorder
 	// Record, when non-nil, captures every rank's operation stream (phases,
 	// compute work, message and collective shapes) so the run can be
 	// re-timed at another frequency with Replay without re-executing kernel
-	// code. Recording requires a nil OnPhase hook: kernel control flow and
-	// communication shapes are frequency-independent, but a DVFS scheduler's
-	// decisions need not be. A Recording captures exactly one run.
+	// code, and checked against the statically extracted communication
+	// skeleton through its CommLog projection (cmd/paverify). Recording
+	// requires a nil OnPhase hook: kernel control flow and communication
+	// shapes are frequency-independent, but a DVFS scheduler's decisions need
+	// not be. A Recording captures exactly one run.
 	Record *Recording
 
 	// traceHint carries the per-rank trace-event counts of a recorded run
@@ -239,9 +235,6 @@ func Run(w World, fn RankFunc) (*Result, error) {
 	}
 	if w.Obs != nil {
 		beginObserve(w)
-	}
-	if w.Comm != nil {
-		w.Comm.Start(w.N)
 	}
 	e := newEngine(w)
 	errs := e.run(fn)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pasp/internal/mpi"
 	"pasp/internal/stats"
 	"pasp/internal/trace"
 )
@@ -168,19 +169,20 @@ func TestSPDeterministic(t *testing.T) {
 // TestSPPhaseSequenceUniform pins the commshape fix: SetPhase transitions
 // in the z-sweep are unconditional, so every rank walks the identical
 // phase sequence — the invariant the per-(rank, phase) energy attribution
-// and the statically extracted skeleton both assume. The comm recorder sees
-// the transitions themselves (unlike the energy trace, whose phase events
-// only materialize where a rank spends time).
+// and the statically extracted skeleton both assume. A recording's comm
+// log sees the transitions themselves (unlike the energy trace, whose phase
+// events only materialize where a rank spends time).
 func TestSPPhaseSequenceUniform(t *testing.T) {
-	var rec trace.CommRecorder
+	tape := mpi.NewRecording()
 	w := npbWorld(4, 600)
-	w.Comm = &rec
+	w.Record = tape
 	if _, _, err := (SP{N: 16, Steps: 2}).Run(w); err != nil {
 		t.Fatal(err)
 	}
-	seqs := make([][]string, rec.N())
-	for i := range seqs {
-		for _, ev := range rec.Rank(i) {
+	perRank := tape.CommLog().PerRank()
+	seqs := make([][]string, len(perRank))
+	for i, evs := range perRank {
+		for _, ev := range evs {
 			if ev.Kind == trace.CommPhase {
 				seqs[i] = append(seqs[i], ev.Name)
 			}

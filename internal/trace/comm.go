@@ -5,7 +5,7 @@ import (
 	"fmt"
 )
 
-// CommEvent kinds. The recorder logs the communication-protocol events the
+// CommEvent kinds. A comm log holds the communication-protocol events the
 // statically extracted skeleton (internal/commspec) predicts: phase
 // transitions, point-to-point endpoints and collective entries.
 const (
@@ -19,8 +19,6 @@ const (
 type CommEvent struct {
 	// Rank is the acting rank.
 	Rank int `json:"rank"`
-	// T is the rank's virtual time when the event was recorded.
-	T float64 `json:"t"`
 	// Kind is one of CommPhase, CommSend, CommRecv, CommColl.
 	Kind string `json:"kind"`
 	// Name is the phase label (CommPhase) or collective op (CommColl).
@@ -33,46 +31,6 @@ type CommEvent struct {
 	Phase string `json:"phase,omitempty"`
 }
 
-// CommRecorder collects protocol events per rank. Each rank appends to its
-// own slice from its own goroutine, so recording takes no lock; the
-// spawn/join edges of the mpi runtime order the slices for readers after
-// the run. The zero value is unusable — Start sizes it; a nil *CommRecorder
-// on the World simply disables recording (the same hot-path guard as Obs).
-type CommRecorder struct {
-	ranks [][]CommEvent
-}
-
-// Start sizes the recorder for an n-rank job, discarding prior events.
-func (r *CommRecorder) Start(n int) {
-	r.ranks = make([][]CommEvent, n)
-}
-
-// Record appends one event to its rank's log. Must be called from the
-// rank's own goroutine.
-func (r *CommRecorder) Record(ev CommEvent) {
-	if ev.Rank < 0 || ev.Rank >= len(r.ranks) {
-		return
-	}
-	r.ranks[ev.Rank] = append(r.ranks[ev.Rank], ev)
-}
-
-// N returns the number of ranks the recorder was started with.
-func (r *CommRecorder) N() int { return len(r.ranks) }
-
-// Rank returns one rank's events in program order.
-func (r *CommRecorder) Rank(i int) []CommEvent { return r.ranks[i] }
-
-// Events returns all events rank-major (rank 0's in order, then rank
-// 1's, ...) — a deterministic linearization independent of goroutine
-// scheduling.
-func (r *CommRecorder) Events() []CommEvent {
-	var out []CommEvent
-	for _, evs := range r.ranks {
-		out = append(out, evs...)
-	}
-	return out
-}
-
 // CommLog is the serialized form of a recorded run.
 type CommLog struct {
 	// N is the job size.
@@ -81,15 +39,10 @@ type CommLog struct {
 	Events []CommEvent `json:"events"`
 }
 
-// Log snapshots the recorder into its serializable form.
-func (r *CommRecorder) Log() *CommLog {
-	return &CommLog{N: len(r.ranks), Events: r.Events()}
-}
-
-// JSON renders the recorded run as deterministic indented JSON: rank-major
-// event order, fixed field order, trailing newline.
-func (r *CommRecorder) JSON() ([]byte, error) {
-	data, err := json.MarshalIndent(r.Log(), "", "  ")
+// JSON renders the log as deterministic indented JSON: rank-major event
+// order, fixed field order, trailing newline.
+func (l *CommLog) JSON() ([]byte, error) {
+	data, err := json.MarshalIndent(l, "", "  ")
 	if err != nil {
 		return nil, err
 	}

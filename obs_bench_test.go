@@ -36,7 +36,7 @@ func BenchmarkObsEnabled(b *testing.B) {
 	n, f := capN(s, 4), topF(s)
 	for i := 0; i < b.N; i++ {
 		rec := obs.NewRecorder()
-		res, err := s.RunKernelObserved("ft", n, f, rec)
+		res, err := s.RunKernelTraced("ft", n, f, rec, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
