@@ -4,22 +4,15 @@
 #   tier 1: build + test        (must always pass)
 #   tier 2: race + lint + fmt   (race detector over the goroutine-heavy
 #                                packages, go vet, the domain linter palint,
-#                                and gofmt cleanliness)
+#                                and gofmt cleanliness) plus perfbench-check
+#                                (vet and unit tests of the benchmark module)
 
 GO ?= go
-
-# Benchmark harness knobs: BENCHTIME feeds -benchtime (1x = one reproduction
-# pass), BENCHJSON names the machine-readable artifact pabench writes, and
-# PASP_BENCH_SUITE=quick (exported to the test process) swaps in the reduced
-# suite for smoke runs.
-BENCHTIME ?= 1x
-BENCHJSON ?= BENCH_1.json
-BENCH2JSON ?= BENCH_2.json
 
 # Fuzz budget per target; CI's fuzz smoke runs with FUZZTIME=10s.
 FUZZTIME ?= 30s
 
-.PHONY: all build test shuffle race lint fmt-check fuzz bench bench-scale trace-smoke conformance-smoke serve-smoke verify
+.PHONY: all build test shuffle race lint fmt-check perfbench-check fuzz bench trace-smoke conformance-smoke serve-smoke verify
 
 # trace-smoke output names; CI uploads both as artifacts.
 TRACEJSON ?= run.trace.json
@@ -66,19 +59,22 @@ fmt-check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# Full benchmark harness with allocation counts, teed through pabench which
-# writes $(BENCHJSON). pabench is the pipeline's last stage, so a FAILing or
-# empty benchmark stream fails the target even without pipefail.
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) . | $(GO) run ./cmd/pabench -o $(BENCHJSON)
+# perfbench is its own module (pasp/perfbench, importing the repo through
+# `replace pasp => ../`), so the ./... patterns above never compile it. Vet
+# and unit-test it here: a change to an API it calls then fails verify
+# rather than only the benchmark run.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test .
 
-# Scaling harness (BenchmarkScale): FT and CG swept past the paper's 16
-# nodes — N up to 1024, base and top gears — writing the scaling artifact
-# $(BENCH2JSON) next to the reproduction's $(BENCHJSON). Each row carries
-# the simulated seconds/joules next to the real ns/op of simulating them.
-bench-scale:
-	PASP_BENCH_SUITE=scale $(GO) test -run '^$$' -bench Scale -benchmem -benchtime $(BENCHTIME) . | \
-		PASP_BENCH_SUITE=scale $(GO) run ./cmd/pabench -o $(BENCH2JSON)
+# The reproduction run: one pass of the root package's benchmarks prints
+# every table, figure and ablation of the paper's evaluation, with
+# allocation counts. PASP_BENCH_SUITE=quick (exported to the test process)
+# swaps in the reduced suite for smoke runs. Performance is measured and
+# gated by the repository benchmark, `bash perfbench/run.sh`, with the
+# workloads and bounds BENCHMARK.json declares.
+bench:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x .
 
 # One observed FT run through the patrace exporter. patrace validates the
 # trace-event JSON against the schema and checks the per-phase energy
@@ -178,4 +174,4 @@ serve-smoke:
 	[ $$status -eq 0 ] || exit 1; \
 	echo "serve-smoke OK"
 
-verify: build test lint fmt-check race
+verify: build test lint fmt-check race perfbench-check

@@ -53,14 +53,8 @@ func benchSuite(b *testing.B) experiments.Suite {
 		return experiments.Paper()
 	case "quick":
 		return experiments.Quick()
-	case "scale":
-		// The scaling harness is its own benchmark set (BenchmarkScale in
-		// bench_scale_test.go): the paper tables are defined on the 16-node
-		// grid and would take hours at N=1024.
-		b.Skipf("PASP_BENCH_SUITE=scale runs BenchmarkScale only (make bench-scale)")
-		panic("unreachable")
 	default:
-		b.Fatalf("unknown PASP_BENCH_SUITE %q (want \"paper\", \"quick\" or \"scale\")", v)
+		b.Fatalf("unknown PASP_BENCH_SUITE %q (want \"paper\" or \"quick\")", v)
 		panic("unreachable")
 	}
 }

@@ -168,29 +168,9 @@ func (a *Adaptive) Chosen(rank int) map[string]power.PState {
 // fresh adaptive tuner, reporting the tradeoff and the gears rank 0
 // converged to.
 func CompareAdaptive(w mpi.World, a *Adaptive, run func(w mpi.World) (*mpi.Result, error)) (Comparison, map[string]power.PState, error) {
-	if err := a.Validate(); err != nil {
-		return Comparison{}, nil, err
-	}
-	base := w
-	base.State = a.Prof.TopState()
-	base.OnPhase = nil
-	base.GearSwitchSec = 0
-	baseRes, err := run(base)
-	if err != nil {
-		return Comparison{}, nil, fmt.Errorf("dvfs: baseline: %w", err)
-	}
-	sched, err := a.Apply(w)
+	cmp, err := compare(w, a.Apply, run)
 	if err != nil {
 		return Comparison{}, nil, err
 	}
-	schedRes, err := run(sched)
-	if err != nil {
-		return Comparison{}, nil, fmt.Errorf("dvfs: adaptive: %w", err)
-	}
-	return Comparison{
-		BaselineSec:     units.Seconds(baseRes.Seconds),
-		BaselineJoules:  units.Joules(baseRes.Joules),
-		ScheduledSec:    units.Seconds(schedRes.Seconds),
-		ScheduledJoules: units.Joules(schedRes.Joules),
-	}, a.Chosen(0), nil
+	return cmp, a.Chosen(0), nil
 }

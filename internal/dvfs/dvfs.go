@@ -6,10 +6,13 @@
 // phases", with reported savings above 30% at under 1% slowdown on
 // communication-bound workloads.
 //
-// A Policy names the phases that are communication-bound and the gear to
-// run them at; it installs itself as the MPI runtime's phase hook. The
-// Compare harness quantifies the energy/time tradeoff against a
-// fixed-frequency baseline.
+// A GearPolicy maps phase labels to operating points and runs every other
+// phase at its default gear; it installs itself as the MPI runtime's phase
+// hook. FTPolicy and LUPolicy are the two-gear schedules that derate the
+// communication-bound phases to the bottom gear, OptimizeEDP derives a
+// multi-gear schedule from per-phase models, and Adaptive tunes gears
+// online. Compare and CompareAdaptive quantify the energy/time tradeoff
+// against a run pinned at the schedule's starting gear.
 package dvfs
 
 import (
@@ -19,57 +22,6 @@ import (
 	"pasp/internal/power"
 	"pasp/internal/units"
 )
-
-// Policy is a static phase-to-gear schedule.
-type Policy struct {
-	// ComputeState is the gear for computation phases (typically the top
-	// operating point).
-	ComputeState power.PState
-	// CommState is the gear for communication-bound phases (typically the
-	// bottom operating point — the CPU only runs the protocol stack there).
-	CommState power.PState
-	// CommPhases lists the phase labels scheduled at CommState.
-	CommPhases map[string]bool
-	// SwitchSec is the gear-transition stall applied by the runtime.
-	SwitchSec units.Seconds
-}
-
-// Validate reports an error for an unusable policy.
-func (p Policy) Validate() error {
-	if p.ComputeState.Freq <= 0 || p.CommState.Freq <= 0 {
-		return fmt.Errorf("dvfs: zero-frequency state in policy")
-	}
-	if len(p.CommPhases) == 0 {
-		return fmt.Errorf("dvfs: no communication phases named")
-	}
-	if p.SwitchSec < 0 {
-		return fmt.Errorf("dvfs: negative switch time")
-	}
-	return nil
-}
-
-// Hook returns the phase hook implementing the policy.
-func (p Policy) Hook() func(c *mpi.Ctx, phase string) {
-	return func(c *mpi.Ctx, phase string) {
-		if p.CommPhases[phase] {
-			c.SetPState(p.CommState)
-		} else {
-			c.SetPState(p.ComputeState)
-		}
-	}
-}
-
-// Apply returns a copy of the world with the policy installed: ranks start
-// at the compute gear and shift on phase boundaries.
-func (p Policy) Apply(w mpi.World) (mpi.World, error) {
-	if err := p.Validate(); err != nil {
-		return mpi.World{}, err
-	}
-	w.State = p.ComputeState
-	w.OnPhase = p.Hook()
-	w.GearSwitchSec = p.SwitchSec
-	return w, nil
-}
 
 // Comparison quantifies a policy against the all-top-gear baseline.
 type Comparison struct {
@@ -108,22 +60,26 @@ func (c Comparison) String() string {
 }
 
 // Compare runs the kernel twice on the given world — once pinned at the
-// policy's compute gear, once under the policy — and reports the tradeoff.
-func Compare(w mpi.World, p Policy, run func(w mpi.World) (*mpi.Result, error)) (Comparison, error) {
-	if err := p.Validate(); err != nil {
+// policy's default gear, once under the policy — and reports the tradeoff.
+func Compare(w mpi.World, p GearPolicy, run func(w mpi.World) (*mpi.Result, error)) (Comparison, error) {
+	return compare(w, p.Apply, run)
+}
+
+// compare is the body every comparison shares: apply installs the schedule
+// on a copy of w, the baseline runs pinned at the gear that schedule starts
+// from, and then the scheduled world runs.
+func compare(w mpi.World, apply func(mpi.World) (mpi.World, error), run func(w mpi.World) (*mpi.Result, error)) (Comparison, error) {
+	sched, err := apply(w)
+	if err != nil {
 		return Comparison{}, err
 	}
 	base := w
-	base.State = p.ComputeState
+	base.State = sched.State
 	base.OnPhase = nil
 	base.GearSwitchSec = 0
 	baseRes, err := run(base)
 	if err != nil {
 		return Comparison{}, fmt.Errorf("dvfs: baseline: %w", err)
-	}
-	sched, err := p.Apply(w)
-	if err != nil {
-		return Comparison{}, err
 	}
 	schedRes, err := run(sched)
 	if err != nil {
@@ -140,29 +96,26 @@ func Compare(w mpi.World, p Policy, run func(w mpi.World) (*mpi.Result, error)) 
 // FTPolicy returns the natural policy for the FT kernel on the given
 // profile: compute at the top gear, the transpose alltoall and checksum
 // reduction at the bottom gear.
-func FTPolicy(prof power.Profile) Policy {
-	return Policy{
-		ComputeState: prof.TopState(),
-		CommState:    prof.BaseState(),
-		CommPhases: map[string]bool{
-			"ft-alltoall": true,
-			"ft-checksum": true,
-		},
+func FTPolicy(prof power.Profile) GearPolicy {
+	low := prof.BaseState()
+	return GearPolicy{
+		Default:   prof.TopState(),
+		Phases:    map[string]power.PState{"ft-alltoall": low, "ft-checksum": low},
 		SwitchSec: units.MicrosToSec(50),
 	}
 }
 
 // LUPolicy returns the natural policy for the LU kernel: the wavefront
 // exchange and ghost phases at the bottom gear.
-func LUPolicy(prof power.Profile) Policy {
-	return Policy{
-		ComputeState: prof.TopState(),
-		CommState:    prof.BaseState(),
-		CommPhases: map[string]bool{
-			"lu-lower-wave":  true,
-			"lu-upper-wave":  true,
-			"lu-lower-ghost": true,
-			"lu-upper-ghost": true,
+func LUPolicy(prof power.Profile) GearPolicy {
+	low := prof.BaseState()
+	return GearPolicy{
+		Default: prof.TopState(),
+		Phases: map[string]power.PState{
+			"lu-lower-wave":  low,
+			"lu-upper-wave":  low,
+			"lu-lower-ghost": low,
+			"lu-upper-ghost": low,
 		},
 		SwitchSec: units.MicrosToSec(50),
 	}

@@ -25,9 +25,9 @@ func TestPolicyValidate(t *testing.T) {
 	if err := LUPolicy(prof).Validate(); err != nil {
 		t.Errorf("LU policy invalid: %v", err)
 	}
-	bad := Policy{ComputeState: prof.TopState(), CommState: prof.BaseState()}
+	bad := GearPolicy{Default: prof.TopState()}
 	if err := bad.Validate(); err == nil {
-		t.Error("policy without comm phases accepted")
+		t.Error("policy without phases accepted")
 	}
 	neg := FTPolicy(prof)
 	neg.SwitchSec = -1
@@ -69,11 +69,10 @@ func TestEPScheduleNearNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pol := Policy{
-		ComputeState: p.Prof.TopState(),
-		CommState:    p.Prof.BaseState(),
-		CommPhases:   map[string]bool{"ep-allreduce": true},
-		SwitchSec:    50e-6,
+	pol := GearPolicy{
+		Default:   p.Prof.TopState(),
+		Phases:    map[string]power.PState{"ep-allreduce": p.Prof.BaseState()},
+		SwitchSec: 50e-6,
 	}
 	ep := npb.EP{LogPairs: 16, ScaleLog: 4}
 	cmp, err := Compare(w, pol, func(w mpi.World) (*mpi.Result, error) {
@@ -130,7 +129,7 @@ func TestApplySetsHook(t *testing.T) {
 		t.Error("hook not installed")
 	}
 	if got.State != p.Prof.TopState() {
-		t.Error("initial state not the compute gear")
+		t.Error("initial state not the default gear")
 	}
 	if got.GearSwitchSec != pol.SwitchSec {
 		t.Error("switch cost not propagated")

@@ -9,10 +9,10 @@ import (
 	"pasp/internal/units"
 )
 
-// GearPolicy is the general form of a phase schedule: any phase may run at
-// any operating point, not just top/bottom. It is what a model-driven
-// optimizer produces when intermediate gears pay off (e.g. a partially
-// frequency-sensitive pack/unpack phase).
+// GearPolicy is a static phase schedule: any phase may run at any operating
+// point, not just top/bottom. FTPolicy and LUPolicy use two gears; a
+// model-driven optimizer produces intermediate ones when they pay off (e.g.
+// a partially frequency-sensitive pack/unpack phase).
 type GearPolicy struct {
 	// Default is the gear for phases not listed.
 	Default power.PState
@@ -26,6 +26,9 @@ type GearPolicy struct {
 func (p GearPolicy) Validate() error {
 	if p.Default.Freq <= 0 {
 		return fmt.Errorf("dvfs: zero-frequency default gear")
+	}
+	if len(p.Phases) == 0 {
+		return fmt.Errorf("dvfs: no phases named")
 	}
 	for phase, st := range p.Phases {
 		if st.Freq <= 0 {
@@ -74,34 +77,9 @@ func (p GearPolicy) String() string {
 	return s
 }
 
-// CompareGears runs the kernel once pinned at the policy's default gear and
-// once under the multi-gear policy.
+// CompareGears is another name for Compare, kept for its existing callers.
 func CompareGears(w mpi.World, p GearPolicy, run func(w mpi.World) (*mpi.Result, error)) (Comparison, error) {
-	if err := p.Validate(); err != nil {
-		return Comparison{}, err
-	}
-	base := w
-	base.State = p.Default
-	base.OnPhase = nil
-	base.GearSwitchSec = 0
-	baseRes, err := run(base)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("dvfs: baseline: %w", err)
-	}
-	sched, err := p.Apply(w)
-	if err != nil {
-		return Comparison{}, err
-	}
-	schedRes, err := run(sched)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("dvfs: scheduled: %w", err)
-	}
-	return Comparison{
-		BaselineSec:     units.Seconds(baseRes.Seconds),
-		BaselineJoules:  units.Joules(baseRes.Joules),
-		ScheduledSec:    units.Seconds(schedRes.Seconds),
-		ScheduledJoules: units.Joules(schedRes.Joules),
-	}, nil
+	return Compare(w, p, run)
 }
 
 // PhaseModel describes one phase's predicted time at any gear:

@@ -439,13 +439,16 @@ func TestModelDrivenDVFS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pol.CommPhases["ft-alltoall"] {
+	if pol.Phases["ft-alltoall"] != s.Platform.Prof.BaseState() {
 		t.Errorf("alltoall not classified as frequency-insensitive: %v", phases)
 	}
 	for _, compute := range []string{"ft-fft-x", "ft-fft-y", "ft-fft-z", "ft-evolve"} {
-		if pol.CommPhases[compute] {
+		if _, low := pol.Phases[compute]; low {
 			t.Errorf("compute phase %q misclassified for the low gear", compute)
 		}
+	}
+	if pol.Default != s.Platform.Prof.TopState() {
+		t.Errorf("default gear %v, want the top gear", pol.Default)
 	}
 	w, err := s.Platform.World(4, 1400)
 	if err != nil {

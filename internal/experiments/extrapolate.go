@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"pasp/internal/cluster"
 	"pasp/internal/core"
@@ -83,24 +84,10 @@ func (s Suite) ExtrapolateLU(ctx context.Context) (*ExtrapolationResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	return Extrapolate("LU", mergeCampaigns(base, held), 8, 16)
-}
-
-// mergeCampaigns assembles a fresh Campaign from the concatenated cells of
-// the inputs, in order. The inputs stay untouched (they may be shared store
-// entries); the merged campaign rebuilds Meas and the cell index exactly as
-// Suite.measure would have for a single sweep over the combined grid.
-func mergeCampaigns(parts ...*Campaign) *Campaign {
-	merged := &Campaign{Meas: core.NewMeasurements()}
-	for _, p := range parts {
-		merged.Cells = append(merged.Cells, p.Cells...)
-	}
-	merged.indexOnce.Do(merged.buildIndex)
-	for _, c := range merged.Cells {
-		merged.Meas.SetTime(c.N, c.MHz, c.Res.Seconds)
-		merged.Meas.SetEnergy(c.N, c.MHz, c.Res.Joules)
-	}
-	return merged
+	// slices.Concat copies into a fresh array: both inputs are shared store
+	// entries, and appending to base.Cells could write into its spare
+	// capacity under a concurrent caller.
+	return Extrapolate("LU", NewCampaign(slices.Concat(base.Cells, held.Cells)), 8, 16)
 }
 
 // ExtrapolateFT runs the same experiment on FT, where the transpose

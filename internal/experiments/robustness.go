@@ -111,7 +111,8 @@ type RobustnessResult struct {
 // a platform carrying the scaled fault config. Perturbed cells are fresh
 // simulations (each scaled platform is a distinct campaign-store identity,
 // and single cells are cheaper run directly), so repeated sweeps re-derive
-// — and therefore actually test — the harness's determinism.
+// — and therefore actually test — the harness's determinism. A cancelled
+// ctx stops the sweep before its next cell with ctx.Err().
 func (s Suite) Robustness(ctx context.Context, spec RobustnessSpec) (*RobustnessResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -156,6 +157,9 @@ func (s Suite) Robustness(ctx context.Context, spec RobustnessSpec) (*Robustness
 		var meas, spErr, fpErr, fsec []float64
 		var retries []int
 		for _, n := range spec.Ns {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			w, err := pl.World(n, base)
 			if err != nil {
 				return nil, err

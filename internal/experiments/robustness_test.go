@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -51,6 +52,27 @@ func TestRobustnessRejectsOffGridN(t *testing.T) {
 		Faults:     JitterOnlyFaults(1),
 	}); err == nil {
 		t.Fatal("unknown kernel accepted")
+	}
+}
+
+// TestRobustnessHonoursCancellation: the clean campaign is a store hit
+// that ignores ctx, so only a check between perturbed cells lets a caller
+// that has gone away stop the sweep.
+func TestRobustnessHonoursCancellation(t *testing.T) {
+	s := Quick()
+	if _, err := s.MeasureFT(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := s.Robustness(ctx, RobustnessSpec{
+		Kernel:     "ft",
+		Ns:         []int{2, 4},
+		Magnitudes: []float64{0, 0.5, 1},
+		Faults:     JitterOnlyFaults(7),
+	})
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("cancelled sweep returned (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 }
 

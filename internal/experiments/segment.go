@@ -6,6 +6,7 @@ import (
 
 	"pasp/internal/core"
 	"pasp/internal/dvfs"
+	"pasp/internal/power"
 )
 
 // PhaseTimes extracts per-phase, per-configuration times from a campaign's
@@ -129,16 +130,21 @@ const SensitivityThreshold = 0.5
 
 // ModelDrivenDVFS builds a DVFS policy *automatically* from the fitted
 // segment model — the paper's §7 vision: classify each code segment by its
-// measured frequency sensitivity and derate the insensitive ones. It
-// returns the policy and the discovered low-gear phase set.
-func (s Suite) ModelDrivenDVFS(camp *Campaign) (dvfs.Policy, []string, error) {
+// measured frequency sensitivity and derate the insensitive ones to the
+// bottom gear, leaving the rest at the top. It returns the policy and the
+// discovered low-gear phase set.
+func (s Suite) ModelDrivenDVFS(camp *Campaign) (dvfs.GearPolicy, []string, error) {
 	mhz := s.Grid.MHz
 	seg, err := core.FitSeg(PhaseTimes(camp), mhz[0], mhz[len(mhz)-1])
 	if err != nil {
-		return dvfs.Policy{}, nil, err
+		return dvfs.GearPolicy{}, nil, err
 	}
 	maxN := s.Grid.Ns[len(s.Grid.Ns)-1]
-	comm := map[string]bool{}
+	pol := dvfs.GearPolicy{
+		Default:   s.Platform.Prof.TopState(),
+		Phases:    map[string]power.PState{},
+		SwitchSec: 50e-6,
+	}
 	var names []string
 	for _, phase := range seg.Phases() {
 		v, err := seg.FrequencySensitivity(phase, maxN)
@@ -146,19 +152,14 @@ func (s Suite) ModelDrivenDVFS(camp *Campaign) (dvfs.Policy, []string, error) {
 			continue
 		}
 		if v < SensitivityThreshold {
-			comm[phase] = true
+			pol.Phases[phase] = s.Platform.Prof.BaseState()
 			names = append(names, phase)
 		}
 	}
-	if len(comm) == 0 {
-		return dvfs.Policy{}, nil, fmt.Errorf("experiments: no frequency-insensitive phases found")
+	if len(names) == 0 {
+		return dvfs.GearPolicy{}, nil, fmt.Errorf("experiments: no frequency-insensitive phases found")
 	}
-	return dvfs.Policy{
-		ComputeState: s.Platform.Prof.TopState(),
-		CommState:    s.Platform.Prof.BaseState(),
-		CommPhases:   comm,
-		SwitchSec:    50e-6,
-	}, names, nil
+	return pol, names, nil
 }
 
 // EDPOptimalGears builds the multi-gear schedule: each phase's fitted

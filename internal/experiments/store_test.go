@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"pasp/internal/cluster"
 	"pasp/internal/mpi"
 	"pasp/internal/obs"
 )
@@ -94,34 +97,37 @@ func TestStoreKeysOnPlatformContent(t *testing.T) {
 	}
 }
 
-// TestMergeCampaigns proves the ExtrapolateLU fast path assembles exactly
-// the campaign a single extended-grid sweep would have produced.
+// TestMergeCampaigns proves the ExtrapolateLU fast path — the memoized LU
+// campaign and its held-out N=16 row joined by NewCampaign — scores exactly
+// what one uncached sweep over the extended grid does, and leaves the
+// shared store entry's cells as they were.
 func TestMergeCampaigns(t *testing.T) {
+	ctx := context.Background()
 	s := Quick()
-	a, err := s.MeasureFT(context.Background())
+	s.LUGrid = cluster.Grid{Ns: []int{1, 2, 4, 8}, MHz: []float64{600, 1400}}
+	base, err := s.MeasureLU(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := mergeCampaigns(a, a)
-	if len(merged.Cells) != 2*len(a.Cells) {
-		t.Fatalf("merged %d cells, want %d", len(merged.Cells), 2*len(a.Cells))
+	// Up to capacity: an append onto the stored slice would write past len.
+	before := slices.Clone(base.Cells[:cap(base.Cells)])
+	got, err := s.ExtrapolateLU(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range a.Cells {
-		res, err := merged.Cell(c.N, c.MHz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res != c.Res {
-			t.Errorf("merged cell N=%d f=%g does not point at the source result", c.N, c.MHz)
-		}
-		tm, err := merged.Meas.Time(c.N, c.MHz)
-		if err != nil {
-			t.Fatal(err)
-		}
-		//palint:ignore floateq -- the merged measurement must carry the source value verbatim
-		if tm != c.Res.Seconds {
-			t.Errorf("merged time at N=%d f=%g is %.17g, want %.17g", c.N, c.MHz, tm, c.Res.Seconds)
-		}
+	fresh, err := s.measure(ctx, cluster.Grid{Ns: []int{1, 2, 4, 8, 16}, MHz: s.LUGrid.MHz}, s.RunLU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Extrapolate("LU", fresh, 8, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("merged campaign extrapolates to\n%v\nsingle extended sweep to\n%v", got, want)
+	}
+	if !slices.Equal(base.Cells[:cap(base.Cells)], before) {
+		t.Error("ExtrapolateLU changed the stored LU campaign's cells")
 	}
 }
 

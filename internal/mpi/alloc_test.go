@@ -84,8 +84,8 @@ func TestEventEnginePingPongAllocs(t *testing.T) {
 }
 
 // TestObsEnabledSteadyStateAllocs pins the recording hot path's allocation
-// cost: per-round, an *enabled* recorder must stay within the same ≤1
-// alloc/round budget as the plain path, because steady-state recording is
+// cost: per-round, an *enabled* recorder must stay within ≤ 1 alloc/round
+// (the plain path holds 0.1), because steady-state recording is
 // atomic histogram increments only — spans allocate on SetPhase, not per
 // message. Differencing two round counts cancels the recorder's fixed
 // per-run cost (rank logs, registry, the initial phase span) and isolates

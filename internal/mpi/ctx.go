@@ -241,10 +241,6 @@ func (c *Ctx) SetPState(st power.PState) {
 	}
 }
 
-// Machine returns the node timing model, letting kernels size working sets
-// against the cache geometry.
-func (c *Ctx) Machine() machine.Config { return c.eng.w.Mach }
-
 // SetPhase labels subsequent trace events; kernels call it at phase
 // boundaries ("fft-z", "exchange", ...). When the world has an OnPhase
 // hook (a DVFS scheduler), it runs on every transition to a new label.

@@ -62,9 +62,6 @@ func (f FT) scale() float64 {
 	return f.Scale
 }
 
-// Points returns the real grid point count.
-func (f FT) Points() int { return f.Nx * f.Ny * f.Nz }
-
 // Validate reports an error for unusable parameters on n ranks.
 func (f FT) Validate(n int) error {
 	for _, d := range []struct {

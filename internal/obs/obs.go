@@ -17,7 +17,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -250,18 +249,3 @@ func SetGlobal(r *Recorder) *Recorder {
 
 // Global returns the process-wide recorder, or nil when none is installed.
 func Global() *Recorder { return globalRecorder.Load() }
-
-// SortSpans orders spans by (rank, start, ID) in place — the layout
-// exporters and tests want when combining spans from several sources.
-func SortSpans(spans []Span) {
-	sort.SliceStable(spans, func(i, j int) bool {
-		a, b := spans[i], spans[j]
-		if a.Rank != b.Rank {
-			return a.Rank < b.Rank
-		}
-		if a.Start != b.Start { //palint:ignore floateq -- exact inequality as sort key: equal starts fall through to the ID tie-break
-			return a.Start < b.Start
-		}
-		return a.ID < b.ID
-	})
-}

@@ -392,6 +392,23 @@ func TestRobustnessEndpoint(t *testing.T) {
 	if resp.SPErr[0][0] != 0 || resp.SPErr[0][1] != 0 {
 		t.Fatalf("control-row SP error %v, want zeros", resp.SPErr[0])
 	}
+	// Client-chosen seeds never key store entries: /robustness perturbs
+	// fresh runs around the clean campaign and /trace runs once, so only
+	// the clean campaign above is stored.
+	stored := experiments.CampaignStoreSize()
+	for seed := 101; seed <= 103; seed++ {
+		if code, body := post(t, ts, "/robustness",
+			fmt.Sprintf(`{"kernel":"ft","ns":[2],"magnitudes":[0,1],"seed":%d}`, seed)); code != http.StatusOK {
+			t.Fatalf("robustness seed %d: %d (%s)", seed, code, body)
+		}
+		if code, body := post(t, ts, "/trace",
+			fmt.Sprintf(`{"kernel":"ft","n":2,"f":1000,"chaos":"seed=%d,jitter=0.5"}`, seed)); code != http.StatusOK {
+			t.Fatalf("trace seed %d: %d (%s)", seed, code, body)
+		}
+	}
+	if got := experiments.CampaignStoreSize(); got != stored {
+		t.Errorf("store holds %d campaigns after fresh-seed /robustness and /trace traffic, want %d", got, stored)
+	}
 	for _, tc := range []struct {
 		name, body string
 		want       int

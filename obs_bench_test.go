@@ -10,10 +10,10 @@ import (
 // layer's cost on the same FT configuration: the disabled row is the
 // nil-injector baseline every reproduction run pays (its allocs/op and
 // ns/op must stay indistinguishable from the pre-observability harness),
-// and the enabled row is the full recording path patrace uses. The pair
-// flows through pabench into the benchmark JSON so the overhead delta is
-// tracked per commit; DESIGN.md §10 documents the <1% disabled-overhead
-// budget these rows police.
+// and the enabled row is the full recording path patrace uses. `make bench`
+// prints the pair side by side so the overhead delta reads off one run;
+// DESIGN.md §10 documents the <1% disabled-overhead budget these rows
+// police.
 func BenchmarkObsDisabled(b *testing.B) {
 	s := benchSuite(b)
 	n, f := capN(s, 4), topF(s)
@@ -27,8 +27,8 @@ func BenchmarkObsDisabled(b *testing.B) {
 }
 
 // BenchmarkObsEnabled additionally reports the run's metric-snapshot deltas
-// as pabench rows: message count, wire bytes and gear switches come from
-// the recorder's registry, trace events from the exporter's input. A fresh
+// as benchmark metrics: message count and wire bytes come from the
+// recorder's registry, trace events from the exporter's input. A fresh
 // recorder per iteration keeps iterations independent (a Recorder observes
 // exactly one run).
 func BenchmarkObsEnabled(b *testing.B) {
