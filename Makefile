@@ -12,7 +12,7 @@ GO ?= go
 # Fuzz budget per target; CI's fuzz smoke runs with FUZZTIME=10s.
 FUZZTIME ?= 30s
 
-.PHONY: all build test shuffle race lint fmt-check perfbench-check fuzz bench trace-smoke conformance-smoke serve-smoke verify
+.PHONY: all build test shuffle race lint fmt-check perfbench-check fuzz bench examples trace-smoke conformance-smoke serve-smoke verify
 
 # trace-smoke output names; CI uploads both as artifacts.
 TRACEJSON ?= run.trace.json
@@ -75,6 +75,14 @@ perfbench-check:
 # workloads and bounds BENCHMARK.json declares.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x .
+
+# Run every example end to end. `go build ./...` only compiles examples/,
+# so an example that starts to fail at run time would pass build and test.
+examples:
+	@for d in examples/*/; do \
+		echo "go run ./$${d%/}"; \
+		$(GO) run ./$${d%/} > /dev/null || exit 1; \
+	done
 
 # One observed FT run through the patrace exporter. patrace validates the
 # trace-event JSON against the schema and checks the per-phase energy

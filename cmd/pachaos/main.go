@@ -89,7 +89,7 @@ func buildSpec(bench, ns, mags, chaos string, seed uint64) (experiments.Robustne
 func main() {
 	bench := flag.String("bench", "ft", "kernel: ep, ft, lu, cg, mg, is or sp")
 	suite := flag.String("suite", "paper", "kernel class scale: paper or quick")
-	ns := flag.String("np", "4,8,16", "processor counts, comma-separated (must lie on the kernel's campaign grid)")
+	ns := flag.String("np", "4,8,16", "processor counts, ascending, comma-separated (must lie on the kernel's campaign grid)")
 	mags := flag.String("mags", "0,0.25,0.5,1", "perturbation magnitudes, ascending, comma-separated")
 	chaos := flag.String("chaos", "", "fault knobs at magnitude 1 (see faults.ParseSpec); default: latency jitter only")
 	seed := flag.Uint64("seed", 1, "PRNG seed for the default jitter-only config (ignored with -chaos)")

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -73,20 +74,18 @@ func main() {
 	platform := cluster.PentiumM()
 	const cells, iters = 1 << 22, 40
 
+	// Sweep the paper's 5x5 grid: the solver runs once per processor count
+	// and the other frequencies replay its recorded operation stream.
+	swept, err := cluster.Sweep(context.Background(), platform, cluster.PaperGrid(), func(w mpi.World) (*mpi.Result, error) {
+		return mpi.Run(w, jacobi(cells, iters))
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	meas := core.NewMeasurements()
-	for _, n := range []int{1, 2, 4, 8, 16} {
-		for _, mhz := range []float64{600, 800, 1000, 1200, 1400} {
-			w, err := platform.World(n, mhz)
-			if err != nil {
-				log.Fatal(err)
-			}
-			res, err := mpi.Run(w, jacobi(cells, iters))
-			if err != nil {
-				log.Fatal(err)
-			}
-			meas.SetTime(n, mhz, res.Seconds)
-			meas.SetEnergy(n, mhz, res.Joules)
-		}
+	for _, c := range swept {
+		meas.SetTime(c.N, c.MHz, c.Res.Seconds)
+		meas.SetEnergy(c.N, c.MHz, c.Res.Joules)
 	}
 
 	sp, err := core.FitSP(meas)

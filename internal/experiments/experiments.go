@@ -15,7 +15,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"pasp/internal/cluster"
 	"pasp/internal/core"
@@ -132,10 +131,8 @@ type Campaign struct {
 	// Cells holds the raw simulation results in sweep order.
 	Cells []cluster.Cell
 
-	// index maps (N, MHz) to a position in Cells; built lazily so
-	// hand-assembled Campaign literals keep working.
-	indexOnce sync.Once
-	index     map[cellKey]int
+	// index maps (N, MHz) to a position in Cells; NewCampaign builds it.
+	index map[cellKey]int
 }
 
 // cellKey is the exact-match lookup key of one grid cell. The frequency is
@@ -146,21 +143,8 @@ type cellKey struct {
 	mhz float64
 }
 
-// buildIndex constructs the cell lookup map; first occurrence wins, same as
-// the linear scan it replaced.
-func (c *Campaign) buildIndex() {
-	c.index = make(map[cellKey]int, len(c.Cells))
-	for i, cell := range c.Cells {
-		k := cellKey{n: cell.N, mhz: cell.MHz}
-		if _, ok := c.index[k]; !ok {
-			c.index[k] = i
-		}
-	}
-}
-
 // Cell returns the raw result of one configuration.
 func (c *Campaign) Cell(n int, mhz float64) (*mpi.Result, error) {
-	c.indexOnce.Do(c.buildIndex)
 	if i, ok := c.index[cellKey{n: n, mhz: mhz}]; ok {
 		return c.Cells[i].Res, nil
 	}
@@ -184,9 +168,12 @@ func (s Suite) measure(ctx context.Context, g cluster.Grid, run cluster.RunFunc)
 // determinism tests, hand-built grids) use it to get a Campaign with the
 // same derived state as a store-measured one.
 func NewCampaign(cells []cluster.Cell) *Campaign {
-	camp := &Campaign{Meas: core.NewMeasurements(), Cells: cells}
-	camp.indexOnce.Do(camp.buildIndex)
-	for _, c := range cells {
+	camp := &Campaign{Meas: core.NewMeasurements(), Cells: cells, index: make(map[cellKey]int, len(cells))}
+	for i, c := range cells {
+		k := cellKey{n: c.N, mhz: c.MHz}
+		if _, ok := camp.index[k]; !ok { // first occurrence wins
+			camp.index[k] = i
+		}
 		camp.Meas.SetTime(c.N, c.MHz, c.Res.Seconds)
 		camp.Meas.SetEnergy(c.N, c.MHz, c.Res.Joules)
 	}

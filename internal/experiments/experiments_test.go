@@ -550,6 +550,12 @@ func TestScaledSpeedup(t *testing.T) {
 	if scaled <= fixed {
 		t.Errorf("MG scaled speedup %g not above fixed-size %g", scaled, fixed)
 	}
+
+	// T_1 is the grid's own (1, f0) cell, so a grid without N=1 is refused.
+	s.Grid.Ns = []int{2, 4}
+	if _, err := s.ScaledEP(context.Background()); err == nil || !strings.Contains(err.Error(), "needs N=1") {
+		t.Errorf("grid without N=1: %v, want a needs-N=1 error", err)
+	}
 }
 
 // The footnote-3 experiment: extrapolating the overhead model to an

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"pasp/internal/cluster"
 	"pasp/internal/core"
 	"pasp/internal/faults"
 	"pasp/internal/stats"
@@ -25,9 +26,9 @@ type RobustnessSpec struct {
 	// Kernel names the benchmark ("ft", "lu", ...); the clean fit uses its
 	// registered campaign grid.
 	Kernel string
-	// Ns are the processor counts measured under perturbation; each must be
-	// a point of the kernel's campaign grid so the clean-fitted SP model
-	// has an overhead term for it.
+	// Ns are the processor counts measured under perturbation, strictly
+	// ascending; each must be a point of the kernel's campaign grid so the
+	// clean-fitted SP model has an overhead term for it.
 	Ns []int
 	// Magnitudes are the perturbation scale factors applied to Faults via
 	// Config.Scale, ascending; conventionally starting at 0 (the control
@@ -48,6 +49,11 @@ func (r RobustnessSpec) Validate() error {
 	if len(r.Magnitudes) == 0 {
 		return fmt.Errorf("experiments: robustness spec has no magnitudes")
 	}
+	for i := 1; i < len(r.Ns); i++ {
+		if r.Ns[i] <= r.Ns[i-1] {
+			return fmt.Errorf("experiments: robustness processor counts not ascending at %d", i)
+		}
+	}
 	for i := 1; i < len(r.Magnitudes); i++ {
 		if r.Magnitudes[i] <= r.Magnitudes[i-1] {
 			return fmt.Errorf("experiments: robustness magnitudes not ascending at %d", i)
@@ -55,6 +61,11 @@ func (r RobustnessSpec) Validate() error {
 	}
 	if err := r.Faults.Validate(); err != nil {
 		return err
+	}
+	for _, m := range r.Magnitudes {
+		if err := r.Faults.Scale(m).Validate(); err != nil {
+			return fmt.Errorf("experiments: robustness magnitude %g: %w", m, err)
+		}
 	}
 	if !r.Faults.Enabled() {
 		return fmt.Errorf("experiments: robustness spec's fault config injects nothing at magnitude 1")
@@ -107,12 +118,14 @@ type RobustnessResult struct {
 }
 
 // Robustness runs the sweep: fit SP and FP on the kernel's clean memoized
-// campaign, then measure every (magnitude, N) cell at the base frequency on
-// a platform carrying the scaled fault config. Perturbed cells are fresh
-// simulations (each scaled platform is a distinct campaign-store identity,
-// and single cells are cheaper run directly), so repeated sweeps re-derive
-// — and therefore actually test — the harness's determinism. A cancelled
-// ctx stops the sweep before its next cell with ctx.Err().
+// campaign, then, once per magnitude, cluster.Sweep the Ns at the base
+// frequency on a platform carrying the scaled fault config, the cells of
+// one magnitude spread over the sweep's worker pool. Perturbed cells are
+// fresh simulations that never enter the campaign store (each scaled
+// platform would be a distinct store identity), so repeated sweeps
+// re-derive — and therefore actually test — the harness's determinism. A
+// cancelled ctx stops the sweep at Sweep's next cell boundary with an
+// error wrapping ctx.Err().
 func (s Suite) Robustness(ctx context.Context, spec RobustnessSpec) (*RobustnessResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -151,36 +164,30 @@ func (s Suite) Robustness(ctx context.Context, spec RobustnessSpec) (*Robustness
 		return nil, err
 	}
 	out := &RobustnessResult{Spec: spec, BaseMHz: base}
+	g := cluster.Grid{Ns: spec.Ns, MHz: []float64{base}}
 	for _, m := range spec.Magnitudes {
 		pl := s.Platform
 		pl.Faults = spec.Faults.Scale(m)
+		cells, err := cluster.Sweep(ctx, pl, g, k.Run)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: robustness %s mag=%g: %w", spec.Kernel, m, err)
+		}
 		var meas, spErr, fpErr, fsec []float64
 		var retries []int
-		for _, n := range spec.Ns {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			w, err := pl.World(n, base)
+		for _, c := range cells {
+			spPred, err := sp.PredictTime(c.N, base)
 			if err != nil {
 				return nil, err
 			}
-			res, err := k.Run(w)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: robustness %s N=%d mag=%g: %w", spec.Kernel, n, m, err)
-			}
-			spPred, err := sp.PredictTime(n, base)
+			fpPred, err := fp.PredictTime(c.N, base)
 			if err != nil {
 				return nil, err
 			}
-			fpPred, err := fp.PredictTime(n, base)
-			if err != nil {
-				return nil, err
-			}
-			meas = append(meas, res.Seconds)
-			spErr = append(spErr, stats.RelError(spPred, res.Seconds))
-			fpErr = append(fpErr, stats.RelError(float64(fpPred), res.Seconds))
-			fsec = append(fsec, res.FaultSec())
-			retries = append(retries, res.Retries())
+			meas = append(meas, c.Res.Seconds)
+			spErr = append(spErr, stats.RelError(spPred, c.Res.Seconds))
+			fpErr = append(fpErr, stats.RelError(float64(fpPred), c.Res.Seconds))
+			fsec = append(fsec, c.Res.FaultSec())
+			retries = append(retries, c.Res.Retries())
 		}
 		out.MeasSec = append(out.MeasSec, meas)
 		out.SPErr = append(out.SPErr, spErr)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -24,6 +25,9 @@ func TestRobustnessSpecValidate(t *testing.T) {
 		{Kernel: "ft", Magnitudes: []float64{1}, Faults: JitterOnlyFaults(1)},                         // no Ns
 		{Kernel: "ft", Ns: []int{2}, Faults: JitterOnlyFaults(1)},                                     // no magnitudes
 		{Kernel: "ft", Ns: []int{2}, Magnitudes: []float64{1, 0.5}, Faults: JitterOnlyFaults(1)},      // descending
+		{Kernel: "ft", Ns: []int{4, 2}, Magnitudes: []float64{0, 1}, Faults: JitterOnlyFaults(1)},     // descending Ns
+		{Kernel: "ft", Ns: []int{2, 2}, Magnitudes: []float64{0, 1}, Faults: JitterOnlyFaults(1)},     // repeated N
+		{Kernel: "ft", Ns: []int{2}, Magnitudes: []float64{math.NaN()}, Faults: JitterOnlyFaults(1)},  // NaN knobs once scaled
 		{Kernel: "ft", Ns: []int{2}, Magnitudes: []float64{0, 1}, Faults: faults.Config{}},            // injects nothing
 		{Kernel: "ft", Ns: []int{2}, Magnitudes: []float64{0, 1}, Faults: faults.Config{DropProb: 2}}, // invalid config
 	}
@@ -56,8 +60,8 @@ func TestRobustnessRejectsOffGridN(t *testing.T) {
 }
 
 // TestRobustnessHonoursCancellation: the clean campaign is a store hit
-// that ignores ctx, so only a check between perturbed cells lets a caller
-// that has gone away stop the sweep.
+// that ignores ctx, so only cluster.Sweep's check at each perturbed cell
+// boundary lets a caller that has gone away stop the sweep.
 func TestRobustnessHonoursCancellation(t *testing.T) {
 	s := Quick()
 	if _, err := s.MeasureFT(context.Background()); err != nil {

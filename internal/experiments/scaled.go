@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"pasp/internal/cluster"
 	"pasp/internal/mpi"
 )
 
@@ -31,38 +32,26 @@ func (r *ScaledResult) String() string {
 	return r.Scaled.String() + "\n" + r.Fixed.String()
 }
 
-// scaledSweep measures T_N(N·w, f) over the grid, given a constructor that
-// returns the kernel runner for a workload multiplier.
-func (s Suite) scaledSweep(ctx context.Context, name string, runAt func(mult int) func(mpi.World) (*mpi.Result, error),
+// scaledSweep measures T_N(N·w, f) by sweeping the suite grid with run, a
+// RunFunc that sizes the workload from w.N. T_1(w, f0) is the swept
+// (1, f0) cell, the first of the grid.
+func (s Suite) scaledSweep(ctx context.Context, name string, run cluster.RunFunc,
 	fixedMeasure func(context.Context) (*Campaign, error)) (*ScaledResult, error) {
-	// Base: one unit of work on one processor at the base frequency.
-	w1, err := s.Platform.World(1, s.Grid.MHz[0])
+	cells, err := cluster.Sweep(ctx, s.Platform, s.Grid, run)
 	if err != nil {
 		return nil, err
 	}
-	base, err := runAt(1)(w1)
-	if err != nil {
-		return nil, err
+	if cells[0].N != 1 {
+		return nil, fmt.Errorf("experiments: %s scaled speedup needs N=1 on the grid, have %v", name, s.Grid.Ns)
 	}
-	t1 := base.Seconds
-
+	t1 := cells[0].Res.Seconds
 	grid := newValueGrid(fmt.Sprintf("%s scaled (fixed-time) speedup", name), s.Grid.Ns, s.Grid.MHz, "%.2f")
-	for i, n := range s.Grid.Ns {
-		run := runAt(n)
-		for j, f := range s.Grid.MHz {
-			w, err := s.Platform.World(n, f)
-			if err != nil {
-				return nil, err
-			}
-			res, err := run(w)
-			if err != nil {
-				return nil, err
-			}
-			if res.Seconds <= 0 {
-				return nil, fmt.Errorf("experiments: degenerate zero-time run at N=%d f=%g", n, f)
-			}
-			grid.V[i][j] = float64(n) * t1 / res.Seconds
+	nf := len(s.Grid.MHz)
+	for i, c := range cells {
+		if c.Res.Seconds <= 0 {
+			return nil, fmt.Errorf("experiments: degenerate zero-time run at N=%d f=%g", c.N, c.MHz)
 		}
+		grid.V[i/nf][i%nf] = float64(c.N) * t1 / c.Res.Seconds
 	}
 
 	camp, err := fixedMeasure(ctx)
@@ -81,17 +70,13 @@ func (s Suite) scaledSweep(ctx context.Context, name string, runAt func(mult int
 // every doubling of N (ScaleLog + log₂N), and the scaled speedup is the
 // clean N·f/f0 product — Gustafson's best case.
 func (s Suite) ScaledEP(ctx context.Context) (*ScaledResult, error) {
-	return s.scaledSweep(ctx, "EP", func(mult int) func(mpi.World) (*mpi.Result, error) {
-		extra := 0
-		for m := mult; m > 1; m >>= 1 {
-			extra++
-		}
+	return s.scaledSweep(ctx, "EP", func(w mpi.World) (*mpi.Result, error) {
 		ep := s.EP
-		ep.ScaleLog += extra
-		return func(w mpi.World) (*mpi.Result, error) {
-			_, r, err := ep.Run(w)
-			return r, err
+		for m := w.N; m > 1; m >>= 1 {
+			ep.ScaleLog++
 		}
+		_, r, err := ep.Run(w)
+		return r, err
 	}, s.MeasureEP)
 }
 
@@ -100,12 +85,10 @@ func (s Suite) ScaledEP(ctx context.Context) (*ScaledResult, error) {
 // recovers the scalability the fixed-size surface loses — the Sun–Ni
 // memory-bounded argument on this substrate.
 func (s Suite) ScaledMG(ctx context.Context) (*ScaledResult, error) {
-	return s.scaledSweep(ctx, "MG", func(mult int) func(mpi.World) (*mpi.Result, error) {
+	return s.scaledSweep(ctx, "MG", func(w mpi.World) (*mpi.Result, error) {
 		mg := s.MG
-		mg.Scale = mg.Scale * float64(mult)
-		return func(w mpi.World) (*mpi.Result, error) {
-			_, r, err := mg.Run(w)
-			return r, err
-		}
+		mg.Scale *= float64(w.N)
+		_, r, err := mg.Run(w)
+		return r, err
 	}, s.MeasureMG)
 }

@@ -54,7 +54,8 @@ func (r SweepRequest) Validate() error {
 // RobustnessRequest asks for a clean-fit-vs-perturbed-measurement sweep.
 type RobustnessRequest struct {
 	Kernel string `json:"kernel"`
-	// Ns are the perturbed processor counts (on the kernel's grid).
+	// Ns are the perturbed processor counts, ascending, on the kernel's
+	// grid.
 	Ns []int `json:"ns"`
 	// Magnitudes are the ascending perturbation scales.
 	Magnitudes []float64 `json:"magnitudes"`

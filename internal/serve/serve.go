@@ -496,7 +496,8 @@ type RobustnessResponse struct {
 
 // handleRobustness answers POST /robustness: fit on the clean campaign,
 // score against perturbed measurements. The perturbed cells are fresh
-// simulations, so the request always holds an admission slot.
+// simulations, so the request always holds an admission slot; a client
+// that goes away stops the sweep at cluster.Sweep's next cell boundary.
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	var req RobustnessRequest
 	if err := decode(r.Body, &req); err != nil {

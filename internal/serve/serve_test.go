@@ -415,6 +415,9 @@ func TestRobustnessEndpoint(t *testing.T) {
 	}{
 		{"off-grid n", `{"kernel":"ft","ns":[3],"magnitudes":[0,1]}`, http.StatusBadRequest},
 		{"no magnitudes", `{"kernel":"ft","ns":[2]}`, http.StatusBadRequest},
+		{"descending ns", `{"kernel":"ft","ns":[4,2,2,2,2],"magnitudes":[0,1]}`, http.StatusBadRequest},
+		{"repeated ns", `{"kernel":"ft","ns":[2,4,4],"magnitudes":[0,1]}`, http.StatusBadRequest},
+		{"magnitude overflows the knobs", `{"kernel":"ft","ns":[2],"magnitudes":[0,1e308],"chaos":"seed=1,jitter=2"}`, http.StatusBadRequest},
 		{"bad chaos", `{"kernel":"ft","ns":[2],"magnitudes":[0,1],"chaos":"zap=1"}`, http.StatusBadRequest},
 		{"unknown kernel", `{"kernel":"zz","ns":[2],"magnitudes":[0,1]}`, http.StatusNotFound},
 	} {
