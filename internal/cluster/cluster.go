@@ -232,6 +232,12 @@ func sweepUnits(ctx context.Context, units int, do func(int)) {
 	}
 dispatch:
 	for u := 0; u < units; u++ {
+		// With a worker waiting, both cases of the select are ready and
+		// it picks one at random, so a cancelled ctx could still start a
+		// unit; checking first means it starts none.
+		if ctx.Err() != nil {
+			break
+		}
 		select {
 		case next <- u:
 		case <-ctx.Done():

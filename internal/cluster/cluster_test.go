@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"pasp/internal/faults"
@@ -102,6 +103,35 @@ func TestSweepPropagatesErrors(t *testing.T) {
 	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
+	}
+}
+
+// A sweep on a context cancelled before the call starts no cell, on both
+// of Sweep's branches. With a worker already waiting, the dispatch select
+// once chose at random between handing out a unit and seeing the
+// cancellation: a few dead-context sweeps in a thousand ran a cell.
+func TestSweepCancelledContextRunsNoCell(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var calls atomic.Int64
+	run := func(w mpi.World) (*mpi.Result, error) {
+		calls.Add(1)
+		return nil, errors.New("cell ran on a cancelled context")
+	}
+	for _, g := range []Grid{
+		{Ns: []int{1, 2, 4, 8}, MHz: []float64{600}},
+		{Ns: []int{1, 2, 4, 8}, MHz: []float64{600, 1400}},
+	} {
+		const sweeps = 20000
+		for i := 0; i < sweeps; i++ {
+			if _, err := Sweep(ctx, PentiumM(), g, run); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%d-gear grid: Sweep on a cancelled context returned %v, want context.Canceled", len(g.MHz), err)
+			}
+		}
+		if n := calls.Swap(0); n != 0 {
+			t.Errorf("%d-gear grid: %d of %d cancelled sweeps ran a cell", len(g.MHz), n, sweeps)
+		}
 	}
 }
 

@@ -27,8 +27,9 @@ func log2ceil(n int) int {
 }
 
 // collective synchronizes all ranks, then advances every clock to
-// max(entry clocks) + cost. It returns the snapshot so callers can combine
-// payloads. Payloads must be private to the snapshot (copied by the
+// max(entry clocks) + cost, the maximum the epoch computed once as ranks
+// arrived (see engine.deposit). It returns the snapshot so callers can
+// combine payloads. Payloads must be private to the snapshot (copied by the
 // caller, via snapshotPayload so the copies draw on the rank's buffer
 // cache). All collectives are modelled as synchronizing, which matches the
 // dense patterns the NAS kernels use (alltoall, allreduce, barrier).
@@ -65,13 +66,7 @@ func (c *Ctx) collective(payload any, cost float64, recycle bool) (*collSnapshot
 			c.collFreeParts = p
 		}
 	}
-	start := 0.0
-	for _, t := range snap.clocks {
-		if t > start {
-			start = t
-		}
-	}
-	if err := c.advanceComm(start + cost); err != nil {
+	if err := c.advanceComm(snap.entry + cost); err != nil {
 		return nil, err
 	}
 	// Each rank draws its own collective perturbation, so jitter desyncs
@@ -147,17 +142,41 @@ func (c *Ctx) Bcast(root int, data []float64, vbytes int) ([]float64, error) {
 	return c.snapshotPayload(got), nil
 }
 
-// reduceAll combines the deposited vectors in rank order (deterministic
-// floating-point result) and returns a fresh slice.
-func reduceAll(snap *collSnapshot, op Op) ([]float64, error) {
-	var out []float64
-	for rank, p := range snap.payloads {
+// reduce returns the epoch's reduction of every rank's deposit with op,
+// combined in rank order so the floating-point result is deterministic.
+// The epoch's first reader computes it into the snapshot's buffer, so an
+// epoch pays for one O(N·len) reduction rather than one per rank, and
+// every reader gets the same answer. A reader passing a different op than
+// the first one fails, since the ranks disagree on what the collective
+// computes. The slice is the snapshot's buffer, reused two epochs later:
+// callers copy it before handing it out.
+func (s *collSnapshot) reduce(op Op) ([]float64, error) {
+	if !s.reduced {
+		s.reduced, s.redOp = true, op
+		s.red, s.redErr = reduceInto(s.red[:0], s.payloads, op)
+	}
+	if s.redErr != nil {
+		return nil, s.redErr
+	}
+	if op != s.redOp {
+		return nil, fmt.Errorf("mpi: reduce op mismatch: this rank passes op %d, the epoch was reduced with op %d", op, s.redOp)
+	}
+	return s.red, nil
+}
+
+// reduceInto combines the deposited vectors into out (empty, reused for
+// its capacity) in rank order. Every deposit must have rank 0's length.
+func reduceInto(out []float64, payloads []any, op Op) ([]float64, error) {
+	if op != Sum && op != Max {
+		return nil, fmt.Errorf("mpi: unknown reduce op %d", op)
+	}
+	for rank, p := range payloads {
 		v, ok := p.([]float64)
 		if !ok {
 			return nil, fmt.Errorf("mpi: reduce payload from rank %d is %T, want []float64", rank, p)
 		}
-		if out == nil {
-			out = append([]float64(nil), v...)
+		if rank == 0 {
+			out = append(out, v...)
 			continue
 		}
 		if len(v) != len(out) {
@@ -172,8 +191,6 @@ func reduceAll(snap *collSnapshot, op Op) ([]float64, error) {
 			for i := range out {
 				out[i] = math.Max(out[i], v[i])
 			}
-		default:
-			return nil, fmt.Errorf("mpi: unknown reduce op %d", op)
 		}
 	}
 	return out, nil
@@ -192,7 +209,10 @@ func (c *Ctx) reduceCost(b int) float64 {
 }
 
 // Allreduce combines every rank's vector with op and returns the result on
-// all ranks. vbytes, when positive, overrides the timed payload size.
+// all ranks. vbytes, when positive, overrides the timed payload size. Every
+// rank must pass the same op and a vector of rank 0's length; otherwise
+// the call fails. The epoch reduces once, and each rank returns its own
+// copy of the result, which the caller owns and may overwrite or Free.
 func (c *Ctx) Allreduce(data []float64, op Op, vbytes int) ([]float64, error) {
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opAllreduce, red: op, nlen: len(data), vbytes: vbytes})
@@ -204,11 +224,17 @@ func (c *Ctx) Allreduce(data []float64, op Op, vbytes int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return reduceAll(snap, op)
+	red, err := snap.reduce(op)
+	if err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), red...), nil
 }
 
 // Reduce combines every rank's vector with op; only root receives the
-// result (other ranks get nil).
+// result (other ranks get nil), a copy it owns. As in Allreduce, every
+// rank must pass the same op and a vector of rank 0's length: every rank
+// reads the epoch's reduction, so any rank's disagreement fails the call.
 func (c *Ctx) Reduce(root int, data []float64, op Op, vbytes int) ([]float64, error) {
 	n := c.Size()
 	if root < 0 || root >= n {
@@ -224,10 +250,11 @@ func (c *Ctx) Reduce(root int, data []float64, op Op, vbytes int) ([]float64, er
 	if err != nil {
 		return nil, err
 	}
-	if c.rank != root {
-		return nil, nil
+	red, err := snap.reduce(op)
+	if err != nil || c.rank != root {
+		return nil, err
 	}
-	return reduceAll(snap, op)
+	return append([]float64(nil), red...), nil
 }
 
 // Alltoall performs the personalized all-to-all exchange at the heart of

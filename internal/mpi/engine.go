@@ -75,10 +75,22 @@ func (q *evQueue) pop() message {
 	return m
 }
 
-// collSnapshot is the outcome of one collective synchronization epoch.
+// collSnapshot is the outcome of one collective synchronization epoch:
+// every rank's deposit, plus the results all ranks share. Those are
+// computed once per epoch, not by every rank, so that a collective costs
+// O(N) rather than O(N²) work.
 type collSnapshot struct {
-	clocks   []float64
 	payloads []any
+	// entry is max(0, entry clocks), folded in by each arrival.
+	entry float64
+	// red, redOp and redErr are a Reduce or Allreduce epoch's result, the
+	// op it was computed with and its failure, valid once reduced is set
+	// (see reduce). red is the snapshot's own buffer, reused every other
+	// epoch.
+	red     []float64
+	redOp   Op
+	redErr  error
+	reduced bool
 }
 
 // engine is the shared state of one running job. Every field is touched
@@ -122,7 +134,7 @@ func newEngine(w World) *engine {
 		finish: make(chan struct{}),
 	}
 	for i := range e.snaps {
-		e.snaps[i] = collSnapshot{clocks: make([]float64, n), payloads: make([]any, n)}
+		e.snaps[i] = collSnapshot{payloads: make([]any, n)}
 	}
 	for rank := range e.ctxs {
 		e.ctxs[rank] = newCtx(e, rank)
@@ -380,25 +392,35 @@ func (e *engine) completeRendezvous(src int, doneAt float64) {
 	e.makeRunnable(src)
 }
 
-// deposit is the collective epoch: the calling rank writes its entry clock
-// and payload into the epoch's container, and the last arrival completes
-// the epoch and wakes every parked participant; earlier arrivals park until
-// then. Every rank returns the same snapshot, whose contents depend only on
-// the deposits, so every collective is deterministic.
+// deposit is the collective epoch: the calling rank writes its payload
+// into the epoch's container and folds its entry clock into the
+// container's running maximum, and the last arrival completes the epoch
+// and wakes every parked participant; earlier arrivals park until then.
+// Every rank returns the same snapshot, whose contents depend only on the
+// deposits, so every collective is deterministic. The entry maximum costs
+// O(1) per arrival, so the epoch pays O(N) for it once instead of each
+// rank scanning all N clocks.
 //
 // Two containers rotate instead of one being allocated per epoch. Reusing
 // container k&1 for epoch k+2 is safe: a rank deposits for epoch k+2 only
 // after it finished reading epoch k+1's snapshot, which it read only after
 // epoch k+1 completed — and that needed every rank's epoch k+1 deposit,
 // made only after that rank finished reading epoch k. So no reader of
-// container k&1 remains by the time it is overwritten. The deposited
-// payload values themselves are never recycled here; collectives hand them
-// to callers.
+// container k&1 remains by the time it is overwritten, and the first
+// deposit of epoch k+2 may reset the container's shared results (entry
+// maximum, cached reduction) for the new epoch. The deposited payload
+// values themselves are never recycled here; collectives hand them to
+// callers.
 //
 //palint:hotpath
 func (e *engine) deposit(c *Ctx, payload any) (*collSnapshot, error) {
 	snap := &e.snaps[e.epoch&1]
-	snap.clocks[c.rank] = c.clock
+	if e.arrived == 0 {
+		snap.entry, snap.reduced = 0, false
+	}
+	if c.clock > snap.entry {
+		snap.entry = c.clock
+	}
 	snap.payloads[c.rank] = payload
 	e.arrived++
 	if e.arrived == e.w.N {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -588,14 +589,186 @@ func TestLog2Ceil(t *testing.T) {
 	}
 }
 
+// Every deposit of a reduction epoch must have rank 0's length, an empty
+// rank 0 included: an empty first deposit once skipped the check, and
+// rank 0 passing [] beside [r] elsewhere reduced to [3] on every rank.
 func TestReduceAllLengthMismatch(t *testing.T) {
+	cases := []struct {
+		name string
+		n    int
+		lens func(rank int) int
+		// root is the Reduce root, or -1 for an Allreduce.
+		root int
+	}{
+		{"allreduce rank 1 longer", 2, func(r int) int { return 1 + r }, -1},
+		{"allreduce rank 0 empty", 3, func(r int) int { return min(r, 1) }, -1},
+		{"reduce rank 0 empty", 3, func(r int) int { return min(r, 1) }, 2},
+	}
+	for _, tc := range cases {
+		_, err := Run(testWorld(tc.n, 600), func(c *Ctx) error {
+			data := make([]float64, tc.lens(c.Rank()))
+			for i := range data {
+				data[i] = float64(c.Rank())
+			}
+			var err error
+			if tc.root < 0 {
+				_, err = c.Allreduce(data, Sum, 0)
+			} else {
+				_, err = c.Reduce(tc.root, data, Sum, 0)
+			}
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "length mismatch") {
+			t.Errorf("%s: err = %v, want a length mismatch", tc.name, err)
+		}
+	}
+}
+
+// A reduction whose ranks pass different ops has no single answer: with
+// rank 0 summing and rank 1 taking the maximum, an Allreduce once gave the
+// ranks [2 4] and [1 2], and a Reduce gave root 0 [2 4], with no error.
+func TestAllreduceOpMismatch(t *testing.T) {
+	for _, root := range []int{-1, 0, 1} {
+		name := "Allreduce"
+		if root >= 0 {
+			name = fmt.Sprintf("Reduce to root %d", root)
+		}
+		_, err := Run(testWorld(2, 600), func(c *Ctx) error {
+			op := Sum
+			if c.Rank() == 1 {
+				op = Max
+			}
+			var err error
+			if root < 0 {
+				_, err = c.Allreduce([]float64{1, 2}, op, 0)
+			} else {
+				_, err = c.Reduce(root, []float64{1, 2}, op, 0)
+			}
+			return err
+		})
+		if err == nil || !strings.Contains(err.Error(), "op mismatch") {
+			t.Errorf("%s: err = %v, want an op mismatch", name, err)
+		}
+	}
+}
+
+// The epoch reduces once into a buffer the engine owns, so each rank's
+// result must be its own copy: rank 0 reads first and overwrites its
+// result before rank 1 reads, and rank 1 must still see the reduction.
+func TestAllreduceResultCallerOwned(t *testing.T) {
+	overwritten := false
 	_, err := Run(testWorld(2, 600), func(c *Ctx) error {
-		data := make([]float64, 1+c.Rank())
-		_, err := c.Allreduce(data, Sum, 0)
-		return err
+		in := []float64{float64(c.Rank() + 1), 10}
+		if c.Rank() == 1 {
+			// The send wakes rank 0 but rank 1 keeps the token, so it
+			// deposits first and rank 0, arriving last, reads first.
+			if err := c.Send(0, 0, nil, 0); err != nil {
+				return err
+			}
+			out, err := c.Allreduce(in, Sum, 0)
+			if err != nil {
+				return err
+			}
+			if !overwritten {
+				return errors.New("rank 1 read before rank 0 overwrote its result")
+			}
+			if out[0] != 3 || out[1] != 20 {
+				return fmt.Errorf("rank 1 got %v after rank 0 overwrote its result, want [3 20]", out)
+			}
+			return nil
+		}
+		if _, err := c.Recv(1, 0); err != nil {
+			return err
+		}
+		out, err := c.Allreduce(in, Sum, 0)
+		if err != nil {
+			return err
+		}
+		for i := range out {
+			out[i] = -1
+		}
+		c.Free(out)
+		overwritten = true
+		return nil
 	})
-	if err == nil {
-		t.Error("length mismatch accepted")
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Reductions combine in rank order on every rank, bit for bit: with
+// values whose floating-point sum depends on the order, every rank must get
+// exactly the left-to-right sum over ranks 0..7.
+func TestAllreduceRankOrderSum(t *testing.T) {
+	const n = 8
+	vals := [n]float64{1e16, 1, -1e16, 1, 1e16, -1, 3, -1e16}
+	in := func(rank int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = vals[(rank+i)%n]
+		}
+		return v
+	}
+	want, rev := make([]float64, n), make([]float64, n)
+	for r := 0; r < n; r++ {
+		for i, x := range in(r) {
+			want[i] += x
+		}
+		for i, x := range in(n - 1 - r) {
+			rev[i] += x
+		}
+	}
+	differs := false
+	for i := range want {
+		differs = differs || math.Float64bits(want[i]) != math.Float64bits(rev[i])
+	}
+	if !differs {
+		t.Fatalf("test values are not order-sensitive: rank-order sum %v equals the reverse-order sum", want)
+	}
+	_, err := Run(testWorld(n, 600), func(c *Ctx) error {
+		out, err := c.Allreduce(in(c.Rank()), Sum, 0)
+		if err != nil {
+			return err
+		}
+		for i := range want {
+			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+				return fmt.Errorf("allreduce = %v, want the rank-order sum %v", out, want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The reduction buffer is reused by the epoch two later: a length-3 Sum, a
+// barrier, then a length-1 Max in the same container must return one
+// element with the maximum, not the earlier epoch's sum or its length.
+func TestAllreduceBufferReuseAcrossEpochs(t *testing.T) {
+	_, err := Run(testWorld(4, 600), func(c *Ctx) error {
+		r := float64(c.Rank())
+		sum, err := c.Allreduce([]float64{r, 10 * r, 100 * r}, Sum, 0)
+		if err != nil {
+			return err
+		}
+		if len(sum) != 3 || sum[0] != 6 || sum[1] != 60 || sum[2] != 600 {
+			return fmt.Errorf("sum = %v, want [6 60 600]", sum)
+		}
+		if err := c.Barrier(); err != nil {
+			return err
+		}
+		mx, err := c.Allreduce([]float64{-r}, Max, 0)
+		if err != nil {
+			return err
+		}
+		if len(mx) != 1 || mx[0] != 0 {
+			return fmt.Errorf("max = %v, want [0]", mx)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
