@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"pasp/internal/faults"
@@ -124,6 +125,12 @@ func (g Grid) Validate() error {
 	return nil
 }
 
+// Has reports whether (n, mhz) is a cell of g. The frequency must match
+// exactly: gears are discrete identity values, not measurements.
+func (g Grid) Has(n int, mhz float64) bool {
+	return slices.Contains(g.Ns, n) && slices.Contains(g.MHz, mhz)
+}
+
 // Cell is one grid measurement.
 type Cell struct {
 	// N and MHz identify the configuration.
@@ -154,7 +161,7 @@ type RunFunc func(w mpi.World) (*mpi.Result, error)
 // and the remaining frequencies re-time the recorded stream through the
 // same mpi timing paths — bit-identical to direct runs (see mpi.Replay) at
 // a fifth of the work on the paper's five-frequency grid. A single-gear
-// grid runs every cell directly.
+// grid records nothing: its one cell per rank count runs directly.
 func Sweep(ctx context.Context, p Platform, g Grid, run RunFunc) ([]Cell, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -169,26 +176,21 @@ func Sweep(ctx context.Context, p Platform, g Grid, run RunFunc) ([]Cell, error)
 		}
 	}
 	errs := make([]error, len(cells))
-	if len(g.MHz) > 1 {
-		// Replay path: one unit per rank count, so a unit's record run and
-		// its replays share a worker while independent rank counts spread
-		// across the pool.
-		sweepUnits(ctx, len(g.Ns), func(u int) {
-			base := u * len(g.MHz)
-			rec := mpi.NewRecording()
-			for j := 0; j < len(g.MHz); j++ {
-				if j > 0 && ctx.Err() != nil {
-					return
-				}
-				i := base + j
-				runCell(p, run, &cells[i], &errs[i], rec, j > 0)
+	// One unit per rank count, so a unit's record run and its replays share
+	// a worker while independent rank counts spread across the pool.
+	sweepUnits(ctx, len(g.Ns), func(u int) {
+		var rec *mpi.Recording
+		if len(g.MHz) > 1 {
+			rec = mpi.NewRecording()
+		}
+		for j := range g.MHz {
+			if j > 0 && ctx.Err() != nil {
+				return
 			}
-		})
-	} else {
-		sweepUnits(ctx, len(cells), func(i int) {
-			runCell(p, run, &cells[i], &errs[i], nil, false)
-		})
-	}
+			i := u*len(g.MHz) + j
+			runCell(p, run, &cells[i], &errs[i], rec, j > 0)
+		}
+	})
 	// Cancellation trumps the per-cell surface: the cells a cancelled sweep
 	// never ran carry no errors, so without this check a half-swept grid
 	// could look like a success.

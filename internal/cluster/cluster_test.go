@@ -67,6 +67,31 @@ func TestGridValidateRejects(t *testing.T) {
 	}
 }
 
+func TestGridHas(t *testing.T) {
+	g := Grid{Ns: []int{1, 2, 4}, MHz: []float64{600, 1400}}
+	for _, tc := range []struct {
+		n    int
+		mhz  float64
+		want bool
+	}{
+		{1, 600, true},
+		{4, 1400, true},
+		{2, 600, true},
+		{3, 600, false},         // N between grid rows
+		{8, 1400, false},        // N past the grid
+		{2, 1000, false},        // a gear the grid does not sweep
+		{2, 600.0000001, false}, // frequencies match exactly
+		{0, 0, false},
+	} {
+		if got := g.Has(tc.n, tc.mhz); got != tc.want {
+			t.Errorf("Has(%d, %g) = %v, want %v", tc.n, tc.mhz, got, tc.want)
+		}
+	}
+	if (Grid{}).Has(1, 600) {
+		t.Error("empty grid has a cell")
+	}
+}
+
 func TestSweepRunsEveryCell(t *testing.T) {
 	p := PentiumM()
 	g := Grid{Ns: []int{1, 2, 4}, MHz: []float64{600, 1400}}
@@ -106,8 +131,9 @@ func TestSweepPropagatesErrors(t *testing.T) {
 	}
 }
 
-// A sweep on a context cancelled before the call starts no cell, on both
-// of Sweep's branches. With a worker already waiting, the dispatch select
+// A sweep on a context cancelled before the call starts no cell, whether
+// its units record and replay (a multi-gear grid) or run one cell each (a
+// single-gear grid). With a worker already waiting, the dispatch select
 // once chose at random between handing out a unit and seeing the
 // cancellation: a few dead-context sweeps in a thousand ran a cell.
 func TestSweepCancelledContextRunsNoCell(t *testing.T) {
@@ -203,9 +229,10 @@ func sweepBytes(t *testing.T, p Platform, g Grid) string {
 // TestSweepGOMAXPROCSDeterminism pins the campaign worker pool's
 // scheduling independence: the same sweep must produce the same bytes with
 // the pool serialized (GOMAXPROCS=1), at a modest width and oversubscribed
-// (GOMAXPROCS=8 against 3 sweep units), on both of Sweep's branches — the
-// record/replay frequency axis of a multi-gear grid and the per-cell runs
-// of a single-gear grid. Work distribution may change; bytes may not.
+// (GOMAXPROCS=8 against 3 sweep units), on a multi-gear grid, whose units
+// record and replay the frequency axis, and on a single-gear grid, whose
+// units run their one cell directly. Work distribution may change; bytes
+// may not.
 func TestSweepGOMAXPROCSDeterminism(t *testing.T) {
 	p := PentiumM()
 	p.Faults = faults.Config{Seed: 11, LatencyJitterFrac: 0.5, DropProb: 0.05}

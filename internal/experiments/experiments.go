@@ -122,9 +122,9 @@ func Scale() Suite {
 }
 
 // Campaign is a measured grid plus the raw per-cell results. Campaigns
-// obtained from the MeasureXX entry points are memoized process-wide (see
-// store.go) and shared between callers, so a Campaign must be treated as
-// read-only after construction.
+// obtained from Kernel.Measure (and the MeasureXX calls through it) are
+// memoized process-wide (see store.go) and shared between callers, so a
+// Campaign must be treated as read-only after construction.
 type Campaign struct {
 	// Meas holds times and energies keyed by configuration.
 	Meas *core.Measurements
@@ -151,17 +151,6 @@ func (c *Campaign) Cell(n int, mhz float64) (*mpi.Result, error) {
 	return nil, fmt.Errorf("experiments: no cell N=%d f=%g", n, mhz)
 }
 
-// measure sweeps the grid with the kernel and collects a campaign. It is
-// the uncached path; the MeasureXX entry points layer the campaign store on
-// top. Tests use it directly to prove cached and fresh campaigns agree.
-func (s Suite) measure(ctx context.Context, g cluster.Grid, run cluster.RunFunc) (*Campaign, error) {
-	cells, err := cluster.Sweep(ctx, s.Platform, g, run)
-	if err != nil {
-		return nil, err
-	}
-	return NewCampaign(cells), nil
-}
-
 // NewCampaign assembles a campaign from already-measured cells exactly as a
 // fresh sweep would: Meas and the cell index are rebuilt from the cells in
 // order. Callers that sweep through cluster.Sweep directly (the GOMAXPROCS
@@ -180,79 +169,42 @@ func NewCampaign(cells []cluster.Cell) *Campaign {
 	return camp
 }
 
-// RunEP adapts the EP class to a sweep.
-func (s Suite) RunEP(w mpi.World) (*mpi.Result, error) {
-	_, r, err := s.EP.Run(w)
-	return r, err
-}
-
 // RunFT adapts the FT class to a sweep.
 func (s Suite) RunFT(w mpi.World) (*mpi.Result, error) {
-	_, r, err := s.FT.Run(w)
-	return r, err
-}
-
-// RunLU adapts the LU class to a sweep.
-func (s Suite) RunLU(w mpi.World) (*mpi.Result, error) {
-	_, r, err := s.LU.Run(w)
-	return r, err
+	return runOf(s.FT.Run)(w)
 }
 
 // MeasureEP runs the EP campaign over the suite grid, memoized.
 func (s Suite) MeasureEP(ctx context.Context) (*Campaign, error) {
-	return s.measureCached(ctx, "EP", s.EP, s.Grid, s.RunEP)
+	return s.Kernels()["ep"].Measure(ctx)
 }
 
 // MeasureFT runs the FT campaign over the suite grid, memoized.
 func (s Suite) MeasureFT(ctx context.Context) (*Campaign, error) {
-	return s.measureCached(ctx, "FT", s.FT, s.Grid, s.RunFT)
+	return s.Kernels()["ft"].Measure(ctx)
 }
 
 // MeasureLU runs the LU campaign over the LU grid, memoized.
 func (s Suite) MeasureLU(ctx context.Context) (*Campaign, error) {
-	return s.measureCached(ctx, "LU", s.LU, s.LUGrid, s.RunLU)
-}
-
-// RunCG adapts the CG class to a sweep.
-func (s Suite) RunCG(w mpi.World) (*mpi.Result, error) {
-	_, r, err := s.CG.Run(w)
-	return r, err
-}
-
-// RunMG adapts the MG class to a sweep.
-func (s Suite) RunMG(w mpi.World) (*mpi.Result, error) {
-	_, r, err := s.MG.Run(w)
-	return r, err
-}
-
-// RunIS adapts the IS class to a sweep.
-func (s Suite) RunIS(w mpi.World) (*mpi.Result, error) {
-	_, r, err := s.IS.Run(w)
-	return r, err
+	return s.Kernels()["lu"].Measure(ctx)
 }
 
 // MeasureCG runs the CG campaign over the suite grid, memoized.
 func (s Suite) MeasureCG(ctx context.Context) (*Campaign, error) {
-	return s.measureCached(ctx, "CG", s.CG, s.Grid, s.RunCG)
+	return s.Kernels()["cg"].Measure(ctx)
 }
 
 // MeasureMG runs the MG campaign over the suite grid, memoized.
 func (s Suite) MeasureMG(ctx context.Context) (*Campaign, error) {
-	return s.measureCached(ctx, "MG", s.MG, s.Grid, s.RunMG)
+	return s.Kernels()["mg"].Measure(ctx)
 }
 
 // MeasureIS runs the IS campaign over the suite grid, memoized.
 func (s Suite) MeasureIS(ctx context.Context) (*Campaign, error) {
-	return s.measureCached(ctx, "IS", s.IS, s.Grid, s.RunIS)
-}
-
-// RunSP adapts the SP class to a sweep.
-func (s Suite) RunSP(w mpi.World) (*mpi.Result, error) {
-	_, r, err := s.SP.Run(w)
-	return r, err
+	return s.Kernels()["is"].Measure(ctx)
 }
 
 // MeasureSP runs the SP campaign over the suite grid, memoized.
 func (s Suite) MeasureSP(ctx context.Context) (*Campaign, error) {
-	return s.measureCached(ctx, "SP", s.SP, s.Grid, s.RunSP)
+	return s.Kernels()["sp"].Measure(ctx)
 }

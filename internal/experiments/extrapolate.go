@@ -71,16 +71,19 @@ func Extrapolate(kernel string, camp *Campaign, maxFitN, heldOutN int) (*Extrapo
 // ExtrapolateLU runs the footnote-3 experiment on LU, whose wavefront and
 // message overheads grow smoothly with N: measure N ∈ {1..8} plus a
 // validation run at 16, fit on ≤ 8, predict 16. The fit rows reuse the
-// memoized MeasureLU campaign; only the held-out N=16 row is swept here.
-// Every cell is an independent deterministic simulation and cluster.Sweep
+// memoized LU campaign; the held-out N=16 row is measured through an LU
+// kernel built on that one-row grid, memoized under its own key. Every
+// cell is an independent deterministic simulation and cluster.Sweep
 // orders cells Ns-outer/MHz-inner, so concatenating the two campaigns
 // reproduces the extended-grid sweep cell for cell, bit-identically.
 func (s Suite) ExtrapolateLU(ctx context.Context) (*ExtrapolationResult, error) {
-	base, err := s.MeasureLU(ctx)
+	lu := s.Kernels()["lu"]
+	base, err := lu.Measure(ctx)
 	if err != nil {
 		return nil, err
 	}
-	held, err := s.measureCached(ctx, "LU", s.LU, cluster.Grid{Ns: []int{16}, MHz: s.LUGrid.MHz}, s.RunLU)
+	g := cluster.Grid{Ns: []int{16}, MHz: s.LUGrid.MHz}
+	held, err := s.newKernel(lu.Name, s.LU, g, lu.Run, lu.key.platform).Measure(ctx)
 	if err != nil {
 		return nil, err
 	}

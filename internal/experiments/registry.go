@@ -4,13 +4,18 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
 	"pasp/internal/cluster"
 	"pasp/internal/mpi"
 	"pasp/internal/obs"
 )
 
-// Kernel is one registered benchmark: its runner and its campaign grid.
+// Kernel is one registered benchmark: its runner, its campaign grid and
+// the campaign-store key naming both on the suite's platform. The key is
+// rendered once, when the kernel table builds the row, so Measure and Peek
+// format nothing. The key stands for Run's class and for Grid, so treat a
+// built Kernel as read-only.
 type Kernel struct {
 	// Name is the lower-case NAS name ("ep", "ft", ...).
 	Name string
@@ -18,34 +23,46 @@ type Kernel struct {
 	Run cluster.RunFunc
 	// Grid is the campaign the kernel sweeps (LU uses the smaller grid).
 	Grid cluster.Grid
-	// Measure sweeps the kernel's campaign through the campaign store. The
-	// context bounds only this caller's interest in the result; see
-	// store.go for the coalescing contract.
-	Measure func(ctx context.Context) (*Campaign, error)
-	// Peek returns the kernel's campaign only if the store has already
-	// finished measuring it — the admission-free fast path paserve answers
-	// cache hits from.
-	Peek func() (*Campaign, bool)
+
+	platform cluster.Platform // what Measure sweeps Grid on
+	key      campaignKey
 }
 
 // Kernels returns the suite's registered kernels keyed by name, so
-// commands can resolve a -bench flag uniformly.
+// commands can resolve a -bench flag uniformly. Building the table renders
+// every row's campaign key and fingerprints the platform once for all of
+// them; a caller that looks kernels up per request (paserve) builds it
+// once.
 func (s Suite) Kernels() map[string]Kernel {
+	platform := fmt.Sprintf("%+v", s.Platform)
 	return map[string]Kernel{
-		"ep": {Name: "ep", Run: s.RunEP, Grid: s.Grid, Measure: s.MeasureEP,
-			Peek: func() (*Campaign, bool) { return s.peekCached("EP", s.EP, s.Grid) }},
-		"ft": {Name: "ft", Run: s.RunFT, Grid: s.Grid, Measure: s.MeasureFT,
-			Peek: func() (*Campaign, bool) { return s.peekCached("FT", s.FT, s.Grid) }},
-		"lu": {Name: "lu", Run: s.RunLU, Grid: s.LUGrid, Measure: s.MeasureLU,
-			Peek: func() (*Campaign, bool) { return s.peekCached("LU", s.LU, s.LUGrid) }},
-		"cg": {Name: "cg", Run: s.RunCG, Grid: s.Grid, Measure: s.MeasureCG,
-			Peek: func() (*Campaign, bool) { return s.peekCached("CG", s.CG, s.Grid) }},
-		"mg": {Name: "mg", Run: s.RunMG, Grid: s.Grid, Measure: s.MeasureMG,
-			Peek: func() (*Campaign, bool) { return s.peekCached("MG", s.MG, s.Grid) }},
-		"is": {Name: "is", Run: s.RunIS, Grid: s.Grid, Measure: s.MeasureIS,
-			Peek: func() (*Campaign, bool) { return s.peekCached("IS", s.IS, s.Grid) }},
-		"sp": {Name: "sp", Run: s.RunSP, Grid: s.Grid, Measure: s.MeasureSP,
-			Peek: func() (*Campaign, bool) { return s.peekCached("SP", s.SP, s.Grid) }},
+		"ep": s.newKernel("ep", s.EP, s.Grid, runOf(s.EP.Run), platform),
+		"ft": s.newKernel("ft", s.FT, s.Grid, runOf(s.FT.Run), platform),
+		"lu": s.newKernel("lu", s.LU, s.LUGrid, runOf(s.LU.Run), platform),
+		"cg": s.newKernel("cg", s.CG, s.Grid, runOf(s.CG.Run), platform),
+		"mg": s.newKernel("mg", s.MG, s.Grid, runOf(s.MG.Run), platform),
+		"is": s.newKernel("is", s.IS, s.Grid, runOf(s.IS.Run), platform),
+		"sp": s.newKernel("sp", s.SP, s.Grid, runOf(s.SP.Run), platform),
+	}
+}
+
+// newKernel builds one table row and renders its campaign key from the
+// upper-cased name ("EP", "FT", ...) with class, the kernel's full
+// parameter struct, so two classes of one kernel cannot collide; from the
+// grid; and from platform, the table's fingerprint of s.Platform.
+func (s Suite) newKernel(name string, class any, g cluster.Grid, run cluster.RunFunc, platform string) Kernel {
+	return Kernel{Name: name, Run: run, Grid: g, platform: s.Platform, key: campaignKey{
+		kernel:   fmt.Sprintf("%s %+v", strings.ToUpper(name), class),
+		grid:     fmt.Sprintf("%v %v", g.Ns, g.MHz),
+		platform: platform,
+	}}
+}
+
+// runOf adapts a class's Run to a sweep, dropping the class's own result.
+func runOf[R any](run func(mpi.World) (R, *mpi.Result, error)) cluster.RunFunc {
+	return func(w mpi.World) (*mpi.Result, error) {
+		_, res, err := run(w)
+		return res, err
 	}
 }
 

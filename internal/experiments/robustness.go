@@ -134,15 +134,11 @@ func (s Suite) Robustness(ctx context.Context, spec RobustnessSpec) (*Robustness
 	if err != nil {
 		return nil, err
 	}
+	if err := k.Grid.Validate(); err != nil {
+		return nil, err
+	}
 	for _, n := range spec.Ns {
-		found := false
-		for _, gn := range k.Grid.Ns {
-			if gn == n {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !k.Grid.Has(n, k.Grid.MHz[0]) {
 			return nil, fmt.Errorf("experiments: robustness N=%d is not on %s's campaign grid %v",
 				n, spec.Kernel, k.Grid.Ns)
 		}

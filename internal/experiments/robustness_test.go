@@ -57,6 +57,16 @@ func TestRobustnessRejectsOffGridN(t *testing.T) {
 	}); err == nil {
 		t.Fatal("unknown kernel accepted")
 	}
+	noGears := Quick()
+	noGears.Grid.MHz = nil
+	if _, err := noGears.Robustness(context.Background(), RobustnessSpec{
+		Kernel:     "ft",
+		Ns:         []int{2},
+		Magnitudes: []float64{1},
+		Faults:     JitterOnlyFaults(1),
+	}); err == nil {
+		t.Fatal("campaign grid without gears accepted")
+	}
 }
 
 // TestRobustnessHonoursCancellation: the clean campaign is a store hit

@@ -3,7 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
-	"fmt"
+	"strings"
 	"sync"
 
 	"pasp/internal/cluster"
@@ -45,7 +45,12 @@ import (
 //     and the next caller measures afresh. Genuine measurement errors are
 //     cached exactly as the pre-context store cached them.
 
-// campaignKey identifies one campaign by content, not by call site.
+// campaignKey identifies one campaign by content, not by call site. The
+// structs it renders with %+v (machine.Config, simnet.Config,
+// power.Profile, faults.Config and the npb classes) contain only scalars,
+// arrays and slices — no maps, no pointers — so the rendering is
+// deterministic and content-complete. Suite.Kernels renders it once per
+// kernel table.
 type campaignKey struct {
 	kernel   string // kernel name plus its full parameter struct
 	grid     string // Ns × MHz
@@ -84,30 +89,15 @@ var campaignStore = struct {
 	m  map[campaignKey]*storeEntry
 }{m: map[campaignKey]*storeEntry{}}
 
-// storeKey fingerprints the campaign inputs. The structs involved
-// (machine.Config, simnet.Config, power.Profile and the npb kernel types)
-// contain only scalars, arrays and slices — no maps — so their %+v
-// rendering is deterministic and content-complete.
-func storeKey(kernel string, params any, g cluster.Grid, p cluster.Platform) campaignKey {
-	return campaignKey{
-		kernel:   fmt.Sprintf("%s %+v", kernel, params),
-		grid:     fmt.Sprintf("%v %v", g.Ns, g.MHz),
-		platform: fmt.Sprintf("%+v", p),
-	}
-}
-
-// measureCached returns the memoized campaign for (kernel, params, grid,
-// platform), sweeping the grid at most once per process. params must be the
-// kernel's full parameter struct so that two classes of the same kernel
-// cannot collide. ctx bounds this caller's interest only — see the
+// Measure returns the kernel's memoized campaign, sweeping its grid at most
+// once per process. ctx bounds this caller's interest only — see the
 // singleflight contract at the top of the file.
-func (s Suite) measureCached(ctx context.Context, kernel string, params any, g cluster.Grid, run cluster.RunFunc) (*Campaign, error) {
-	key := storeKey(kernel, params, g, s.Platform)
+func (k Kernel) Measure(ctx context.Context) (*Campaign, error) {
 	campaignStore.mu.Lock()
-	e, ok := campaignStore.m[key]
+	e, ok := campaignStore.m[k.key]
 	if !ok {
 		e = &storeEntry{}
-		campaignStore.m[key] = e
+		campaignStore.m[k.key] = e
 	}
 	campaignStore.mu.Unlock()
 	// An entry found in the map is a hit — a reuse of a measured (or
@@ -121,21 +111,22 @@ func (s Suite) measureCached(ctx context.Context, kernel string, params any, g c
 		obs.Default().Counter("store.misses").Inc()
 	}
 	return e.get(ctx, func(mctx context.Context) (*Campaign, error) {
-		camp, err := s.measure(mctx, g, run)
-		if err == nil {
-			recordCampaignSpan(mctx, kernel, camp)
+		cells, err := cluster.Sweep(mctx, k.platform, k.Grid, k.Run)
+		if err != nil {
+			return nil, err
 		}
-		return camp, err
+		camp := NewCampaign(cells)
+		recordCampaignSpan(mctx, strings.ToUpper(k.Name), camp)
+		return camp, nil
 	})
 }
 
-// peekCached reports the memoized campaign for the key if — and only if —
-// its measurement has already completed. It never joins or starts a flight,
+// Peek returns the kernel's memoized campaign if — and only if — its
+// measurement has already completed. It never joins or starts a flight,
 // so servers can answer cache hits without consuming an admission slot.
-func (s Suite) peekCached(kernel string, params any, g cluster.Grid) (*Campaign, bool) {
-	key := storeKey(kernel, params, g, s.Platform)
+func (k Kernel) Peek() (*Campaign, bool) {
 	campaignStore.mu.Lock()
-	e, ok := campaignStore.m[key]
+	e, ok := campaignStore.m[k.key]
 	campaignStore.mu.Unlock()
 	if !ok {
 		return nil, false

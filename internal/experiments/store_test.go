@@ -43,10 +43,11 @@ func TestStoreMatchesFreshMeasurement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.measure(context.Background(), s.Grid, s.RunFT)
+	cells, err := cluster.Sweep(context.Background(), s.Platform, s.Grid, s.RunFT)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fresh := NewCampaign(cells)
 	if len(cached.Cells) != len(fresh.Cells) {
 		t.Fatalf("cached campaign has %d cells, fresh %d", len(cached.Cells), len(fresh.Cells))
 	}
@@ -115,11 +116,11 @@ func TestMergeCampaigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.measure(ctx, cluster.Grid{Ns: []int{1, 2, 4, 8, 16}, MHz: s.LUGrid.MHz}, s.RunLU)
+	cells, err := cluster.Sweep(ctx, s.Platform, cluster.Grid{Ns: []int{1, 2, 4, 8, 16}, MHz: s.LUGrid.MHz}, s.Kernels()["lu"].Run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Extrapolate("LU", fresh, 8, 16)
+	want, err := Extrapolate("LU", NewCampaign(cells), 8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,6 +210,26 @@ func TestStoreCampaignSpan(t *testing.T) {
 	}
 }
 
+// TestKernelPeekAllocatesNothing pins the cache-hit lookup: a kernel's
+// campaign key is rendered when its table is built, so peeking a measured
+// campaign formats nothing and allocates nothing.
+func TestKernelPeekAllocatesNothing(t *testing.T) {
+	k, err := Quick().Kernel("ft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Measure(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var ok bool
+	if allocs := testing.AllocsPerRun(100, func() { _, ok = k.Peek() }); allocs != 0 {
+		t.Errorf("Kernel.Peek allocates %v times per call, want 0", allocs)
+	}
+	if !ok {
+		t.Error("Kernel.Peek missed a measured campaign")
+	}
+}
+
 // TestRunKernelObserved checks the recorder injection path the patrace
 // driver uses: the run span carries the kernel name, phase spans exist, and
 // the run result is bit-identical to an unobserved run.
@@ -260,29 +281,36 @@ func TestRunKernelObserved(t *testing.T) {
 // storeKeyTrial.
 var cancelTrial atomic.Int64
 
+// cancelKernel builds an EP kernel that sweeps with run. Callers pass a
+// fresh cancelTrial name, so its store entry is the test's own.
+func cancelKernel(s Suite, name string, run cluster.RunFunc) Kernel {
+	ep := s.Kernels()["ep"]
+	return s.newKernel(name, s.EP, ep.Grid, run, ep.key.platform)
+}
+
 // TestStoreCancelledBeforeLeaderStarts pins the zero-work abort: a caller
 // whose context is already dead when it reaches the store returns that
 // context's error without running a single simulation, and the entry stays
 // measurable for the next live caller.
 func TestStoreCancelledBeforeLeaderStarts(t *testing.T) {
 	s := Quick()
-	name := fmt.Sprintf("CANCEL%d", cancelTrial.Add(1))
+	ep := s.Kernels()["ep"]
 	var runs atomic.Int64
-	run := func(w mpi.World) (*mpi.Result, error) {
+	k := cancelKernel(s, fmt.Sprintf("cancel%d", cancelTrial.Add(1)), func(w mpi.World) (*mpi.Result, error) {
 		runs.Add(1)
-		return s.RunEP(w)
-	}
+		return ep.Run(w)
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.measureCached(ctx, name, s.EP, s.Grid, run); !errors.Is(err, context.Canceled) {
+	if _, err := k.Measure(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead-context measure returned %v, want context.Canceled", err)
 	}
 	if got := runs.Load(); got != 0 {
 		t.Fatalf("dead-context measure ran %d simulations, want 0", got)
 	}
 
-	camp, err := s.measureCached(context.Background(), name, s.EP, s.Grid, run)
+	camp, err := k.Measure(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +324,8 @@ func TestStoreCancelledBeforeLeaderStarts(t *testing.T) {
 // measures afresh and succeeds.
 func TestStoreAbandonedFlightRemeasures(t *testing.T) {
 	s := Quick()
-	name := fmt.Sprintf("CANCEL%d", cancelTrial.Add(1))
+	ep := s.Kernels()["ep"]
+	name := fmt.Sprintf("cancel%d", cancelTrial.Add(1))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
@@ -305,18 +334,18 @@ func TestStoreAbandonedFlightRemeasures(t *testing.T) {
 	blocking := func(w mpi.World) (*mpi.Result, error) {
 		once.Do(func() { close(started) })
 		<-release
-		return s.RunEP(w)
+		return ep.Run(w)
 	}
 	go func() {
 		<-started
 		cancel()       // withdraw the only caller's interest...
 		close(release) // ...then let the in-flight cells drain
 	}()
-	if _, err := s.measureCached(ctx, name, s.EP, s.Grid, blocking); !errors.Is(err, context.Canceled) {
+	if _, err := cancelKernel(s, name, blocking).Measure(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled leader returned %v, want context.Canceled", err)
 	}
 
-	camp, err := s.measureCached(context.Background(), name, s.EP, s.Grid, s.RunEP)
+	camp, err := cancelKernel(s, name, ep.Run).Measure(context.Background())
 	if err != nil {
 		t.Fatalf("re-measure after abandoned flight: %v", err)
 	}

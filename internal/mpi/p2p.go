@@ -146,89 +146,45 @@ func (c *Ctx) recvTimed(src, tag int) ([]float64, error) {
 	b := m.Bytes()
 	net := &c.eng.w.Net
 	or := c.cpuOverhead(b)
-
-	switch {
-	case m.rendezvous:
-		// Transfer starts once both sides are ready; the sender streams the
-		// data (staying busy), the receiver gets it a latency plus wire
-		// time later.
-		// The receiver's own egress activity could also delay its CTS; the
-		// model ignores that minor effect.
-		start := m.ready
-		if c.clock > start {
-			start = c.clock
-		}
-		var backoff, stretch float64
-		if c.faults != nil {
-			// The handshake retries and the perturbed transfer hold the
-			// sender too: its completion reflects the same injected time.
-			backoff, stretch = c.msgFaultDelays(b)
-		}
-		wire := net.WireTime(b)
-		senderDone := start + wire + backoff + stretch
-		c.eng.completeRendezvous(src, senderDone)
-		end := start + net.LatencySec + wire
-		if end < c.ingressBusy+wire {
-			end = c.ingressBusy + wire
-		}
-		c.ingressBusy = end + backoff + stretch
-		if err := c.advanceComm(end + or); err != nil {
-			return nil, err
-		}
-		if err := c.chargeMsgFaults(backoff, stretch); err != nil {
-			return nil, err
-		}
-		return m.data, nil
-
-	case m.exchange:
-		// Symmetric exchange: completes when both sides were ready plus one
-		// transfer.
-		start := m.ready
-		if c.clock > start {
-			start = c.clock
-		}
-		end := start + net.LatencySec + net.WireTime(b)
-		if end < c.ingressBusy+net.WireTime(b) {
-			end = c.ingressBusy + net.WireTime(b)
-		}
-		c.ingressBusy = end
-		if c.faults == nil {
-			return m.data, c.advanceComm(end + or)
-		}
-		backoff, stretch := c.msgFaultDelays(b)
-		c.ingressBusy = end + backoff + stretch
-		if err := c.advanceComm(end + or); err != nil {
-			return nil, err
-		}
-		if err := c.chargeMsgFaults(backoff, stretch); err != nil {
-			return nil, err
-		}
-		return m.data, nil
-
-	default:
-		// Eager: data is available at m.arrival; the ingress port can only
-		// drain one message at a time.
-		end := m.arrival
-		if min := c.ingressBusy + net.WireTime(b); end < min {
-			end = min
-		}
-		c.ingressBusy = end
-		if c.faults == nil {
-			return m.data, c.advanceComm(end + or)
-		}
-		// A dropped eager message is redelivered: the receiver eats the
-		// retransmission timeouts (Retry) and the perturbed transfer
-		// (Fault) before the payload is usable.
-		backoff, stretch := c.msgFaultDelays(b)
-		c.ingressBusy = end + backoff + stretch
-		if err := c.advanceComm(end + or); err != nil {
-			return nil, err
-		}
-		if err := c.chargeMsgFaults(backoff, stretch); err != nil {
-			return nil, err
-		}
-		return m.data, nil
+	wire := net.WireTime(b)
+	// A dropped message is redelivered: the receiver eats the retransmission
+	// timeouts (Retry) and the perturbed transfer (Fault) before the payload
+	// is usable, whatever the protocol. Without an injector both stay zero.
+	var backoff, stretch float64
+	if c.faults != nil {
+		backoff, stretch = c.msgFaultDelays(b)
 	}
+
+	// Eager data is available at m.arrival. Rendezvous and exchange
+	// transfers start once both sides are ready and land a latency plus
+	// wire time later. A rendezvous sender streams the data (staying busy),
+	// and the handshake retries and the perturbed transfer hold it too, so
+	// its completion reflects the same injected time. The receiver's own
+	// egress activity could also delay its CTS; the model ignores that
+	// minor effect.
+	end := m.arrival
+	if m.rendezvous || m.exchange {
+		start := m.ready
+		if c.clock > start {
+			start = c.clock
+		}
+		if m.rendezvous {
+			c.eng.completeRendezvous(src, start+wire+backoff+stretch)
+		}
+		end = start + net.LatencySec + wire
+	}
+	// The ingress port can only drain one message at a time.
+	if min := c.ingressBusy + wire; end < min {
+		end = min
+	}
+	c.ingressBusy = end + backoff + stretch
+	if err := c.advanceComm(end + or); err != nil {
+		return nil, err
+	}
+	if err := c.chargeMsgFaults(backoff, stretch); err != nil {
+		return nil, err
+	}
+	return m.data, nil
 }
 
 // SendRecv exchanges messages with two (possibly equal) peers: data goes to

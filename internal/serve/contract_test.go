@@ -53,7 +53,7 @@ func TestPredictContractGolden(t *testing.T) {
 			var buf bytes.Buffer
 			for _, n := range contractNs {
 				for _, f := range contractGears {
-					if !onGrid(k.Grid, n, f) {
+					if !k.Grid.Has(n, f) {
 						continue
 					}
 					body := fmt.Sprintf(`{"kernel":%q,"n":%d,"f":%g}`, name, n, f)

@@ -4,8 +4,9 @@
 // campaign store.
 //
 // The server's concurrency model has two tiers. Requests answerable from an
-// already-measured campaign (the steady-state regime) take a lock-free peek
-// at the store and bypass admission entirely, so cache hits stay cheap at
+// already-measured campaign (the steady-state regime) peek at the store
+// under two short mutex sections, with the campaign key rendered once in
+// New, and bypass admission entirely, so cache hits stay cheap at
 // thousands of QPS. Requests that need simulation first acquire one of a
 // bounded set of slots — a full house answers 429 with Retry-After instead
 // of queueing unboundedly — and then join the store's per-entry
@@ -22,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pasp/internal/cluster"
 	"pasp/internal/experiments"
 	"pasp/internal/faults"
 	"pasp/internal/obs"
@@ -259,26 +259,6 @@ func (s *Server) kernel(w http.ResponseWriter, name string) (experiments.Kernel,
 	return k, ok
 }
 
-// onGrid reports whether (n, mhz) is a cell of g.
-func onGrid(g cluster.Grid, n int, mhz float64) bool {
-	foundN := false
-	for _, gn := range g.Ns {
-		if gn == n {
-			foundN = true
-			break
-		}
-	}
-	if !foundN {
-		return false
-	}
-	for _, f := range g.MHz {
-		if f == mhz { //palint:ignore floateq -- grid membership: gears are discrete identity values (ParseGear round-trips them exactly), not measurements
-			return true
-		}
-	}
-	return false
-}
-
 // campaign returns the kernel's measured campaign: peek-served from the
 // store when already measured (counted on hits, no admission slot), else
 // measured under an admission slot with the request's context. On failure
@@ -414,7 +394,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if !onGrid(k.Grid, req.N, req.F.MHz) {
+	if !k.Grid.Has(req.N, req.F.MHz) {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("serve: (N=%d, f=%g MHz) is not on %s's campaign grid (Ns %v, MHz %v)",
 				req.N, req.F.MHz, k.Name, k.Grid.Ns, k.Grid.MHz))
@@ -528,7 +508,7 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, n := range spec.Ns {
-		if !onGrid(k.Grid, n, k.Grid.MHz[0]) {
+		if !k.Grid.Has(n, k.Grid.MHz[0]) {
 			writeError(w, http.StatusBadRequest,
 				fmt.Errorf("serve: robustness N=%d is not on %s's campaign grid %v", n, k.Name, k.Grid.Ns))
 			return
