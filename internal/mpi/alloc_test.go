@@ -1,8 +1,12 @@
 package mpi
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
+	"pasp/internal/machine"
 	"pasp/internal/obs"
 )
 
@@ -97,5 +101,129 @@ func TestObsEnabledSteadyStateAllocs(t *testing.T) {
 	perRound := (double - base) / r
 	if perRound > 1.0 {
 		t.Errorf("observed eager ping-pong allocates %.2f allocs/round, want ≤ 1 (recording must be alloc-free per message)", perRound)
+	}
+}
+
+// alltoallAllocs measures the allocations of one Run in which n ranks
+// perform rounds Alltoalls of two-element parts, freeing what they receive.
+func alltoallAllocs(t *testing.T, n, rounds int) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(3, func() {
+		_, err := Run(testWorld(n, 600), func(c *Ctx) error {
+			parts := make([][]float64, n)
+			for d := range parts {
+				parts[d] = []float64{1, 2}
+			}
+			for r := 0; r < rounds; r++ {
+				outs, err := c.Alltoall(parts, 0)
+				if err != nil {
+					return err
+				}
+				for _, b := range outs {
+					c.Free(b)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestAlltoallSteadyStateAllocs pins what an Alltoall allocates per rank
+// once the buffer cache is warm: the caller-owned out header and the
+// interface box of the deposit, two objects. The deposit's own header is
+// reused from the rank's previous Alltoall, once the epoch rotation proves
+// no reader is left (see Ctx.collective). Differencing two round counts
+// cancels the per-Run fixed costs; the 0.1 slack admits the trace log's
+// amortized growth.
+func TestAlltoallSteadyStateAllocs(t *testing.T) {
+	const n, r = 4, 64
+	base := alltoallAllocs(t, n, r)
+	double := alltoallAllocs(t, n, 2*r)
+	perCall := (double - base) / (n * r)
+	if perCall > 2.1 {
+		t.Errorf("Alltoall allocates %.2f objects per rank per call in steady state, want 2 (out header and deposit box)", perCall)
+	}
+}
+
+// TestRecOpIsCompact pins the tape's op layout: at most 64 bytes, all of
+// them integers, so an op array holds nothing the garbage collector scans.
+func TestRecOpIsCompact(t *testing.T) {
+	if size := unsafe.Sizeof(recOp{}); size > 64 {
+		t.Errorf("recOp is %d bytes, want at most 64", size)
+	}
+	typ := reflect.TypeOf(recOp{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() < reflect.Int || f.Type.Kind() > reflect.Uint64 {
+			t.Errorf("recOp.%s is a %s, want an integer", f.Name, f.Type)
+		}
+	}
+}
+
+// tapeLoopBytes returns the bytes one two-rank Run of rounds
+// phase/compute/send/recv rounds allocates, and the operations it
+// records when record is set.
+func tapeLoopBytes(t *testing.T, rounds int, record bool) (bytes uint64, ops int) {
+	t.Helper()
+	w := testWorld(2, 600)
+	rec := NewRecording()
+	if record {
+		w.Record = rec
+	}
+	work := machine.W(1e4, 1e3, 0, 0)
+	data := []float64{1, 2, 3, 4}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(w, func(c *Ctx) error {
+		peer := 1 - c.Rank()
+		for r := 0; r < rounds; r++ {
+			c.SetPhase("compute")
+			if err := c.Compute(work); err != nil {
+				return err
+			}
+			c.SetPhase("exchange")
+			if err := c.Send(peer, 1, data, 0); err != nil {
+				return err
+			}
+			got, err := c.Recv(peer, 1)
+			if err != nil {
+				return err
+			}
+			c.Free(got)
+		}
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if record {
+		ops = rec.Ops(0) + rec.Ops(1)
+	}
+	return after.TotalAlloc - before.TotalAlloc, ops
+}
+
+// TestTapeBytesPerOp pins the tape's cost: the bytes a recorded run
+// allocates beyond an unrecorded one, per recorded operation. Growing a
+// slice by append allocates about four times its final size in all, so
+// this loop's 56-byte ops and their compute mixes come to about 240 B per
+// op; the bound admits that growth policy, not a larger op. Differencing
+// two round counts cancels the fixed costs, such as the recording's
+// per-rank tables.
+func TestTapeBytesPerOp(t *testing.T) {
+	const r = 512
+	cost := func(rounds int) (float64, int) {
+		plain, _ := tapeLoopBytes(t, rounds, false)
+		recorded, ops := tapeLoopBytes(t, rounds, true)
+		return float64(recorded) - float64(plain), ops
+	}
+	b1, ops1 := cost(r)
+	b2, ops2 := cost(2 * r)
+	perOp := (b2 - b1) / float64(ops2-ops1)
+	t.Logf("%.0f B per recorded op", perOp)
+	if perOp > 448 {
+		t.Errorf("a recorded run allocates %.0f B per recorded op beyond an unrecorded one, want at most 448", perOp)
 	}
 }

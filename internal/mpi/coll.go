@@ -40,9 +40,11 @@ func log2ceil(n int) int {
 // buffer cache one epoch later — by the same argument that lets the engine
 // rotate two snapshot containers (see engine.deposit), a rank returns from
 // epoch k+1's synchronization only after every rank finished reading
-// epoch k, so the parked buffers provably have no readers left.
-// Gather and Scatter hand deposit slices to their callers and must pass
-// recycle = false.
+// epoch k, so the parked buffers provably have no readers left. The same
+// holds for an Alltoall deposit's header, which readers index during the
+// epoch but never keep: it is cleared and kept as the rank's partsHeader
+// for its next Alltoall deposit. Gather and Scatter hand deposit slices to
+// their callers and must pass recycle = false.
 func (c *Ctx) collective(payload any, cost float64, recycle bool) (*collSnapshot, error) {
 	snap, err := c.eng.deposit(c, payload)
 	if err != nil {
@@ -56,7 +58,8 @@ func (c *Ctx) collective(payload any, cost float64, recycle bool) (*collSnapshot
 		for _, p := range c.collFreeParts {
 			c.Free(p)
 		}
-		c.collFreeParts = nil
+		clear(c.collFreeParts)
+		c.partsHeader, c.collFreeParts = c.collFreeParts, nil
 	}
 	if recycle {
 		switch p := payload.(type) {
@@ -215,7 +218,7 @@ func (c *Ctx) reduceCost(b int) float64 {
 // copy of the result, which the caller owns and may overwrite or Free.
 func (c *Ctx) Allreduce(data []float64, op Op, vbytes int) ([]float64, error) {
 	if c.rec != nil {
-		c.rec.add(recOp{kind: opAllreduce, red: op, nlen: len(data), vbytes: vbytes})
+		c.rec.add(recOp{kind: opAllreduce, ref: int(op), nlen: len(data), vbytes: vbytes})
 	}
 	if c.Size() == 1 {
 		return append([]float64(nil), data...), nil
@@ -241,7 +244,7 @@ func (c *Ctx) Reduce(root int, data []float64, op Op, vbytes int) ([]float64, er
 		return nil, fmt.Errorf("mpi: reduce root %d out of range", root)
 	}
 	if c.rec != nil {
-		c.rec.add(recOp{kind: opReduce, peer: root, red: op, nlen: len(data), vbytes: vbytes})
+		c.rec.add(recOp{kind: opReduce, peer: root, ref: int(op), nlen: len(data), vbytes: vbytes})
 	}
 	if n == 1 {
 		return append([]float64(nil), data...), nil
@@ -272,11 +275,7 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 		return nil, fmt.Errorf("mpi: alltoall needs %d parts, got %d", n, len(parts))
 	}
 	if c.rec != nil {
-		lens := make([]int, n)
-		for d := range parts {
-			lens[d] = len(parts[d])
-		}
-		c.rec.add(recOp{kind: opAlltoall, lens: lens, vbytes: vbytesPerPair})
+		c.rec.addParts(opAlltoall, 0, parts, vbytesPerPair)
 	}
 	if n == 1 {
 		return [][]float64{parts[0]}, nil
@@ -297,9 +296,16 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 	cost := float64(n-1) * perRound
 	// Deposit copies are private to the snapshot while the epoch is live;
 	// collective() parks them and returns them to this rank's buffer cache
-	// once the next epoch proves all readers are gone. The out-copies below
-	// are exclusively caller-owned from the moment they are made.
-	deposit := make([][]float64, n)
+	// once the next epoch proves all readers are gone. Their header comes
+	// back too, for this rank's next Alltoall: readers only index it during
+	// the epoch, so engine.deposit's rotation argument frees it with the
+	// parts. The out header and copies below are exclusively caller-owned
+	// from the moment they are made.
+	deposit := c.partsHeader
+	c.partsHeader = nil
+	if deposit == nil {
+		deposit = make([][]float64, n)
+	}
 	for d := range parts {
 		deposit[d] = c.snapshotPayload(parts[d])
 	}
@@ -404,14 +410,11 @@ func (c *Ctx) Scatter(root int, parts [][]float64, vbytesPerPart int) ([]float64
 		return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", n, len(parts))
 	}
 	if c.rec != nil {
-		var lens []int
+		var rootParts [][]float64 // only root's parts shape the call
 		if c.rank == root {
-			lens = make([]int, n)
-			for d := range parts {
-				lens[d] = len(parts[d])
-			}
+			rootParts = parts
 		}
-		c.rec.add(recOp{kind: opScatter, peer: root, lens: lens, vbytes: vbytesPerPart})
+		c.rec.addParts(opScatter, root, rootParts, vbytesPerPart)
 	}
 	if n == 1 {
 		return append([]float64(nil), parts[0]...), nil

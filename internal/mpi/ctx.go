@@ -86,6 +86,10 @@ type Ctx struct {
 	// slices to callers, so theirs are never recycled.
 	collFree      []float64
 	collFreeParts [][]float64
+	// partsHeader is the header of the last reclaimed Alltoall deposit,
+	// cleared, which the next Alltoall deposits again in place of a new
+	// N-element header.
+	partsHeader [][]float64
 
 	// ovFreq/ovBytes/ovSecs/ovValid memoize simnet.Config.CPUOverhead for
 	// the handful of distinct message sizes a kernel uses, keyed by the
@@ -219,7 +223,14 @@ func (c *Ctx) State() power.PState { return c.state }
 // world's gear-switch penalty when the state actually changes. DVFS
 // schedulers call this from a phase hook to slow the processor through
 // communication-bound phases.
+//
+// A recording captures the call, not the switch: whether it changes the
+// state depends on the gear the run started at, so replay re-issues it and
+// decides at its own gear.
 func (c *Ctx) SetPState(st power.PState) {
+	if c.rec != nil {
+		c.rec.addPState(st)
+	}
 	if st == c.state {
 		return
 	}
@@ -236,9 +247,6 @@ func (c *Ctx) SetPState(st power.PState) {
 	}
 	c.state = st
 	c.gearSwitches++
-	if c.rec != nil {
-		c.rec.add(recOp{kind: opPState, state: st})
-	}
 }
 
 // SetPhase labels subsequent trace events; kernels call it at phase
@@ -250,7 +258,7 @@ func (c *Ctx) SetPhase(name string) {
 	}
 	c.phase = name
 	if c.rec != nil {
-		c.rec.add(recOp{kind: opPhase, name: name})
+		c.rec.addPhase(name)
 	}
 	if c.obs != nil {
 		c.obs.Phase(name, c.clock)
@@ -271,7 +279,7 @@ func (c *Ctx) Compute(w machine.Work) error {
 		return err
 	}
 	if c.rec != nil {
-		c.rec.add(recOp{kind: opCompute, work: w})
+		c.rec.addCompute(w)
 	}
 	dt := c.eng.w.Mach.TimeFor(w, c.Freq())
 	start := c.clock

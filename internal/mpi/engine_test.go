@@ -278,6 +278,172 @@ func TestReplayAtOtherFrequency(t *testing.T) {
 	checkReplay(t, 600)
 }
 
+// TestReplayReissuesNoOpSetPState: a SetPState that changes nothing at the
+// recording gear still reaches the tape, because at another gear the same
+// call switches. A program that pins 800 MHz, recorded at 800 MHz and
+// replayed at 1400 MHz, must match the direct 1400 MHz run.
+func TestReplayReissuesNoOpSetPState(t *testing.T) {
+	pin := testState(800)
+	prog := func(c *Ctx) error {
+		c.SetPState(pin)
+		if err := c.Compute(machine.W(1e6, 2e5, 1e4, 5e3)); err != nil {
+			return err
+		}
+		return c.Barrier()
+	}
+	w := testWorld(2, 800)
+	w.GearSwitchSec = units.Seconds(50e-6)
+	rec := NewRecording()
+	w.Record = rec
+	if _, err := Run(w, prog); err != nil {
+		t.Fatal(err)
+	}
+	target := testWorld(2, 1400)
+	target.GearSwitchSec = w.GearSwitchSec
+	direct, err := Run(target, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := Replay(target, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireIdentical(t, "pinned gear", direct, replayed)
+}
+
+// everyOpProgram issues all fourteen recorded operation kinds, in shapes
+// that neither the kernels nor chaosProgram reach: Bcast, Reduce, Gather and
+// Scatter from non-zero roots, Max reductions, Alltoall and Allgather with
+// uneven lengths, Scatter with parts on its root only, gear switches and
+// vbytes overrides. It never branches on the frequency, and each SetPState
+// switches the gear whether the run started at 600 or 1400 MHz. The first
+// Scatter's part lengths follow an Alltoall's on the tape, and its largest
+// part comes first, so a replay that misreads where they start times it
+// differently.
+func everyOpProgram(c *Ctx) error {
+	n, r := c.Size(), c.Rank()
+	buf := make([]float64, 8)
+	parts := func(length func(d int) int) [][]float64 {
+		p := make([][]float64, n)
+		for d := range p {
+			p[d] = buf[:length(d)]
+		}
+		return p
+	}
+	c.SetPhase("setup")
+	c.SetPState(testState(1000))
+	if err := c.Compute(machine.W(2e5, 1e5, 5e3, 2e3)); err != nil {
+		return err
+	}
+	if err := c.Barrier(); err != nil {
+		return err
+	}
+	if n > 1 {
+		c.SetPhase("p2p")
+		next, prev := (r+1)%n, (r+n-1)%n
+		if _, err := c.SendRecv(next, prev, 3, buf[:1+r%3], 0); err != nil {
+			return err
+		}
+		if err := c.Send(next, 4, buf[:2+r%2], 512*(r%2)); err != nil {
+			return err
+		}
+		if _, err := c.Recv(prev, 4); err != nil {
+			return err
+		}
+	}
+	c.SetPhase("coll")
+	c.SetPState(testState(800))
+	steps := []func() error{
+		func() error { _, err := c.Bcast(1%n, buf[:3], 0); return err },
+		func() error { _, err := c.Bcast(n-1, buf[:1], 2048); return err },
+		func() error { _, err := c.Allreduce(buf[:4], Max, 0); return err },
+		func() error { _, err := c.Allreduce(buf[:2], Sum, 4096); return err },
+		func() error { _, err := c.Reduce(n-1, buf[:5], Max, 0); return err },
+		func() error { _, err := c.Reduce(n/2, buf[:3], Sum, 1024); return err },
+		func() error { _, err := c.Allgather(buf[:1+r%4], 0); return err },
+		func() error { _, err := c.Gather(n-1, buf[:2], 0); return err },
+		func() error { _, err := c.Alltoall(parts(func(d int) int { return 1 + (r+2*d)%5 }), 0); return err },
+		func() error {
+			var sp [][]float64
+			if r == n/2 {
+				sp = parts(func(d int) int { return n + 2 - d })
+			}
+			_, err := c.Scatter(n/2, sp, 0)
+			return err
+		},
+		func() error {
+			var sp [][]float64
+			if r == 0 {
+				sp = parts(func(d int) int { return 1 + d%2 })
+			}
+			_, err := c.Scatter(0, sp, 128)
+			return err
+		},
+		func() error { _, err := c.Alltoall(parts(func(d int) int { return (r + d) % 3 }), 256); return err },
+	}
+	for _, step := range steps {
+		if err := step(); err != nil {
+			return err
+		}
+	}
+	c.SetPhase("setup")
+	c.SetPState(testState(1200))
+	return c.Compute(machine.W(1e5, 5e4, 2e3, 1e3))
+}
+
+// TestReplayEveryOpKind extends the record/replay contract to every
+// recorded operation kind: everyOpProgram, recorded at 600 and at
+// 1400 MHz with a gear-switch stall, clean and under chaos, replays
+// bit-identically to direct runs at both gears, at N ∈ {1, 3, 4}.
+func TestReplayEveryOpKind(t *testing.T) {
+	world := func(n int, mhz float64, cfg faults.Config) World {
+		w := testWorld(n, mhz)
+		w.GearSwitchSec = units.Seconds(50e-6)
+		w.Faults = cfg
+		return w
+	}
+	for _, n := range []int{1, 3, 4} {
+		for _, cfg := range []faults.Config{{}, chaosCfg} {
+			direct := map[float64]*Result{}
+			for _, mhz := range []float64{600, 1400} {
+				res, err := Run(world(n, mhz, cfg), everyOpProgram)
+				if err != nil {
+					t.Fatalf("n=%d direct at %g MHz: %v", n, mhz, err)
+				}
+				direct[mhz] = res
+			}
+			for _, recMHz := range []float64{600, 1400} {
+				w := world(n, recMHz, cfg)
+				rec := NewRecording()
+				w.Record = rec
+				if _, err := Run(w, everyOpProgram); err != nil {
+					t.Fatalf("n=%d record at %g MHz: %v", n, recMHz, err)
+				}
+				if n > 1 {
+					var seen [opScatter + 1]bool
+					for _, tape := range rec.tapes {
+						for _, o := range tape.ops {
+							seen[o.kind] = true
+						}
+					}
+					for k, ok := range seen {
+						if !ok {
+							t.Errorf("n=%d: the tape holds no operation of kind %d", n, k)
+						}
+					}
+				}
+				for _, mhz := range []float64{600, 1400} {
+					replayed, err := Replay(world(n, mhz, cfg), rec)
+					if err != nil {
+						t.Fatalf("n=%d replay at %g MHz: %v", n, mhz, err)
+					}
+					requireIdentical(t, fmt.Sprintf("n=%d chaos=%t recorded at %g, replayed at %g MHz", n, cfg.Enabled(), recMHz, mhz), direct[mhz], replayed)
+				}
+			}
+		}
+	}
+}
+
 // TestRecordingSingleUse: a Recording attaches to exactly one run, rejects
 // replay before completion, rejects rank-count mismatches, and recording
 // refuses an OnPhase hook.

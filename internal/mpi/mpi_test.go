@@ -17,18 +17,22 @@ import (
 )
 
 func testWorld(n int, mhz float64) World {
-	prof := power.PentiumM()
-	st, err := prof.StateAt(units.MHz(mhz))
-	if err != nil {
-		panic(err)
-	}
 	return World{
 		N:     n,
 		Net:   simnet.FastEthernet(),
 		Mach:  machine.PentiumM(),
-		Prof:  prof,
-		State: st,
+		Prof:  power.PentiumM(),
+		State: testState(mhz),
 	}
+}
+
+// testState returns the Pentium M operating point at mhz.
+func testState(mhz float64) power.PState {
+	st, err := power.PentiumM().StateAt(units.MHz(mhz))
+	if err != nil {
+		panic(err)
+	}
+	return st
 }
 
 func TestRunValidates(t *testing.T) {

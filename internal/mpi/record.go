@@ -22,10 +22,23 @@ import (
 // frequencies with placeholder payloads. Replay runs the identical timing,
 // counter, energy, fault-injection and trace code, so its Result is
 // bit-identical to a direct run at that frequency — a property pinned by
-// TestReplayMatchesDirect. The chaos harness stays replayable because its
+// TestReplayMatchesDirect and, for every operation kind,
+// TestReplayEveryOpKind. The chaos harness stays replayable because its
 // draws are a pure function of (seed, rank, draw index) and the per-rank
 // draw counts are frequency-independent: Message consumes a fixed number
 // of draws per received message, Collective a fixed number per collective.
+//
+// SetPState is recorded per call, not per switch: a call that leaves the
+// state unchanged at the recording gear can switch at another one, so
+// replay re-issues every call and decides at its own gear.
+//
+// Tape layout. A tape costs memory and allocation in proportion to its op
+// count (2.8 million ops for LU at 1024 ranks), so each op is a 56-byte
+// recOp of int-width fields with no pointer: growing the op array zeroes
+// only its spare capacity, and the garbage collector never scans it. What
+// varies in size lives in per-rank side tables the op indexes: compute
+// mixes and P-states in the order recorded, phase labels interned once per
+// tape, and one arena of the Alltoall and Scatter part lengths.
 //
 // What recording refuses: an OnPhase hook (a DVFS scheduler's decisions
 // need not be frequency-independent; Run rejects the combination). What it
@@ -59,34 +72,82 @@ const (
 )
 
 // recOp is one recorded Ctx call: the operation's shape, never its data.
+// It is a fixed 56-byte record without pointers (see the tape layout
+// above); whatever varies in size or holds a pointer lives in the rankTape
+// side tables that ref indexes.
 type recOp struct {
 	kind opKind
 	// peer is the destination, source or root rank, kind-dependent; peer2
 	// is SendRecv's source.
 	peer, peer2 int
 	tag         int
-	// nlen is the payload length in float64s; vbytes the virtual-size
-	// override passed through unchanged.
+	// nlen is the payload length in float64s, or for opAlltoall and
+	// opScatter the number of part lengths recorded at lens[ref:]; vbytes
+	// is the virtual-size override passed through unchanged.
 	nlen   int
 	vbytes int
-	// lens holds the per-destination part lengths of Alltoall and Scatter.
-	lens []int
-	red  Op
-	work machine.Work
-	// name is the phase label (opPhase); state the target operating point
-	// (opPState).
-	name  string
-	state power.PState
+	// ref is kind-dependent: the index of the label in phases (opPhase),
+	// of the operating point in states (opPState) or of the mix in work
+	// (opCompute), the offset of the first part length in lens (opAlltoall,
+	// opScatter), or the reduction Op (opAllreduce, opReduce).
+	ref int
 }
 
-// rankTape is one rank's recorded stream; appended to only by the rank
-// itself.
+// rankTape is one rank's recorded stream: the op array plus the side
+// tables its ops index. Appended to only by the rank itself.
 type rankTape struct {
-	ops []recOp
+	ops    []recOp
+	work   []machine.Work
+	states []power.PState
+	// lens is the arena of every Alltoall and Scatter part length, in
+	// recording order.
+	lens []int
+	// phases holds each distinct phase label once, in first-use order, and
+	// phaseRef maps a label to its index: a kernel cycles through a few
+	// labels thousands of times.
+	phases   []string
+	phaseRef map[string]int
 }
 
 func (t *rankTape) add(o recOp) {
 	t.ops = append(t.ops, o)
+}
+
+func (t *rankTape) addPhase(name string) {
+	i, ok := t.phaseRef[name]
+	if !ok {
+		if t.phaseRef == nil {
+			t.phaseRef = make(map[string]int)
+		}
+		i = len(t.phases)
+		t.phases = append(t.phases, name)
+		t.phaseRef[name] = i
+	}
+	t.add(recOp{kind: opPhase, ref: i})
+}
+
+func (t *rankTape) addPState(st power.PState) {
+	t.add(recOp{kind: opPState, ref: len(t.states)})
+	t.states = append(t.states, st)
+}
+
+func (t *rankTape) addCompute(w machine.Work) {
+	t.add(recOp{kind: opCompute, ref: len(t.work)})
+	t.work = append(t.work, w)
+}
+
+// addParts records an Alltoall or Scatter: the per-destination part
+// lengths go to the lens arena, where the op's ref and nlen find them.
+func (t *rankTape) addParts(kind opKind, root int, parts [][]float64, vbytes int) {
+	t.add(recOp{kind: kind, peer: root, nlen: len(parts), vbytes: vbytes, ref: len(t.lens)})
+	for _, p := range parts {
+		t.lens = append(t.lens, len(p))
+	}
+}
+
+// partLens returns the part lengths an opAlltoall or opScatter recorded.
+func (t *rankTape) partLens(o *recOp) []int {
+	return t.lens[o.ref : o.ref+o.nlen]
 }
 
 // Recording captures the operation streams of exactly one run (attach via
@@ -168,8 +229,8 @@ func (r *Recording) CommLog() *trace.CommLog {
 			switch o := &t.ops[i]; o.kind {
 			case opPState, opCompute:
 			case opPhase:
-				l.Events = append(l.Events, trace.CommEvent{Rank: rank, Kind: trace.CommPhase, Name: o.name})
-				phase = o.name
+				phase = t.phases[o.ref]
+				l.Events = append(l.Events, trace.CommEvent{Rank: rank, Kind: trace.CommPhase, Name: phase})
 			case opSend:
 				add(trace.CommSend, "", o.peer, o.tag)
 			case opRecv:
@@ -212,30 +273,28 @@ func Replay(w World, rec *Recording) (*Result, error) {
 // are recycled where ownership is unambiguous so replay's allocation
 // profile stays flat like the kernels'.
 func (rec *Recording) replayRank(c *Ctx) error {
-	ops := rec.tapes[c.Rank()].ops
+	t := &rec.tapes[c.Rank()]
 	maxLen := 0
-	for i := range ops {
-		if ops[i].nlen > maxLen {
-			maxLen = ops[i].nlen
+	for i := range t.ops {
+		if o := &t.ops[i]; o.kind != opAlltoall && o.kind != opScatter {
+			maxLen = max(maxLen, o.nlen)
 		}
-		for _, l := range ops[i].lens {
-			if l > maxLen {
-				maxLen = l
-			}
-		}
+	}
+	for _, l := range t.lens {
+		maxLen = max(maxLen, l)
 	}
 	scratch := make([]float64, maxLen)
 	n := c.Size()
 	var parts [][]float64
-	for i := range ops {
-		o := &ops[i]
+	for i := range t.ops {
+		o := &t.ops[i]
 		switch o.kind {
 		case opPhase:
-			c.SetPhase(o.name)
+			c.SetPhase(t.phases[o.ref])
 		case opPState:
-			c.SetPState(o.state)
+			c.SetPState(t.states[o.ref])
 		case opCompute:
-			if err := c.Compute(o.work); err != nil {
+			if err := c.Compute(t.work[o.ref]); err != nil {
 				return err
 			}
 		case opSend:
@@ -267,18 +326,18 @@ func (rec *Recording) replayRank(c *Ctx) error {
 				c.Free(got) // n == 1 aliases the input; see Bcast
 			}
 		case opAllreduce:
-			got, err := c.Allreduce(scratch[:o.nlen], o.red, o.vbytes)
+			got, err := c.Allreduce(scratch[:o.nlen], Op(o.ref), o.vbytes)
 			if err != nil {
 				return err
 			}
 			c.Free(got)
 		case opReduce:
-			if _, err := c.Reduce(o.peer, scratch[:o.nlen], o.red, o.vbytes); err != nil {
+			if _, err := c.Reduce(o.peer, scratch[:o.nlen], Op(o.ref), o.vbytes); err != nil {
 				return err
 			}
 		case opAlltoall:
 			parts = parts[:0]
-			for _, l := range o.lens {
+			for _, l := range t.partLens(o) {
 				parts = append(parts, scratch[:l])
 			}
 			outs, err := c.Alltoall(parts, o.vbytes)
@@ -308,7 +367,7 @@ func (rec *Recording) replayRank(c *Ctx) error {
 			var sp [][]float64
 			if c.Rank() == o.peer {
 				parts = parts[:0]
-				for _, l := range o.lens {
+				for _, l := range t.partLens(o) {
 					parts = append(parts, scratch[:l])
 				}
 				sp = parts

@@ -59,6 +59,29 @@ func TestMergeOrdersByRankThenTime(t *testing.T) {
 	if ev[0].Rank != 0 || ev[0].Start != 0 || ev[1].Start != 5 || ev[2].Rank != 1 {
 		t.Errorf("merge order wrong: %+v", ev)
 	}
+
+	// Events with equal (rank, start) keys keep their input order, both
+	// when the input is already ordered and Merge does not sort, and when
+	// it is not and Merge sorts.
+	var r0, r1 Log
+	for _, p := range []string{"a", "b", "c"} {
+		r0.Append(Event{Rank: 0, Phase: p, Start: 1, End: 1})
+	}
+	for _, p := range []string{"d", "e"} {
+		r1.Append(Event{Rank: 1, Phase: p, Start: 0, End: 0})
+	}
+	for _, tc := range []struct {
+		name string
+		logs []*Log
+	}{{"ordered", []*Log{&r0, &r1}}, {"unordered", []*Log{&r1, &r0}}} {
+		var got string
+		for _, e := range Merge(tc.logs...).Events() {
+			got += e.Phase
+		}
+		if got != "abcde" {
+			t.Errorf("%s input: merged phases %q, want \"abcde\"", tc.name, got)
+		}
+	}
 }
 
 func TestRankSpan(t *testing.T) {
