@@ -12,7 +12,7 @@ GO ?= go
 # Fuzz budget per target; CI's fuzz smoke runs with FUZZTIME=10s.
 FUZZTIME ?= 30s
 
-.PHONY: all build test shuffle race lint fmt-check perfbench-check fuzz bench examples trace-smoke conformance-smoke serve-smoke verify
+.PHONY: all build test shuffle race lint fmt-check perfbench-check fuzz bench examples trace-smoke conformance-smoke serve-smoke verify loc
 
 # trace-smoke output names; CI uploads both as artifacts.
 TRACEJSON ?= run.trace.json
@@ -183,3 +183,9 @@ serve-smoke:
 	echo "serve-smoke OK"
 
 verify: build test lint fmt-check race perfbench-check
+
+# Non-test Go lines: the size figure ROADMAP.md and CHANGES.md track.
+# Benchmark build output, the perfbench module and test fixtures are not
+# counted.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './perfbench/*' ! -path '*/testdata/*' | xargs cat | wc -l

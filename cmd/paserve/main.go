@@ -126,7 +126,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	fmt.Fprintf(stdout, "paserve: suite %s listening on %s\n", *suite, ln.Addr())
 
 	errc := make(chan error, 1)
@@ -154,6 +154,27 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "paserve: drained, bye")
 	return nil
+}
+
+// Connection deadlines. A client that stalls mid-header or mid-body, or
+// leaves a keep-alive connection idle, loses it instead of holding its
+// goroutine forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in the http.Server paserve listens with. There is
+// no WriteTimeout: a cache miss simulates for as long as its sweep takes,
+// so a fixed write deadline would cut off slow but legitimate answers.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // writeServeTrace exports the recorder's request and campaign spans as a

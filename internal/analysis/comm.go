@@ -116,20 +116,6 @@ func isMPIRunCall(callee *types.Func) bool {
 	return ok && sig.Recv() == nil && callee.Name() == "Run"
 }
 
-// callMap returns call-expression → resolved callee for one function,
-// memoized on the Program.
-func (prog *Program) callMap(info *FuncInfo) map[*ast.CallExpr]*types.Func {
-	if m, ok := prog.commCallMaps[info.Obj]; ok {
-		return m
-	}
-	m := make(map[*ast.CallExpr]*types.Func, len(info.calls))
-	for _, cs := range info.calls {
-		m[cs.call] = cs.callee
-	}
-	prog.commCallMaps[info.Obj] = m
-	return m
-}
-
 // ---------------------------------------------------------------------------
 // Rank taint: which values derive from the executing rank's identity.
 //

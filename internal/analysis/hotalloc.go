@@ -219,7 +219,7 @@ func runHotAlloc(pass *Pass) {
 		if !info.Hotpath {
 			return
 		}
-		calleeAt := prog.callIndex(info)
+		calleeAt := prog.callMap(info)
 		ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
 			// A nested function literal is itself flagged as an allocation;
 			// its body runs when called, not on the hot path per se, but

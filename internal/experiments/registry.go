@@ -68,7 +68,11 @@ func runOf[R any](run func(mpi.World) (R, *mpi.Result, error)) cluster.RunFunc {
 
 // KernelNames returns the registered names, sorted.
 func (s Suite) KernelNames() []string {
-	ks := s.Kernels()
+	return kernelNames(s.Kernels())
+}
+
+// kernelNames returns the keys of a kernel table, sorted.
+func kernelNames(ks map[string]Kernel) []string {
 	out := make([]string, 0, len(ks))
 	for n := range ks {
 		out = append(out, n)
@@ -79,9 +83,10 @@ func (s Suite) KernelNames() []string {
 
 // Kernel resolves one kernel by name.
 func (s Suite) Kernel(name string) (Kernel, error) {
-	k, ok := s.Kernels()[name]
+	ks := s.Kernels()
+	k, ok := ks[name]
 	if !ok {
-		return Kernel{}, fmt.Errorf("experiments: unknown kernel %q (have %v)", name, s.KernelNames())
+		return Kernel{}, fmt.Errorf("experiments: unknown kernel %q (have %v)", name, kernelNames(ks))
 	}
 	return k, nil
 }

@@ -114,8 +114,7 @@ func collBytes(data []float64, vbytes int) int {
 
 // Bcast distributes root's data to every rank (binomial tree). Every rank
 // passes its own data slice; non-root inputs are ignored, as in MPI's
-// in-place broadcast buffer. The returned slice must be treated as
-// read-only: ranks share the root's backing array.
+// in-place broadcast buffer.
 func (c *Ctx) Bcast(root int, data []float64, vbytes int) ([]float64, error) {
 	n := c.Size()
 	if root < 0 || root >= n {
@@ -125,7 +124,7 @@ func (c *Ctx) Bcast(root int, data []float64, vbytes int) ([]float64, error) {
 		c.rec.add(recOp{kind: opBcast, peer: root, nlen: len(data), vbytes: vbytes})
 	}
 	if n == 1 {
-		return data, nil
+		return c.snapshotPayload(data), nil
 	}
 	net := &c.eng.w.Net
 	b := collBytes(data, vbytes)
@@ -278,7 +277,7 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 		c.rec.addParts(opAlltoall, 0, parts, vbytesPerPair)
 	}
 	if n == 1 {
-		return [][]float64{parts[0]}, nil
+		return [][]float64{c.snapshotPayload(parts[0])}, nil
 	}
 	// Time the exchange by its largest pairwise block (the round that
 	// limits the pairwise-exchange algorithm); an explicit override wins.
@@ -336,7 +335,7 @@ func (c *Ctx) Allgather(data []float64, vbytes int) ([][]float64, error) {
 	}
 	n := c.Size()
 	if n == 1 {
-		return [][]float64{data}, nil
+		return [][]float64{c.snapshotPayload(data)}, nil
 	}
 	b := collBytes(data, vbytes)
 	c.noteMsgs(n-1, b)

@@ -133,12 +133,11 @@ func (c *Ctx) cpuOverhead(bytes int) float64 {
 const maxCachedBuffers = 32
 
 // Free returns a payload buffer to the rank's buffer cache for reuse by a
-// later Send or collective copy. Only buffers the caller owns may be freed:
-// a slice returned by Recv, SendRecv, Alltoall or Allgather after its
-// contents have been copied out or fully consumed. The caller must not
-// retain or read the slice after freeing it. Freeing is purely an
-// optimization — dropping the slice for the garbage collector is always
-// correct.
+// later Send or collective copy. Every slice a Ctx call returns is owned by
+// the caller, at every world size, and may be freed once its contents have
+// been copied out or fully consumed. The caller must not retain or read the
+// slice after freeing it. Freeing is purely an optimization — dropping the
+// slice for the garbage collector is always correct.
 //
 //palint:hotpath
 func (c *Ctx) Free(buf []float64) {

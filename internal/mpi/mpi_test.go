@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -435,6 +436,60 @@ func TestSingleRankCollectives(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSingleRankResultsAreCallerOwned: at world size 1 too, every slice a
+// collective returns is the caller's own copy. Each case writes into the
+// results, frees them, issues the collective again so the buffer cache
+// hands the freed buffers back out, and checks the first call's input is
+// untouched.
+func TestSingleRankResultsAreCallerOwned(t *testing.T) {
+	one := func(out []float64, err error) ([][]float64, error) { return [][]float64{out}, err }
+	for _, tc := range []struct {
+		name string
+		call func(c *Ctx, in []float64) ([][]float64, error)
+	}{
+		{"Bcast", func(c *Ctx, in []float64) ([][]float64, error) { return one(c.Bcast(0, in, 0)) }},
+		{"Allreduce", func(c *Ctx, in []float64) ([][]float64, error) { return one(c.Allreduce(in, Sum, 0)) }},
+		{"Reduce", func(c *Ctx, in []float64) ([][]float64, error) { return one(c.Reduce(0, in, Max, 0)) }},
+		{"Alltoall", func(c *Ctx, in []float64) ([][]float64, error) { return c.Alltoall([][]float64{in}, 0) }},
+		{"Allgather", func(c *Ctx, in []float64) ([][]float64, error) { return c.Allgather(in, 0) }},
+		{"Gather", func(c *Ctx, in []float64) ([][]float64, error) { return c.Gather(0, in, 0) }},
+		{"Scatter", func(c *Ctx, in []float64) ([][]float64, error) { return one(c.Scatter(0, [][]float64{in}, 0)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Run(testWorld(1, 600), func(c *Ctx) error {
+				in := []float64{1, 2, 3}
+				outs, err := tc.call(c, in)
+				if err != nil {
+					return err
+				}
+				for _, out := range outs {
+					if !slices.Equal(out, []float64{1, 2, 3}) {
+						return fmt.Errorf("result %v, want [1 2 3]", out)
+					}
+					for i := range out {
+						out[i] = -1
+					}
+					c.Free(out)
+				}
+				again, err := tc.call(c, []float64{7, 8, 9})
+				if err != nil {
+					return err
+				}
+				if len(again) != 1 || !slices.Equal(again[0], []float64{7, 8, 9}) {
+					return fmt.Errorf("second result %v, want [[7 8 9]]", again)
+				}
+				if !slices.Equal(in, []float64{1, 2, 3}) {
+					return fmt.Errorf("input became %v after its result was written and freed", in)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -269,8 +269,8 @@ func Replay(w World, rec *Recording) (*Result, error) {
 
 // replayRank is the RankFunc that re-issues one rank's tape. One scratch
 // buffer stands in for every payload: collectives and sends snapshot their
-// inputs, so sharing it between operations is safe, and received buffers
-// are recycled where ownership is unambiguous so replay's allocation
+// inputs, so sharing it between operations is safe, and the buffers the
+// kernels' loop collectives return are recycled so replay's allocation
 // profile stays flat like the kernels'.
 func (rec *Recording) replayRank(c *Ctx) error {
 	t := &rec.tapes[c.Rank()]
@@ -284,7 +284,6 @@ func (rec *Recording) replayRank(c *Ctx) error {
 		maxLen = max(maxLen, l)
 	}
 	scratch := make([]float64, maxLen)
-	n := c.Size()
 	var parts [][]float64
 	for i := range t.ops {
 		o := &t.ops[i]
@@ -322,9 +321,7 @@ func (rec *Recording) replayRank(c *Ctx) error {
 			if err != nil {
 				return err
 			}
-			if n > 1 {
-				c.Free(got) // n == 1 aliases the input; see Bcast
-			}
+			c.Free(got)
 		case opAllreduce:
 			got, err := c.Allreduce(scratch[:o.nlen], Op(o.ref), o.vbytes)
 			if err != nil {
@@ -344,20 +341,16 @@ func (rec *Recording) replayRank(c *Ctx) error {
 			if err != nil {
 				return err
 			}
-			if n > 1 { // n == 1 aliases the input part
-				for _, b := range outs {
-					c.Free(b)
-				}
+			for _, b := range outs {
+				c.Free(b)
 			}
 		case opAllgather:
 			outs, err := c.Allgather(scratch[:o.nlen], o.vbytes)
 			if err != nil {
 				return err
 			}
-			if n > 1 { // n == 1 aliases the input
-				for _, b := range outs {
-					c.Free(b)
-				}
+			for _, b := range outs {
+				c.Free(b)
 			}
 		case opGather:
 			if _, err := c.Gather(o.peer, scratch[:o.nlen], o.vbytes); err != nil {

@@ -33,7 +33,7 @@ func TestCommLogMatrix(t *testing.T) {
 			tape := mpi.NewRecording()
 			w := npbWorld(n, 1400)
 			w.Record = tape
-			if _, err := k.run(w); err != nil {
+			if _, _, err := k.run(w); err != nil {
 				t.Fatalf("%s/n%d: %v", k.name, n, err)
 			}
 			got = append(got, fmt.Sprintf("%s/n%d commlog %s", k.name, n, commLogDigest(tape.CommLog())))

@@ -29,44 +29,38 @@ var diffChaosCfg = faults.Config{
 	StragglerSlowdown: 1.5,
 }
 
+// diffModes runs each digest case clean and under diffChaosCfg.
+var diffModes = []struct {
+	label string
+	cfg   faults.Config
+}{{"clean", faults.Config{}}, {"chaos", diffChaosCfg}}
+
 // diffKernels is the full NAS suite in small classes that validate on
 // every rank count of the matrix (CG pins Band=4 so its halo of 16 rows
 // fits the 16-rank split; MG needs ≥ 2 planes per rank, hence 63³).
 type diffKernel struct {
 	name string
-	run  func(w mpi.World) (*mpi.Result, error)
+	// run returns the kernel's own result (its Run's first value) too.
+	run func(w mpi.World) (any, *mpi.Result, error)
 }
 
 func diffKernels() []diffKernel {
 	return []diffKernel{
-		{"ep", func(w mpi.World) (*mpi.Result, error) {
-			_, r, err := EP{LogPairs: 14, ScaleLog: 6}.Run(w)
-			return r, err
-		}},
-		{"ft", func(w mpi.World) (*mpi.Result, error) {
-			_, r, err := FT{Nx: 16, Ny: 16, Nz: 16, Iters: 2}.Run(w)
-			return r, err
-		}},
-		{"lu", func(w mpi.World) (*mpi.Result, error) {
-			_, r, err := LU{N: 16, Iters: 2}.Run(w)
-			return r, err
-		}},
-		{"cg", func(w mpi.World) (*mpi.Result, error) {
-			_, r, err := CG{Size: 256, Band: 4, OuterIters: 1, CGIters: 5}.Run(w)
-			return r, err
-		}},
-		{"mg", func(w mpi.World) (*mpi.Result, error) {
-			_, r, err := MG{Size: 63, Cycles: 1}.Run(w)
-			return r, err
-		}},
-		{"is", func(w mpi.World) (*mpi.Result, error) {
-			_, r, err := IS{LogKeys: 12, LogMaxKey: 15, Iters: 2}.Run(w)
-			return r, err
-		}},
-		{"sp", func(w mpi.World) (*mpi.Result, error) {
-			_, r, err := SP{N: 16, Steps: 2}.Run(w)
-			return r, err
-		}},
+		{"ep", diffRun(EP{LogPairs: 14, ScaleLog: 6}.Run)},
+		{"ft", diffRun(FT{Nx: 16, Ny: 16, Nz: 16, Iters: 2}.Run)},
+		{"lu", diffRun(LU{N: 16, Iters: 2}.Run)},
+		{"cg", diffRun(CG{Size: 256, Band: 4, OuterIters: 1, CGIters: 5}.Run)},
+		{"mg", diffRun(MG{Size: 63, Cycles: 1}.Run)},
+		{"is", diffRun(IS{LogKeys: 12, LogMaxKey: 15, Iters: 2}.Run)},
+		{"sp", diffRun(SP{N: 16, Steps: 2}.Run)},
+	}
+}
+
+// diffRun adapts a kernel's Run to diffKernel.run.
+func diffRun[R any](run func(mpi.World) (R, *mpi.Result, error)) func(mpi.World) (any, *mpi.Result, error) {
+	return func(w mpi.World) (any, *mpi.Result, error) {
+		out, res, err := run(w)
+		return out, res, err
 	}
 }
 
@@ -107,13 +101,13 @@ func checkDigestGolden(t *testing.T, name, header string, got []string) {
 // renders what the matrix pins as digest lines: SHA-256 of the timeline, of
 // the metric snapshot text and of the per-(rank, phase) energy rows, plus
 // makespan and energy at full precision.
-func kernelDigest(t *testing.T, label string, run func(mpi.World) (*mpi.Result, error), n int, cfg faults.Config) []string {
+func kernelDigest(t *testing.T, label string, run func(mpi.World) (any, *mpi.Result, error), n int, cfg faults.Config) []string {
 	t.Helper()
 	w := npbWorld(n, 1400)
 	w.Faults = cfg
 	rec := obs.NewRecorder()
 	w.Obs = rec
-	res, err := run(w)
+	_, res, err := run(w)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -147,10 +141,7 @@ func TestEngineDifferentialMatrix(t *testing.T) {
 	var got []string
 	for _, k := range diffKernels() {
 		for _, n := range []int{2, 4, 8, 16} {
-			for _, mode := range []struct {
-				label string
-				cfg   faults.Config
-			}{{"clean", faults.Config{}}, {"chaos", diffChaosCfg}} {
+			for _, mode := range diffModes {
 				label := fmt.Sprintf("%s/n%d/%s", k.name, n, mode.label)
 				got = append(got, kernelDigest(t, label, k.run, n, mode.cfg)...)
 			}
@@ -158,4 +149,46 @@ func TestEngineDifferentialMatrix(t *testing.T) {
 	}
 	checkDigestGolden(t, "kernel_matrix.golden",
 		"# NAS kernel matrix digests: <case> <component> <value>.\n# Regenerate: go test ./internal/npb -run TestEngineDifferentialMatrix -update\n", got)
+}
+
+// TestWorldSizeOneGolden pins every NAS kernel at N = 1, the column every
+// power-aware speedup S_N(w,f) = T_1(w,f0)/T_N(w,f) divides by, clean and
+// under diffChaosCfg. Per case it digests the kernel's own result, and the
+// timeline, makespan and energy of a direct 600 MHz run that records its
+// tape and of that tape replayed at 1400 MHz. The kernel matrix and the
+// comm log start at N = 2, so this file is the only byte-exact record of
+// the single-rank paths.
+func TestWorldSizeOneGolden(t *testing.T) {
+	var got []string
+	for _, k := range diffKernels() {
+		for _, mode := range diffModes {
+			label := fmt.Sprintf("%s/n1/%s", k.name, mode.label)
+			w := npbWorld(1, 600)
+			w.Faults = mode.cfg
+			tape := mpi.NewRecording()
+			w.Record = tape
+			out, direct, err := k.run(w)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			target := npbWorld(1, 1400)
+			target.Faults = mode.cfg
+			replayed, err := mpi.Replay(target, tape)
+			if err != nil {
+				t.Fatalf("%s replay: %v", label, err)
+			}
+			got = append(got, fmt.Sprintf("%s result %x", label, sha256.Sum256([]byte(fmt.Sprintf("%v", out)))))
+			for _, run := range []struct {
+				name string
+				res  *mpi.Result
+			}{{"direct", direct}, {"replay", replayed}} {
+				got = append(got,
+					fmt.Sprintf("%s %s-timeline %x", label, run.name, sha256.Sum256([]byte(run.res.Trace.TimelineCSV()))),
+					fmt.Sprintf("%s %s-seconds %.17g", label, run.name, run.res.Seconds),
+					fmt.Sprintf("%s %s-joules %.17g", label, run.name, run.res.Joules))
+			}
+		}
+	}
+	checkDigestGolden(t, "world_size_one.golden",
+		"# NAS kernels at N = 1: <case> <component> <value>; direct runs at 600 MHz, their tapes replayed at 1400 MHz.\n# Regenerate: go test ./internal/npb -run TestWorldSizeOneGolden -update\n", got)
 }

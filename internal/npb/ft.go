@@ -342,10 +342,7 @@ func (s *ftState) transposeZY(a []complex128) ([]complex128, error) {
 				}
 			}
 		}
-		if n > 1 {
-			// n == 1 alltoall returns the pack buffer itself, not a copy.
-			s.c.Free(blk)
-		}
+		s.c.Free(blk)
 	}
 	return out, nil
 }
@@ -404,10 +401,7 @@ func (s *ftState) transposeYZ(a []complex128) ([]complex128, error) {
 				}
 			}
 		}
-		if n > 1 {
-			// n == 1 alltoall returns the pack buffer itself, not a copy.
-			s.c.Free(blk)
-		}
+		s.c.Free(blk)
 	}
 	return out, nil
 }

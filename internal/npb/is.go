@@ -190,10 +190,7 @@ func (is IS) rank(c *mpi.Ctx) (ISResult, error) {
 		keys = keys[:0]
 		for _, p := range recv {
 			keys = append(keys, p...)
-			if n > 1 {
-				// n == 1 alltoall returns the pack buffer itself, not a copy.
-				c.Free(p)
-			}
+			c.Free(p)
 		}
 
 		// Counting sort of the received range.

@@ -462,11 +462,7 @@ func (s *mgState) agglomerate(fine, coarse *mgLevel) error {
 			copy(coarse.rhs[base:base+planeLen], part[off:off+planeLen])
 			off += planeLen
 		}
-		if len(parts) > 1 {
-			// n == 1 allgather returns the caller's own buffer (here kept
-			// as s.aggBuf), not a copy; freeing it would recycle live data.
-			s.c.Free(part)
-		}
+		s.c.Free(part)
 	}
 	return nil
 }

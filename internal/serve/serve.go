@@ -68,7 +68,9 @@ type Server struct {
 	suite     experiments.Suite
 	suiteName string
 	kernels   map[string]experiments.Kernel
-	reg       *obs.Registry
+	// kernelNames lists kernels' keys, sorted, for the unknown-kernel 404.
+	kernelNames []string
+	reg         *obs.Registry
 	// slots is the admission semaphore: held while a request is entitled to
 	// run (or wait on) a simulation, never by peek-served cache hits.
 	slots      chan struct{}
@@ -107,18 +109,19 @@ func New(cfg Config) *Server {
 	}
 	epoch := time.Now() //palint:ignore detsource -- the server's epoch is host time by definition
 	return &Server{
-		suite:      cfg.Suite,
-		suiteName:  cfg.SuiteName,
-		kernels:    cfg.Suite.Kernels(),
-		reg:        cfg.Registry,
-		slots:      make(chan struct{}, cfg.MaxInFlight),
-		retryAfter: fmt.Sprintf("%d", cfg.RetryAfterSec),
-		maxBody:    cfg.MaxBodyBytes,
-		events:     cfg.Events,
-		trace:      cfg.Trace,
-		epoch:      epoch,
-		idSeed:     splitmix64(uint64(epoch.UnixNano())),
-		flights:    cfg.Registry.Histogram("serve.flight.seconds", flightBuckets),
+		suite:       cfg.Suite,
+		suiteName:   cfg.SuiteName,
+		kernels:     cfg.Suite.Kernels(),
+		kernelNames: cfg.Suite.KernelNames(),
+		reg:         cfg.Registry,
+		slots:       make(chan struct{}, cfg.MaxInFlight),
+		retryAfter:  fmt.Sprintf("%d", cfg.RetryAfterSec),
+		maxBody:     cfg.MaxBodyBytes,
+		events:      cfg.Events,
+		trace:       cfg.Trace,
+		epoch:       epoch,
+		idSeed:      splitmix64(uint64(epoch.UnixNano())),
+		flights:     cfg.Registry.Histogram("serve.flight.seconds", flightBuckets),
 	}
 }
 
@@ -254,7 +257,7 @@ func (s *Server) kernel(w http.ResponseWriter, name string) (experiments.Kernel,
 	k, ok := s.kernels[name]
 	if !ok {
 		writeError(w, http.StatusNotFound,
-			fmt.Errorf("serve: unknown kernel %q (have %v)", name, s.suite.KernelNames()))
+			fmt.Errorf("serve: unknown kernel %q (have %v)", name, s.kernelNames))
 	}
 	return k, ok
 }

@@ -227,6 +227,29 @@ func TestDisabledTelemetryAllocs(t *testing.T) {
 	}
 }
 
+// TestUnknownKernelAllocs pins the cost of a 404 for an unknown kernel:
+// the error lists the kernel names the server keeps from New, so the
+// request builds no kernel table. Rebuilding the table renders eight %+v
+// strings of the paper suite's classes and platform per request.
+func TestUnknownKernelAllocs(t *testing.T) {
+	srv := New(Config{Suite: experiments.Paper(), Registry: obs.NewRegistry()})
+	h := srv.Handler()
+	run := func() {
+		r := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(`{"kernel":"zz","n":4,"f":1400}`))
+		r.Header.Set("Content-Type", "application/json")
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, r)
+		if w.Code != http.StatusNotFound {
+			t.Fatalf("unknown kernel = %d", w.Code)
+		}
+	}
+	run()
+	const budget = 80
+	if avg := testing.AllocsPerRun(50, run); avg > budget {
+		t.Errorf("unknown-kernel request allocates %.1f times, budget %d", avg, budget)
+	}
+}
+
 // TestDebugRequestsEndpoint pins /debug/requests: 404 without an event
 // log; with one, the text view lists the retained events and the JSON view
 // returns the canonical event objects.
