@@ -123,7 +123,8 @@ conformance-smoke:
 	cat $(CONFREPORT)
 
 # Short fuzz pass over the core model contract (finite, non-negative,
-# error-or-value) and the chaos harness's injector/parser invariants.
+# error-or-value), the chaos harness's injector/parser invariants and
+# paserve's request handlers (never a 5xx on client input).
 # CI-sized via FUZZTIME=10s; crank FUZZTIME locally for a deeper run.
 fuzz:
 	$(GO) test -fuzz=FuzzTermsTime -fuzztime=$(FUZZTIME) ./internal/core/
@@ -131,6 +132,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzMessageFault -fuzztime=$(FUZZTIME) ./internal/faults/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults/
 	$(GO) test -fuzz=FuzzPredictRequest -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz=FuzzSweepRequest -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz=FuzzRobustnessRequest -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -fuzz=FuzzTraceRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzParseGear -fuzztime=$(FUZZTIME) ./internal/serve/
 
 # Serving smoke: start paserve on the quick suite with FT pre-warmed and

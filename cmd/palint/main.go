@@ -11,8 +11,7 @@
 //
 // Usage:
 //
-//	palint [-json] [-artifact file] [-only a,b] [-exclude glob,glob]
-//	       [-baseline file] [-write-baseline file] [-skeleton file]
+//	palint [-json] [-v] [-artifact file] [-only a,b] [-skeleton file]
 //	       [-list] [-explain analyzer] [packages...]
 //
 // Packages follow the go tool's pattern shape ("./...", "./internal/core").
@@ -23,17 +22,12 @@
 // of the loaded packages instead of linting, writing canonical JSON for
 // cmd/paverify to replay recorded traces against.
 //
-// -write-baseline records the current active findings; a later run with
-// -baseline suppresses exactly those and fails only on new ones, so a tree
-// with accepted debt still gates regressions.
-//
-// Findings are silenced inline with
+// Findings are silenced only inline, with
 //
 //	//palint:ignore <analyzer>[,<analyzer>] -- <reason>
 //
-// on the flagged line or the line above — the reason is mandatory — or for
-// whole paths with -exclude (comma-separated path globs or substrings;
-// testdata and _test.go files are always excluded by the loader).
+// on the flagged line or the line above — the reason is mandatory.
+// testdata and _test.go files are always excluded by the loader.
 package main
 
 import (
@@ -41,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path"
 	"path/filepath"
 	"strings"
 
@@ -53,14 +46,11 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit diagnostics as a JSON array")
 		artifact = flag.String("artifact", "", "also write the full diagnostic set (suppressed included) as JSON to this file")
 		only     = flag.String("only", "", "comma-separated analyzer subset to run")
-		exclude  = flag.String("exclude", "", "comma-separated path globs/substrings to suppress")
 		list     = flag.Bool("list", false, "list analyzers and exit")
 		explain  = flag.String("explain", "", "print one analyzer's full rule and a representative example, then exit")
 		verbose  = flag.Bool("v", false, "also show suppressed findings and their reasons")
 
-		skeleton      = flag.String("skeleton", "", "write the static communication skeleton as JSON to this file (\"-\" for stdout) and exit")
-		baseline      = flag.String("baseline", "", "suppress findings recorded in this baseline; fail only on new ones")
-		writeBaseline = flag.String("write-baseline", "", "record the current active findings to this file and exit 0")
+		skeleton = flag.String("skeleton", "", "write the static communication skeleton as JSON to this file (\"-\" for stdout) and exit")
 	)
 	flag.Parse()
 
@@ -122,25 +112,6 @@ func main() {
 	}
 
 	diags := analysis.Run(pkgs, analyzers)
-	diags = applyPathExcludes(diags, root, *exclude)
-
-	if *writeBaseline != "" {
-		n, err := saveBaseline(*writeBaseline, root, diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "palint: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "palint: baseline written with %d finding(s)\n", n)
-		return
-	}
-	if *baseline != "" {
-		var err error
-		diags, err = applyBaseline(*baseline, root, diags)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "palint: %v\n", err)
-			os.Exit(2)
-		}
-	}
 	active := analysis.Active(diags)
 
 	if *artifact != "" {
@@ -255,34 +226,6 @@ func moduleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// applyPathExcludes marks diagnostics in excluded paths as suppressed, so
-// -v still shows them. Each pattern matches as a path.Match glob against
-// the module-relative file path, or as a plain substring.
-func applyPathExcludes(diags []analysis.Diagnostic, root, excludes string) []analysis.Diagnostic {
-	if excludes == "" {
-		return diags
-	}
-	pats := strings.Split(excludes, ",")
-	for i, d := range diags {
-		relPath := d.File
-		if r, err := filepath.Rel(root, d.File); err == nil {
-			relPath = filepath.ToSlash(r)
-		}
-		for _, pat := range pats {
-			pat = strings.TrimSpace(pat)
-			if pat == "" {
-				continue
-			}
-			if ok, _ := path.Match(pat, relPath); ok || strings.Contains(relPath, pat) {
-				diags[i].Suppressed = true
-				diags[i].Reason = "path excluded by -exclude " + pat
-				break
-			}
-		}
-	}
-	return diags
 }
 
 // rel shortens the diagnostic's file to a module-relative path for display.

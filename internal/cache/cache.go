@@ -106,14 +106,6 @@ func (c *Cache) Accesses() uint64 { return c.hits + c.misses }
 // ResetCounters clears the hit/miss counters without disturbing contents.
 func (c *Cache) ResetCounters() { c.hits, c.misses = 0, 0 }
 
-// Flush empties the cache contents and counters.
-func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
-	c.ResetCounters()
-}
-
 // Where identifies the level of the hierarchy that served an access.
 type Where int
 
@@ -162,19 +154,6 @@ func NewHierarchy(l1, l2 Config) (*Hierarchy, error) {
 	return &Hierarchy{L1: a, L2: b}, nil
 }
 
-// PentiumM returns a hierarchy with the paper platform's geometry:
-// 32 KB 8-way L1D and 1 MB 8-way L2, both with 64-byte lines.
-func PentiumM() (*Hierarchy, error) {
-	h, err := NewHierarchy(
-		Config{SizeBytes: 32 << 10, LineBytes: 64, Ways: 8},
-		Config{SizeBytes: 1 << 20, LineBytes: 64, Ways: 8},
-	)
-	if err != nil {
-		return nil, fmt.Errorf("cache: PentiumM geometry: %w", err)
-	}
-	return h, nil
-}
-
 // Access touches addr and returns the level that served it.
 func (h *Hierarchy) Access(addr uint64) Where {
 	if h.L1.Access(addr) {
@@ -184,10 +163,4 @@ func (h *Hierarchy) Access(addr uint64) Where {
 		return InL2
 	}
 	return InMem
-}
-
-// Flush empties both levels.
-func (h *Hierarchy) Flush() {
-	h.L1.Flush()
-	h.L2.Flush()
 }

@@ -15,6 +15,9 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"pasp/internal/power"
+	"pasp/internal/units"
 )
 
 // Config identifies one cluster configuration: a processor count and a
@@ -143,5 +146,5 @@ func (m *Measurements) EDP(n int, mhz float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e * t, nil
+	return power.EDP(units.Joules(e), units.Seconds(t)), nil
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"pasp/internal/power"
+	"pasp/internal/units"
 )
 
 // Objective selects what a sweet-spot search optimizes.
@@ -47,10 +50,14 @@ type Candidate struct {
 }
 
 // EDP returns the candidate's energy-delay product.
-func (c Candidate) EDP() float64 { return c.Joules * c.Seconds }
+func (c Candidate) EDP() float64 {
+	return power.EDP(units.Joules(c.Joules), units.Seconds(c.Seconds))
+}
 
 // ED2P returns the candidate's energy-delay-squared product.
-func (c Candidate) ED2P() float64 { return c.Joules * c.Seconds * c.Seconds }
+func (c Candidate) ED2P() float64 {
+	return power.ED2P(units.Joules(c.Joules), units.Seconds(c.Seconds))
+}
 
 // Candidates lists every configuration of the campaign that has both a time
 // and an energy measurement, with derived figures of merit.

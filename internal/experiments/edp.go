@@ -67,26 +67,6 @@ func (s Suite) EDPForFT(ctx context.Context) (*EDPResult, error) {
 	return s.EDPFrom("FT", camp, s.Grid.Ns[1:], s.Grid.MHz)
 }
 
-// EDPForEP runs the EP campaign and scores the EDP predictions.
-func (s Suite) EDPForEP(ctx context.Context) (*EDPResult, error) {
-	camp, err := s.MeasureEP(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return s.EDPFrom("EP", camp, s.Grid.Ns[1:], s.Grid.MHz)
-}
-
-// SweetSpotFT finds the measured EDP-optimal configuration for FT and the
-// configuration the SP model would have recommended, demonstrating the
-// paper's motivating use case.
-func (s Suite) SweetSpotFT(ctx context.Context) (measured, predicted core.Candidate, err error) {
-	camp, err := s.MeasureFT(ctx)
-	if err != nil {
-		return core.Candidate{}, core.Candidate{}, err
-	}
-	return s.SweetSpotFrom(camp)
-}
-
 // SweetSpotFrom computes the measured and model-recommended EDP optima
 // from an existing campaign.
 func (s Suite) SweetSpotFrom(camp *Campaign) (measured, predicted core.Candidate, err error) {

@@ -176,35 +176,35 @@ func (s Suite) RunFT(w mpi.World) (*mpi.Result, error) {
 
 // MeasureEP runs the EP campaign over the suite grid, memoized.
 func (s Suite) MeasureEP(ctx context.Context) (*Campaign, error) {
-	return s.Kernels()["ep"].Measure(ctx)
+	return s.MeasureKernel(ctx, "ep")
 }
 
 // MeasureFT runs the FT campaign over the suite grid, memoized.
 func (s Suite) MeasureFT(ctx context.Context) (*Campaign, error) {
-	return s.Kernels()["ft"].Measure(ctx)
+	return s.MeasureKernel(ctx, "ft")
 }
 
 // MeasureLU runs the LU campaign over the LU grid, memoized.
 func (s Suite) MeasureLU(ctx context.Context) (*Campaign, error) {
-	return s.Kernels()["lu"].Measure(ctx)
+	return s.MeasureKernel(ctx, "lu")
 }
 
 // MeasureCG runs the CG campaign over the suite grid, memoized.
 func (s Suite) MeasureCG(ctx context.Context) (*Campaign, error) {
-	return s.Kernels()["cg"].Measure(ctx)
+	return s.MeasureKernel(ctx, "cg")
 }
 
 // MeasureMG runs the MG campaign over the suite grid, memoized.
 func (s Suite) MeasureMG(ctx context.Context) (*Campaign, error) {
-	return s.Kernels()["mg"].Measure(ctx)
+	return s.MeasureKernel(ctx, "mg")
 }
 
 // MeasureIS runs the IS campaign over the suite grid, memoized.
 func (s Suite) MeasureIS(ctx context.Context) (*Campaign, error) {
-	return s.Kernels()["is"].Measure(ctx)
+	return s.MeasureKernel(ctx, "is")
 }
 
 // MeasureSP runs the SP campaign over the suite grid, memoized.
 func (s Suite) MeasureSP(ctx context.Context) (*Campaign, error) {
-	return s.Kernels()["sp"].Measure(ctx)
+	return s.MeasureKernel(ctx, "sp")
 }

@@ -589,7 +589,11 @@ func TestExtrapolation(t *testing.T) {
 
 func TestEDPForEPNearExact(t *testing.T) {
 	s := Quick()
-	r, err := s.EDPForEP(context.Background())
+	camp, err := s.MeasureEP(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := s.EDPFrom("EP", camp, s.Grid.Ns[1:], s.Grid.MHz)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +606,11 @@ func TestEDPForEPNearExact(t *testing.T) {
 
 func TestSweetSpotFTDirect(t *testing.T) {
 	s := Quick()
-	measured, predicted, err := s.SweetSpotFT(context.Background())
+	camp, err := s.MeasureFT(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured, predicted, err := s.SweetSpotFrom(camp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,6 +636,27 @@ func TestEDPAndTablesDirectEntryPoints(t *testing.T) {
 	}
 	if _, err := s.ScaledEP(context.Background()); err != nil {
 		t.Errorf("ScaledEP: %v", err)
+	}
+}
+
+// TestKernelLookupAllocs pins the cost of resolving one kernel on the
+// paper suite: Kernel builds only the named row, rendering its class, its
+// grid and one platform fingerprint, and KernelNames builds no row at all.
+// Building the whole seven-row table per lookup costs about 170
+// allocations.
+func TestKernelLookupAllocs(t *testing.T) {
+	s := Paper()
+	lookup := func() {
+		if _, err := s.Kernel("ft"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget = 60
+	if avg := testing.AllocsPerRun(20, lookup); avg > budget {
+		t.Errorf("Kernel(\"ft\") allocates %.1f times, budget %d", avg, budget)
+	}
+	if avg := testing.AllocsPerRun(20, func() { s.KernelNames() }); avg > 1 {
+		t.Errorf("KernelNames allocates %.1f times, budget 1", avg)
 	}
 }
 

@@ -77,7 +77,10 @@ func Extrapolate(kernel string, camp *Campaign, maxFitN, heldOutN int) (*Extrapo
 // orders cells Ns-outer/MHz-inner, so concatenating the two campaigns
 // reproduces the extended-grid sweep cell for cell, bit-identically.
 func (s Suite) ExtrapolateLU(ctx context.Context) (*ExtrapolationResult, error) {
-	lu := s.Kernels()["lu"]
+	lu, err := s.Kernel("lu")
+	if err != nil {
+		return nil, err
+	}
 	base, err := lu.Measure(ctx)
 	if err != nil {
 		return nil, err

@@ -3,7 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"pasp/internal/cluster"
@@ -13,7 +13,7 @@ import (
 
 // Kernel is one registered benchmark: its runner, its campaign grid and
 // the campaign-store key naming both on the suite's platform. The key is
-// rendered once, when the kernel table builds the row, so Measure and Peek
+// rendered once, when Kernel or Kernels builds the row, so Measure and Peek
 // format nothing. The key stands for Run's class and for Grid, so treat a
 // built Kernel as read-only.
 type Kernel struct {
@@ -28,6 +28,10 @@ type Kernel struct {
 	key      campaignKey
 }
 
+// kernelNames lists the registered kernels, sorted; Suite.class resolves
+// each one.
+var kernelNames = []string{"cg", "ep", "ft", "is", "lu", "mg", "sp"}
+
 // Kernels returns the suite's registered kernels keyed by name, so
 // commands can resolve a -bench flag uniformly. Building the table renders
 // every row's campaign key and fingerprints the platform once for all of
@@ -35,21 +39,40 @@ type Kernel struct {
 // once.
 func (s Suite) Kernels() map[string]Kernel {
 	platform := fmt.Sprintf("%+v", s.Platform)
-	return map[string]Kernel{
-		"ep": s.newKernel("ep", s.EP, s.Grid, runOf(s.EP.Run), platform),
-		"ft": s.newKernel("ft", s.FT, s.Grid, runOf(s.FT.Run), platform),
-		"lu": s.newKernel("lu", s.LU, s.LUGrid, runOf(s.LU.Run), platform),
-		"cg": s.newKernel("cg", s.CG, s.Grid, runOf(s.CG.Run), platform),
-		"mg": s.newKernel("mg", s.MG, s.Grid, runOf(s.MG.Run), platform),
-		"is": s.newKernel("is", s.IS, s.Grid, runOf(s.IS.Run), platform),
-		"sp": s.newKernel("sp", s.SP, s.Grid, runOf(s.SP.Run), platform),
+	ks := make(map[string]Kernel, len(kernelNames))
+	for _, name := range kernelNames {
+		class, g, run, _ := s.class(name)
+		ks[name] = s.newKernel(name, class, g, run, platform)
 	}
+	return ks
+}
+
+// class returns the named kernel's suite class, campaign grid and runner;
+// ok is false for a name the suite does not register.
+func (s Suite) class(name string) (class any, g cluster.Grid, run cluster.RunFunc, ok bool) {
+	switch name {
+	case "ep":
+		return s.EP, s.Grid, runOf(s.EP.Run), true
+	case "ft":
+		return s.FT, s.Grid, runOf(s.FT.Run), true
+	case "lu":
+		return s.LU, s.LUGrid, runOf(s.LU.Run), true
+	case "cg":
+		return s.CG, s.Grid, runOf(s.CG.Run), true
+	case "mg":
+		return s.MG, s.Grid, runOf(s.MG.Run), true
+	case "is":
+		return s.IS, s.Grid, runOf(s.IS.Run), true
+	case "sp":
+		return s.SP, s.Grid, runOf(s.SP.Run), true
+	}
+	return nil, cluster.Grid{}, nil, false
 }
 
 // newKernel builds one table row and renders its campaign key from the
 // upper-cased name ("EP", "FT", ...) with class, the kernel's full
 // parameter struct, so two classes of one kernel cannot collide; from the
-// grid; and from platform, the table's fingerprint of s.Platform.
+// grid; and from platform, the caller's fingerprint of s.Platform.
 func (s Suite) newKernel(name string, class any, g cluster.Grid, run cluster.RunFunc, platform string) Kernel {
 	return Kernel{Name: name, Run: run, Grid: g, platform: s.Platform, key: campaignKey{
 		kernel:   fmt.Sprintf("%s %+v", strings.ToUpper(name), class),
@@ -68,27 +91,17 @@ func runOf[R any](run func(mpi.World) (R, *mpi.Result, error)) cluster.RunFunc {
 
 // KernelNames returns the registered names, sorted.
 func (s Suite) KernelNames() []string {
-	return kernelNames(s.Kernels())
+	return slices.Clone(kernelNames)
 }
 
-// kernelNames returns the keys of a kernel table, sorted.
-func kernelNames(ks map[string]Kernel) []string {
-	out := make([]string, 0, len(ks))
-	for n := range ks {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Kernel resolves one kernel by name.
+// Kernel resolves one kernel by name, building only its row: the platform
+// is fingerprinted once, for that row alone.
 func (s Suite) Kernel(name string) (Kernel, error) {
-	ks := s.Kernels()
-	k, ok := ks[name]
+	class, g, run, ok := s.class(name)
 	if !ok {
-		return Kernel{}, fmt.Errorf("experiments: unknown kernel %q (have %v)", name, kernelNames(ks))
+		return Kernel{}, fmt.Errorf("experiments: unknown kernel %q (have %v)", name, kernelNames)
 	}
-	return k, nil
+	return s.newKernel(name, class, g, run, fmt.Sprintf("%+v", s.Platform)), nil
 }
 
 // MeasureKernel sweeps the named kernel's grid through the campaign store:

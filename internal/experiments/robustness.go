@@ -31,12 +31,18 @@ type RobustnessSpec struct {
 	// clean-fitted SP model has an overhead term for it.
 	Ns []int
 	// Magnitudes are the perturbation scale factors applied to Faults via
-	// Config.Scale, ascending; conventionally starting at 0 (the control
-	// row, which reproduces the clean fit error).
+	// Config.Scale, ascending and at most 16; conventionally starting at 0
+	// (the control row, which reproduces the clean fit error).
 	Magnitudes []float64
 	// Faults holds the knobs at magnitude 1.
 	Faults faults.Config
 }
+
+// maxMagnitudes bounds a spec's magnitude list. Each magnitude costs one
+// sweep of Ns, so an unbounded list lets one paserve request hold an
+// admission slot for as long as its body allows; pachaos sends 4 by
+// default.
+const maxMagnitudes = 16
 
 // Validate reports an error for an unusable spec.
 func (r RobustnessSpec) Validate() error {
@@ -48,6 +54,9 @@ func (r RobustnessSpec) Validate() error {
 	}
 	if len(r.Magnitudes) == 0 {
 		return fmt.Errorf("experiments: robustness spec has no magnitudes")
+	}
+	if len(r.Magnitudes) > maxMagnitudes {
+		return fmt.Errorf("experiments: robustness spec has %d magnitudes, at most %d", len(r.Magnitudes), maxMagnitudes)
 	}
 	for i := 1; i < len(r.Ns); i++ {
 		if r.Ns[i] <= r.Ns[i-1] {

@@ -20,6 +20,11 @@ func TestRobustnessSpecValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good spec rejected: %v", err)
 	}
+	widest := good
+	widest.Magnitudes = ascending(16)
+	if err := widest.Validate(); err != nil {
+		t.Fatalf("16 magnitudes rejected: %v", err)
+	}
 	bad := []RobustnessSpec{
 		{Ns: []int{2}, Magnitudes: []float64{1}, Faults: JitterOnlyFaults(1)},                         // no kernel
 		{Kernel: "ft", Magnitudes: []float64{1}, Faults: JitterOnlyFaults(1)},                         // no Ns
@@ -30,12 +35,22 @@ func TestRobustnessSpecValidate(t *testing.T) {
 		{Kernel: "ft", Ns: []int{2}, Magnitudes: []float64{math.NaN()}, Faults: JitterOnlyFaults(1)},  // NaN knobs once scaled
 		{Kernel: "ft", Ns: []int{2}, Magnitudes: []float64{0, 1}, Faults: faults.Config{}},            // injects nothing
 		{Kernel: "ft", Ns: []int{2}, Magnitudes: []float64{0, 1}, Faults: faults.Config{DropProb: 2}}, // invalid config
+		{Kernel: "ft", Ns: []int{2}, Magnitudes: ascending(17), Faults: JitterOnlyFaults(1)},          // too many magnitudes
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}
+}
+
+// ascending returns the magnitudes 0, 1, ..., n-1.
+func ascending(n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = float64(i)
+	}
+	return out
 }
 
 func TestRobustnessRejectsOffGridN(t *testing.T) {

@@ -298,9 +298,6 @@ func (r *Rank) Collective(costSec float64) float64 {
 // healthy rank, StragglerSlowdown for a straggler.
 func (r *Rank) ComputeFactor() float64 { return r.slow }
 
-// Straggler reports whether the rank was selected as a straggler.
-func (r *Rank) Straggler() bool { return r.slow > 1 }
-
 // BackoffSec exposes the config's backoff schedule on the injector, so the
 // runtime holding only the *Rank can charge retry time.
 func (r *Rank) BackoffSec(retries int) float64 { return r.cfg.BackoffSec(retries) }

@@ -149,17 +149,3 @@ func (c Config) SecPerIns(l Level, freq units.Hertz) units.Seconds {
 	}
 	return units.Cycles(c.Cycles[l]).At(freq)
 }
-
-// LevelFor returns the cache level a working set of the given size (bytes)
-// predominantly occupies: L1 if it fits in L1, L2 if it fits in L2, Mem
-// otherwise. Analytic kernels use it to classify their array traffic.
-func (c Config) LevelFor(workingSetBytes int) Level {
-	switch {
-	case workingSetBytes <= c.L1Bytes:
-		return L1
-	case workingSetBytes <= c.L2Bytes:
-		return L2
-	default:
-		return Mem
-	}
-}

@@ -154,25 +154,6 @@ func TestWorkValidate(t *testing.T) {
 	}
 }
 
-func TestLevelFor(t *testing.T) {
-	c := PentiumM()
-	cases := []struct {
-		bytes int
-		want  Level
-	}{
-		{1 << 10, L1},
-		{32 << 10, L1},
-		{33 << 10, L2},
-		{1 << 20, L2},
-		{2 << 20, Mem},
-	}
-	for _, tc := range cases {
-		if got := c.LevelFor(tc.bytes); got != tc.want {
-			t.Errorf("LevelFor(%d) = %v, want %v", tc.bytes, got, tc.want)
-		}
-	}
-}
-
 func TestValidateRejects(t *testing.T) {
 	cases := map[string]func(*Config){
 		"zero reg cycles":    func(c *Config) { c.Cycles[Reg] = 0 },

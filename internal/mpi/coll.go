@@ -77,7 +77,7 @@ func (c *Ctx) collective(payload any, cost float64, recycle bool) (*collSnapshot
 	// entry max re-synchronizes on the slowest (most-jittered) rank.
 	if c.faults != nil {
 		if extra := c.faults.Collective(cost); extra > 0 {
-			if err := c.advanceFault(extra, trace.Fault, c.eng.w.PollUtil); err != nil {
+			if err := c.advanceFault(extra, trace.Fault, pollUtil); err != nil {
 				return nil, err
 			}
 		}

@@ -323,7 +323,7 @@ func (c *Ctx) advanceFault(dt float64, kind trace.Kind, util float64) error {
 }
 
 // advanceComm moves the clock to end (≥ current clock), attributing the
-// interval to communication at the configured poll utilization.
+// interval to communication at the busy-poll utilization.
 func (c *Ctx) advanceComm(end float64) error {
 	if end < c.clock {
 		end = c.clock
@@ -332,11 +332,11 @@ func (c *Ctx) advanceComm(end float64) error {
 	start := c.clock
 	c.clock = end
 	c.commSec += dt
-	if err := c.meter.Accumulate(c.state, c.eng.w.PollUtil, units.Seconds(dt)); err != nil {
+	if err := c.meter.Accumulate(c.state, pollUtil, units.Seconds(dt)); err != nil {
 		return err
 	}
 	c.log.Append(trace.Event{Rank: c.rank, Phase: c.phase, Kind: trace.Comm, Start: start, End: end,
-		Watts: float64(c.eng.w.Prof.NodePower(c.state, c.eng.w.PollUtil))})
+		Watts: float64(c.eng.w.Prof.NodePower(c.state, pollUtil))})
 	return nil
 }
 

@@ -593,32 +593,6 @@ func TestTraceValid(t *testing.T) {
 	}
 }
 
-func TestPollUtilAffectsEnergy(t *testing.T) {
-	prog := func(c *Ctx) error {
-		if c.Rank() == 0 {
-			if err := c.Compute(machine.W(6e8, 0, 0, 0)); err != nil {
-				return err
-			}
-			return c.Send(1, 0, []float64{1}, 0)
-		}
-		_, err := c.Recv(0, 0) // waits ~1 s
-		return err
-	}
-	run := func(util float64) float64 {
-		w := testWorld(2, 600)
-		w.PollUtil = util
-		res, err := Run(w, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Joules
-	}
-	busy, gentle := run(1.0), run(0.1)
-	if busy <= gentle {
-		t.Errorf("busy-poll energy %g J not above low-util %g J", busy, gentle)
-	}
-}
-
 func TestEnergyAccountsIdleTail(t *testing.T) {
 	// Rank 1 computes 1 s, rank 0 finishes immediately; the cluster energy
 	// must cover rank 0 idling for the full makespan.

@@ -14,7 +14,7 @@ func beginObserve(w World) {
 	w.Obs.BeginRun(w.N, 0,
 		obs.F("n", float64(w.N)),
 		obs.F("mhz", w.State.Freq.MHz()),
-		obs.F("pollutil", w.PollUtil),
+		obs.F("pollutil", pollUtil),
 		obs.A("net", w.Net.String()),
 		obs.F("cpi_reg", w.Mach.Cycles[machine.Reg]),
 		obs.F("cpi_l1", w.Mach.Cycles[machine.L1]),

@@ -58,10 +58,10 @@ func (c *Ctx) msgFaultDelays(bytes int) (backoff, stretch float64) {
 // stretch under the Fault kind, both billed at the poll utilization (the
 // receiver busy-waits through them like any other communication stall).
 func (c *Ctx) chargeMsgFaults(backoff, stretch float64) error {
-	if err := c.advanceFault(backoff, trace.Retry, c.eng.w.PollUtil); err != nil {
+	if err := c.advanceFault(backoff, trace.Retry, pollUtil); err != nil {
 		return err
 	}
-	return c.advanceFault(stretch, trace.Fault, c.eng.w.PollUtil)
+	return c.advanceFault(stretch, trace.Fault, pollUtil)
 }
 
 // Send transmits data to rank dst with the given tag. vbytes, when

@@ -39,6 +39,10 @@ var ErrAborted = errors.New("mpi: job aborted because another rank failed")
 // of a reduction payload (one load + one add per element, amortized).
 const ReduceInsPerByte = 1.5
 
+// pollUtil is the CPU utilization during communication waits. MPICH's TCP
+// device busy-polls, so the paper's platform burns full power while blocked.
+const pollUtil = 1.0
+
 // World configures a simulated job: cluster size, machine/network models,
 // and the P-state every node runs at.
 type World struct {
@@ -53,11 +57,6 @@ type World struct {
 	// State is the operating point all nodes run at for the whole job.
 	// (Per-phase DVFS is layered on top by package dvfs.)
 	State power.PState
-	// PollUtil is the CPU utilization during communication waits. MPICH's
-	// TCP device busy-polls, so the paper's platform burns full power while
-	// blocked; 1.0 reproduces that. Values < 1 model interrupt-driven or
-	// DVFS-assisted waiting.
-	PollUtil float64
 	// OnPhase, when non-nil, runs on each rank whenever it enters a new
 	// kernel phase; DVFS schedulers use it to switch the rank's P-state.
 	OnPhase func(c *Ctx, phase string)
@@ -109,9 +108,6 @@ func (w World) Validate() error {
 	}
 	if w.State.Freq <= 0 {
 		return fmt.Errorf("mpi: zero-frequency P-state")
-	}
-	if w.PollUtil < 0 || w.PollUtil > 1 {
-		return fmt.Errorf("mpi: PollUtil %g outside [0,1]", w.PollUtil)
 	}
 	if w.GearSwitchSec < 0 {
 		return fmt.Errorf("mpi: negative gear-switch time")
@@ -219,9 +215,6 @@ func (r *Result) Retries() int {
 // Run executes fn on every rank of the world and aggregates the outcome.
 // The first rank error aborts the job and is returned.
 func Run(w World, fn RankFunc) (*Result, error) {
-	if w.PollUtil == 0 {
-		w.PollUtil = 1.0 // MPICH busy-poll default
-	}
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}

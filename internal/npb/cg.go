@@ -68,9 +68,6 @@ type CGResult struct {
 	Residual float64
 }
 
-// Name returns the kernel's NAS name.
-func (c CG) Name() string { return "CG" }
-
 func (c CG) scale() float64 {
 	if c.Scale <= 0 {
 		return 1

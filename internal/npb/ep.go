@@ -43,9 +43,6 @@ type EPResult struct {
 	Accepted float64
 }
 
-// Name returns the kernel's NAS name.
-func (e EP) Name() string { return "EP" }
-
 // Validate reports an error for unusable parameters.
 func (e EP) Validate() error {
 	if e.LogPairs < 1 || e.LogPairs > 40 {
@@ -55,11 +52,6 @@ func (e EP) Validate() error {
 		return fmt.Errorf("npb: EP ScaleLog = %d out of range", e.ScaleLog)
 	}
 	return nil
-}
-
-// TotalPairs returns the logical (timed) pair count 2^(LogPairs+ScaleLog).
-func (e EP) TotalPairs() float64 {
-	return math.Ldexp(1, e.LogPairs+e.ScaleLog)
 }
 
 // Run executes EP on the world and returns the verifiable tallies alongside

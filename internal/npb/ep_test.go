@@ -158,10 +158,3 @@ func TestEPWorkloadIsOnChipOnly(t *testing.T) {
 		t.Error("EP has no ON-chip work")
 	}
 }
-
-func TestEPTotalPairs(t *testing.T) {
-	ep := EP{LogPairs: 10, ScaleLog: 4}
-	if got := ep.TotalPairs(); got != 16384 {
-		t.Errorf("TotalPairs = %g, want 16384", got)
-	}
-}

@@ -51,9 +51,6 @@ type FTResult struct {
 	Checksums []complex128
 }
 
-// Name returns the kernel's NAS name.
-func (f FT) Name() string { return "FT" }
-
 // scale returns the workload multiplier, defaulting to 1.
 func (f FT) scale() float64 {
 	if f.Scale <= 0 {

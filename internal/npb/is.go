@@ -57,9 +57,6 @@ type ISResult struct {
 	MaxImbalance float64
 }
 
-// Name returns the kernel's NAS name.
-func (is IS) Name() string { return "IS" }
-
 func (is IS) buckets() int {
 	if is.Buckets == 0 {
 		return 1024

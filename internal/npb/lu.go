@@ -69,9 +69,6 @@ type LUResult struct {
 	History []float64
 }
 
-// Name returns the kernel's NAS name.
-func (l LU) Name() string { return "LU" }
-
 // omega returns the relaxation factor, defaulting to NPB's 1.2.
 func (l LU) omega() float64 {
 	if l.Omega == 0 {

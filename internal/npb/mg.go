@@ -60,9 +60,6 @@ type MGResult struct {
 	SolutionErr float64
 }
 
-// Name returns the kernel's NAS name.
-func (m MG) Name() string { return "MG" }
-
 func (m MG) pre() int {
 	if m.Pre == 0 {
 		return 2

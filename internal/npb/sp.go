@@ -61,9 +61,6 @@ type SPResult struct {
 	Checksum float64
 }
 
-// Name returns the kernel's NAS name.
-func (s SP) Name() string { return "SP" }
-
 func (s SP) sigma() float64 {
 	if s.Sigma == 0 {
 		return 0.5

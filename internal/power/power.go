@@ -11,7 +11,6 @@ package power
 
 import (
 	"fmt"
-	"sort"
 
 	"pasp/internal/units"
 )
@@ -126,15 +125,6 @@ func (p Profile) StateAt(freq units.Hertz) (PState, error) {
 	return PState{}, fmt.Errorf("power: no P-state at %.0f MHz (available: %v)", freq.MHz(), p.States)
 }
 
-// Frequencies returns the frequencies of all P-states in ascending order.
-func (p Profile) Frequencies() []units.Hertz {
-	fs := make([]units.Hertz, len(p.States))
-	for i, s := range p.States {
-		fs[i] = s.Freq
-	}
-	return fs
-}
-
 // Dynamic returns the dynamic (switching) power at operating point s when
 // the core is fully busy: C·V²·f. CEff carries the farads, so the product
 // is assembled over plain float64 and typed at the end.
@@ -162,23 +152,6 @@ func (p Profile) CPUPower(s PState, util float64) units.Watts {
 // frequency-independent rest-of-node draw.
 func (p Profile) NodePower(s PState, util float64) units.Watts {
 	return units.Watts(p.Base) + p.CPUPower(s, util)
-}
-
-// nearestState returns the index of the P-state closest in frequency to freq.
-func (p Profile) nearestState(freq units.Hertz) int {
-	return sort.Search(len(p.States), func(i int) bool { return p.States[i].Freq >= freq })
-}
-
-// ClampState returns the lowest P-state whose frequency is ≥ freq, or the
-// top state when freq exceeds every operating point. It is used by DVFS
-// schedulers that compute an ideal frequency and must round to hardware
-// gears.
-func (p Profile) ClampState(freq units.Hertz) PState {
-	i := p.nearestState(freq)
-	if i >= len(p.States) {
-		return p.TopState()
-	}
-	return p.States[i]
 }
 
 // EDP returns the energy-delay product E·T of a run that consumed energy

@@ -103,26 +103,6 @@ func TestNodePowerIncludesBase(t *testing.T) {
 	}
 }
 
-func TestClampState(t *testing.T) {
-	p := PentiumM()
-	cases := []struct {
-		in   units.Hertz
-		want units.Hertz
-	}{
-		{units.MHz(100), units.MHz(600)},
-		{units.MHz(600), units.MHz(600)},
-		{units.MHz(601), units.MHz(800)},
-		{units.MHz(1100), units.MHz(1200)},
-		{units.MHz(1400), units.MHz(1400)},
-		{units.MHz(2000), units.MHz(1400)},
-	}
-	for _, c := range cases {
-		if got := p.ClampState(c.in); got.Freq != c.want {
-			t.Errorf("ClampState(%.0fMHz) = %.0fMHz, want %.0fMHz", c.in.MHz(), got.Freq.MHz(), c.want.MHz())
-		}
-	}
-}
-
 func TestValidateRejectsMalformed(t *testing.T) {
 	good := PentiumM()
 	cases := map[string]func(*Profile){

@@ -9,10 +9,10 @@ import (
 )
 
 // The request decoders are the service's untrusted-input boundary, and the
-// FuzzPredictRequest/FuzzParseGear fuzzers pin their contract: any byte
-// sequence either decodes into a validated request or produces a 400 —
-// never a 500, never a panic, never a half-validated struct reaching the
-// model layer.
+// fuzzers in fuzz_test.go pin their contract through the handler for
+// /predict, /sweep, /robustness and /trace: any byte sequence either
+// decodes into a validated request or produces a 4xx — never a 500, never
+// a panic, never a half-validated struct reaching the model layer.
 
 // PredictRequest asks for one configuration of one kernel.
 type PredictRequest struct {

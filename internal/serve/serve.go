@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,7 @@ import (
 	"pasp/internal/faults"
 	"pasp/internal/obs"
 	"pasp/internal/stats"
+	"pasp/internal/units"
 )
 
 // statusClientClosed is the non-standard status reported when the client
@@ -68,9 +70,7 @@ type Server struct {
 	suite     experiments.Suite
 	suiteName string
 	kernels   map[string]experiments.Kernel
-	// kernelNames lists kernels' keys, sorted, for the unknown-kernel 404.
-	kernelNames []string
-	reg         *obs.Registry
+	reg       *obs.Registry
 	// slots is the admission semaphore: held while a request is entitled to
 	// run (or wait on) a simulation, never by peek-served cache hits.
 	slots      chan struct{}
@@ -109,19 +109,18 @@ func New(cfg Config) *Server {
 	}
 	epoch := time.Now() //palint:ignore detsource -- the server's epoch is host time by definition
 	return &Server{
-		suite:       cfg.Suite,
-		suiteName:   cfg.SuiteName,
-		kernels:     cfg.Suite.Kernels(),
-		kernelNames: cfg.Suite.KernelNames(),
-		reg:         cfg.Registry,
-		slots:       make(chan struct{}, cfg.MaxInFlight),
-		retryAfter:  fmt.Sprintf("%d", cfg.RetryAfterSec),
-		maxBody:     cfg.MaxBodyBytes,
-		events:      cfg.Events,
-		trace:       cfg.Trace,
-		epoch:       epoch,
-		idSeed:      splitmix64(uint64(epoch.UnixNano())),
-		flights:     cfg.Registry.Histogram("serve.flight.seconds", flightBuckets),
+		suite:      cfg.Suite,
+		suiteName:  cfg.SuiteName,
+		kernels:    cfg.Suite.Kernels(),
+		reg:        cfg.Registry,
+		slots:      make(chan struct{}, cfg.MaxInFlight),
+		retryAfter: fmt.Sprintf("%d", cfg.RetryAfterSec),
+		maxBody:    cfg.MaxBodyBytes,
+		events:     cfg.Events,
+		trace:      cfg.Trace,
+		epoch:      epoch,
+		idSeed:     splitmix64(uint64(epoch.UnixNano())),
+		flights:    cfg.Registry.Histogram("serve.flight.seconds", flightBuckets),
 	}
 }
 
@@ -257,7 +256,7 @@ func (s *Server) kernel(w http.ResponseWriter, name string) (experiments.Kernel,
 	k, ok := s.kernels[name]
 	if !ok {
 		writeError(w, http.StatusNotFound,
-			fmt.Errorf("serve: unknown kernel %q (have %v)", name, s.kernelNames))
+			fmt.Errorf("serve: unknown kernel %q (have %v)", name, s.suite.KernelNames()))
 	}
 	return k, ok
 }
@@ -583,6 +582,13 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		// The platform rejecting the configuration (too many nodes, no such
 		// operating point) is the client's asking, not a server fault.
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	// So is a chaos spec that stretches the run past what a trace can
+	// spell: the makespan in microseconds overflows float64.
+	if us := units.Seconds(res.Seconds).Micros(); math.IsInf(us, 0) || math.IsNaN(us) {
+		writeError(w, http.StatusBadRequest,
+			fmt.Errorf("serve: chaos spec %q stretches the run to %g s, past a trace's time range", req.Chaos, res.Seconds))
 		return
 	}
 	data := obs.ChromeTrace(res.Trace, "paserve "+req.Kernel)

@@ -228,9 +228,9 @@ func TestDisabledTelemetryAllocs(t *testing.T) {
 }
 
 // TestUnknownKernelAllocs pins the cost of a 404 for an unknown kernel:
-// the error lists the kernel names the server keeps from New, so the
-// request builds no kernel table. Rebuilding the table renders eight %+v
-// strings of the paper suite's classes and platform per request.
+// the error lists Suite.KernelNames, which builds no kernel table.
+// Rebuilding the table renders eight %+v strings of the paper suite's
+// classes and platform per request.
 func TestUnknownKernelAllocs(t *testing.T) {
 	srv := New(Config{Suite: experiments.Paper(), Registry: obs.NewRegistry()})
 	h := srv.Handler()

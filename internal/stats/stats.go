@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // RelError returns |predicted−measured| / |measured|, the error metric used
@@ -22,18 +21,6 @@ func RelError(predicted, measured float64) float64 {
 	return math.Abs(predicted-measured) / math.Abs(measured)
 }
 
-// SignedRelError returns (predicted−measured)/|measured|, preserving the
-// sign so over- and under-prediction can be distinguished.
-func SignedRelError(predicted, measured float64) float64 {
-	if measured == 0 {
-		if predicted == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return (predicted - measured) / math.Abs(measured)
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -44,23 +31,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs. All values must be positive; it
-// returns an error otherwise so a bad benchmark result cannot silently skew
-// a summary.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: geomean of empty slice")
-	}
-	sum := 0.0
-	for i, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geomean requires positive values, got %g at index %d", x, i)
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
 }
 
 // Max returns the maximum of xs, or −Inf for an empty slice.
@@ -83,37 +53,6 @@ func Min(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the median of xs, or 0 for an empty slice. The input is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// Stddev returns the sample standard deviation of xs, or 0 when fewer than
-// two values are present.
-func Stddev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	mean := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(n-1))
 }
 
 // LinearFit fits y = a + b·x by ordinary least squares and returns (a, b).

@@ -50,9 +50,6 @@ func (t *T) AddPercents(label string, fracs ...float64) {
 	t.AddRow(cells...)
 }
 
-// NumRows returns the number of data rows added so far.
-func (t *T) NumRows() int { return len(t.rows) }
-
 // String renders the table: title, separator, padded header, separator and
 // rows, each column right-aligned except the first.
 func (t *T) String() string {

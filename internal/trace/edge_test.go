@@ -21,17 +21,11 @@ func TestEmptyLog(t *testing.T) {
 	if tot := l.TotalByKind(); tot != [NumKinds]float64{} {
 		t.Errorf("empty log TotalByKind = %v", tot)
 	}
-	if u := l.Utilization(); len(u) != 0 {
-		t.Errorf("empty log Utilization = %v", u)
-	}
 	if p := l.PowerProfile(0.1, 0); p != nil {
 		t.Errorf("empty log PowerProfile = %v", p)
 	}
 	if phase, share := l.CriticalPhase(); phase != "" || share != 0 {
 		t.Errorf("empty log CriticalPhase = %q, %g", phase, share)
-	}
-	if s, e := l.RankSpan(0); s != 0 || e != 0 {
-		t.Errorf("empty log RankSpan = %g, %g", s, e)
 	}
 	if csv := l.TimelineCSV(); csv != "rank,phase,kind,start,end,duration,watts\n" {
 		t.Errorf("empty log TimelineCSV = %q", csv)
@@ -96,8 +90,8 @@ func TestPowerProfileBoundaryStraddle(t *testing.T) {
 }
 
 // TestFaultKindsThroughAggregations pushes the chaos-harness kinds through
-// every consumer: TotalByKind, Utilization (injected time is not compute),
-// TimelineCSV naming/ordering and the CSV duration column.
+// every consumer: TotalByKind, TimelineCSV naming/ordering and the CSV
+// duration column.
 func TestFaultKindsThroughAggregations(t *testing.T) {
 	var l Log
 	l.Append(Event{Rank: 0, Phase: "work", Kind: Compute, Start: 0, End: 1, Watts: 25})
@@ -110,15 +104,6 @@ func TestFaultKindsThroughAggregations(t *testing.T) {
 	tot := l.TotalByKind()
 	if tot[Fault] != 0.5 || tot[Retry] != 0.25 || tot[Compute] != 1 || tot[Comm] != 1.75 {
 		t.Errorf("TotalByKind = %v", tot)
-	}
-	// Utilization counts only Compute against the makespan: injected time
-	// dilutes, never inflates, a rank's utilization.
-	u := l.Utilization()
-	if math.Abs(u[0]-1/1.75) > 1e-9 {
-		t.Errorf("rank 0 utilization = %g, want %g", u[0], 1/1.75)
-	}
-	if u[1] != 0 {
-		t.Errorf("rank 1 utilization = %g, want 0", u[1])
 	}
 	csv := l.TimelineCSV()
 	for _, want := range []string{",fault,", ",retry,", ",compute,", ",comm,"} {

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -27,76 +26,8 @@ func (l *Log) TimelineCSV() string {
 	return b.String()
 }
 
-// timelineHeader is the first row TimelineCSV emits and ParseTimelineCSV
-// requires.
+// timelineHeader is the first row TimelineCSV emits.
 const timelineHeader = "rank,phase,kind,start,end,duration,watts"
-
-// ParseTimelineCSV is the inverse of TimelineCSV: it reads the CSV back
-// into a log, resolving the kind column through ParseKind so a renamed or
-// misspelled kind is an error rather than a silently mislabeled event. The
-// redundant duration column is checked against end−start at the CSV's own
-// print precision.
-func ParseTimelineCSV(s string) (*Log, error) {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) == 0 || lines[0] != timelineHeader {
-		return nil, fmt.Errorf("trace: timeline CSV missing header %q", timelineHeader)
-	}
-	l := &Log{}
-	for i, line := range lines[1:] {
-		fields := strings.Split(line, ",")
-		if len(fields) != 7 {
-			return nil, fmt.Errorf("trace: row %d has %d fields, want 7", i+1, len(fields))
-		}
-		rank, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d rank: %w", i+1, err)
-		}
-		kind, err := ParseKind(fields[2])
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: %w", i+1, err)
-		}
-		var nums [4]float64
-		for j, f := range fields[3:] {
-			nums[j], err = strconv.ParseFloat(f, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: row %d field %d: %w", i+1, j+3, err)
-			}
-		}
-		start, end, dur := nums[0], nums[1], nums[2]
-		// The CSV prints at 1e-9 resolution, so the redundant column can
-		// disagree with end−start by at most one ulp of that grid.
-		if d := end - start - dur; d > 1e-9 || d < -1e-9 {
-			return nil, fmt.Errorf("trace: row %d duration %g inconsistent with end−start %g", i+1, dur, end-start)
-		}
-		l.Append(Event{Rank: rank, Phase: fields[1], Kind: kind, Start: start, End: end, Watts: nums[3]})
-	}
-	return l, nil
-}
-
-// Utilization returns, per rank, the fraction of the makespan spent
-// computing — a quick load-balance diagnostic.
-func (l *Log) Utilization() map[int]float64 {
-	makespan := 0.0
-	compute := map[int]float64{}
-	ranks := map[int]bool{}
-	for _, e := range l.events {
-		ranks[e.Rank] = true
-		if e.End > makespan {
-			makespan = e.End
-		}
-		if e.Kind == Compute {
-			compute[e.Rank] += e.Duration()
-		}
-	}
-	out := map[int]float64{}
-	if makespan == 0 {
-		return out
-	}
-	for r := range ranks {
-		out[r] = compute[r] / makespan
-	}
-	return out
-}
 
 // PowerProfile integrates the per-event power draws into a cluster power
 // time series sampled at the given interval: sample k covers

@@ -32,9 +32,8 @@ const (
 	NumKinds
 )
 
-// kindNames is the single source of the kind spellings: String indexes it
-// and ParseKind searches it, so the two round-trip by construction and no
-// exporter or test ever switches on a magic string.
+// kindNames is the single source of the kind spellings: String indexes it,
+// so no exporter or test ever switches on a magic string.
 var kindNames = [NumKinds]string{
 	Compute: "compute",
 	Comm:    "comm",
@@ -48,17 +47,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// ParseKind is the inverse of Kind.String: it maps a kind name back to the
-// enum value, rejecting anything String cannot produce.
-func ParseKind(s string) (Kind, error) {
-	for k, name := range kindNames {
-		if s == name {
-			return Kind(k), nil
-		}
-	}
-	return 0, fmt.Errorf("trace: unknown kind %q (want one of %s)", s, strings.Join(kindNames[:], ", "))
 }
 
 // Event is one interval on one rank.
@@ -174,25 +162,6 @@ func (l *Log) ByPhase() map[string]float64 {
 		m[e.Phase] += e.Duration()
 	}
 	return m
-}
-
-// RankSpan returns the earliest start and latest end recorded for a rank,
-// or (0,0) when the rank has no events.
-func (l *Log) RankSpan(rank int) (start, end float64) {
-	first := true
-	for _, e := range l.events {
-		if e.Rank != rank {
-			continue
-		}
-		if first || e.Start < start {
-			start = e.Start
-		}
-		if first || e.End > end {
-			end = e.End
-		}
-		first = false
-	}
-	return start, end
 }
 
 // Summary renders a per-phase duration table sorted by descending time, for

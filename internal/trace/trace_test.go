@@ -84,20 +84,6 @@ func TestMergeOrdersByRankThenTime(t *testing.T) {
 	}
 }
 
-func TestRankSpan(t *testing.T) {
-	var l Log
-	l.Append(Event{Rank: 2, Start: 1, End: 3})
-	l.Append(Event{Rank: 2, Start: 3, End: 7})
-	s, e := l.RankSpan(2)
-	if s != 1 || e != 7 {
-		t.Errorf("span = (%g,%g), want (1,7)", s, e)
-	}
-	s, e = l.RankSpan(9)
-	if s != 0 || e != 0 {
-		t.Errorf("missing rank span = (%g,%g), want (0,0)", s, e)
-	}
-}
-
 func TestSummaryDescending(t *testing.T) {
 	var l Log
 	l.Append(Event{Phase: "small", Kind: Compute, Start: 0, End: 1})
@@ -137,21 +123,6 @@ func TestTimelineCSV(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	var l Log
-	l.Append(Event{Rank: 0, Kind: Compute, Start: 0, End: 3})
-	l.Append(Event{Rank: 0, Kind: Comm, Start: 3, End: 4})
-	l.Append(Event{Rank: 1, Kind: Compute, Start: 0, End: 1})
-	u := l.Utilization()
-	if u[0] != 0.75 || u[1] != 0.25 {
-		t.Errorf("utilization = %v, want 0.75/0.25", u)
-	}
-	var empty Log
-	if len(empty.Utilization()) != 0 {
-		t.Error("empty log should have no utilization entries")
-	}
-}
-
 func TestCriticalPhase(t *testing.T) {
 	var l Log
 	l.Append(Event{Phase: "small", Start: 0, End: 1})
@@ -184,54 +155,5 @@ func TestPowerProfile(t *testing.T) {
 	}
 	if l.PowerProfile(0, 2) != nil || l.PowerProfile(0.5, 0) != nil {
 		t.Error("degenerate arguments should yield nil")
-	}
-}
-
-func TestParseKindRoundTrip(t *testing.T) {
-	for k := Kind(0); k < NumKinds; k++ {
-		got, err := ParseKind(k.String())
-		if err != nil {
-			t.Errorf("ParseKind(%q): %v", k.String(), err)
-		}
-		if got != k {
-			t.Errorf("ParseKind(%q) = %v, want %v", k.String(), got, k)
-		}
-	}
-	for _, bad := range []string{"", "Compute", "comms", "Kind(7)"} {
-		if _, err := ParseKind(bad); err == nil {
-			t.Errorf("ParseKind(%q) accepted an unknown name", bad)
-		}
-	}
-}
-
-func TestParseTimelineCSVRoundTrip(t *testing.T) {
-	l := &Log{}
-	l.Append(Event{Rank: 0, Phase: "init", Kind: Compute, Start: 0, End: 1.25, Watts: 41.5})
-	l.Append(Event{Rank: 0, Phase: "exchange", Kind: Comm, Start: 1.25, End: 2, Watts: 40})
-	l.Append(Event{Rank: 1, Phase: "exchange", Kind: Fault, Start: 0.5, End: 0.75, Watts: 40})
-	csv := l.TimelineCSV()
-	back, err := ParseTimelineCSV(csv)
-	if err != nil {
-		t.Fatalf("ParseTimelineCSV: %v", err)
-	}
-	if back.TimelineCSV() != csv {
-		t.Errorf("round-trip changed the CSV:\n%s\nvs\n%s", back.TimelineCSV(), csv)
-	}
-}
-
-func TestParseTimelineCSVRejectsMalformedRows(t *testing.T) {
-	header := "rank,phase,kind,start,end,duration,watts\n"
-	cases := map[string]string{
-		"missing header": "0,init,compute,0,1,1,40\n",
-		"short row":      header + "0,init,compute,0,1\n",
-		"bad kind":       header + "0,init,COMPUTE,0.000000000,1.000000000,1.000000000,40.00\n",
-		"bad rank":       header + "x,init,compute,0.000000000,1.000000000,1.000000000,40.00\n",
-		"bad float":      header + "0,init,compute,zero,1.000000000,1.000000000,40.00\n",
-		"bad duration":   header + "0,init,compute,0.000000000,1.000000000,0.500000000,40.00\n",
-	}
-	for name, csv := range cases {
-		if _, err := ParseTimelineCSV(csv); err == nil {
-			t.Errorf("%s: parsed, want error", name)
-		}
 	}
 }
