@@ -41,7 +41,7 @@ func parseInts(s string) ([]int, error) {
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
-			return nil, fmt.Errorf("pachaos: bad integer %q in %q", f, s)
+			return nil, fmt.Errorf("bad integer %q in %q", f, s)
 		}
 		out = append(out, v)
 	}
@@ -54,7 +54,7 @@ func parseFloats(s string) ([]float64, error) {
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 		if err != nil {
-			return nil, fmt.Errorf("pachaos: bad float %q in %q", f, s)
+			return nil, fmt.Errorf("bad float %q in %q", f, s)
 		}
 		out = append(out, v)
 	}

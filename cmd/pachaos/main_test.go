@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -16,6 +17,8 @@ func TestParseInts(t *testing.T) {
 	for _, bad := range []string{"", "4,,8", "x", "1.5"} {
 		if _, err := parseInts(bad); err == nil {
 			t.Errorf("parseInts(%q) accepted", bad)
+		} else if strings.HasPrefix(err.Error(), "pachaos: ") {
+			t.Errorf("parseInts(%q) error %q names the command; main adds that prefix", bad, err)
 		}
 	}
 }

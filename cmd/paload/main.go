@@ -67,7 +67,7 @@ func mixTargets(mix, kernel string, n int, mhz float64) ([]serve.Target, error) 
 			{Name: "metrics", Method: "GET", Path: "/metrics", Weight: 1},
 		}, nil
 	default:
-		return nil, fmt.Errorf("paload: unknown mix %q (have predict, quick)", mix)
+		return nil, fmt.Errorf("unknown mix %q (have predict, quick)", mix)
 	}
 }
 
@@ -126,7 +126,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *strict && (rep.Transport > 0 || rep.Non2xx > 0 || rep.IDMismatches > 0 || rep.IDDuplicates > 0) {
-		return fmt.Errorf("paload: strict run saw %d transport error(s), %d non-2xx response(s), %d request-id mismatch(es), %d duplicate id(s)",
+		return fmt.Errorf("strict run saw %d transport error(s), %d non-2xx response(s), %d request-id mismatch(es), %d duplicate id(s)",
 			rep.Transport, rep.Non2xx, rep.IDMismatches, rep.IDDuplicates)
 	}
 	return nil

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	paserve [-addr :8080] [-suite paper|quick|scale]
-//	        [-max-inflight 4] [-retry-after 1] [-max-body 65536]
+//	        [-max-inflight 4] [-max-body 65536]
 //	        [-warm ft,ep] [-drain 10s]
 //	        [-events events.jsonl] [-ring 256] [-trace serve-trace.json]
 //
@@ -59,7 +59,6 @@ func run(args []string, stdout io.Writer) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	suite := fs.String("suite", "paper", "kernel class scale: paper, quick or scale")
 	maxInflight := fs.Int("max-inflight", 4, "maximum concurrently simulating requests (cache hits are unlimited)")
-	retryAfter := fs.Int("retry-after", 1, "Retry-After seconds on 429 responses")
 	maxBody := fs.Int64("max-body", 64<<10, "request body byte cap")
 	warm := fs.String("warm", "", "comma-separated kernels to measure before listening (e.g. ft,ep)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
@@ -83,7 +82,7 @@ func run(args []string, stdout io.Writer) error {
 		if *events != "" {
 			f, err := os.OpenFile(*events, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
-				return fmt.Errorf("paserve: opening event log: %w", err)
+				return fmt.Errorf("opening event log: %w", err)
 			}
 			defer f.Close()
 			sink = f
@@ -106,20 +105,19 @@ func run(args []string, stdout io.Writer) error {
 				continue
 			}
 			if _, err := s.MeasureKernel(ctx, name); err != nil {
-				return fmt.Errorf("paserve: warming %s: %w", name, err)
+				return fmt.Errorf("warming %s: %w", name, err)
 			}
 			fmt.Fprintf(stdout, "paserve: warmed %s\n", name)
 		}
 	}
 
 	srv := serve.New(serve.Config{
-		Suite:         s,
-		SuiteName:     *suite,
-		MaxInFlight:   *maxInflight,
-		RetryAfterSec: *retryAfter,
-		MaxBodyBytes:  *maxBody,
-		Events:        eventLog,
-		Trace:         rec,
+		Suite:        s,
+		SuiteName:    *suite,
+		MaxInFlight:  *maxInflight,
+		MaxBodyBytes: *maxBody,
+		Events:       eventLog,
+		Trace:        rec,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -142,7 +140,7 @@ func run(args []string, stdout io.Writer) error {
 	dctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	if err := hs.Shutdown(dctx); err != nil {
-		return fmt.Errorf("paserve: drain: %w", err)
+		return fmt.Errorf("drain: %w", err)
 	}
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
@@ -186,10 +184,10 @@ func writeServeTrace(rec *obs.Recorder, path string, stdout io.Writer) error {
 	data := obs.SpansChromeTrace(spans, "paserve")
 	n, err := obs.ValidateChromeTrace(data)
 	if err != nil {
-		return fmt.Errorf("paserve: refusing to write invalid trace: %w", err)
+		return fmt.Errorf("refusing to write invalid trace: %w", err)
 	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("paserve: writing trace: %w", err)
+		return fmt.Errorf("writing trace: %w", err)
 	}
 	fmt.Fprintf(stdout, "paserve: wrote %d trace events to %s\n", n, path)
 	return nil

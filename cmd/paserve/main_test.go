@@ -4,6 +4,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,5 +46,27 @@ func TestStalledHeaderIsClosed(t *testing.T) {
 	if errors.As(err, &ne) && ne.Timeout() {
 		t.Fatalf("connection with a stalled header still open after %v; want it closed within %v",
 			time.Since(start).Round(time.Millisecond), readHeaderTimeout+slack)
+	}
+}
+
+// TestRunErrorNamesNoCommand: run's errors leave the "paserve: " prefix to
+// main, which adds it once. An unopenable event log fails before listening.
+func TestRunErrorNamesNoCommand(t *testing.T) {
+	err := run([]string{"-suite", "quick", "-events", filepath.Join(t.TempDir(), "missing", "e.jsonl")}, io.Discard)
+	if err == nil {
+		t.Fatal("run with an unopenable event log succeeded")
+	}
+	if strings.HasPrefix(err.Error(), "paserve: ") {
+		t.Errorf("run error %q names the command; main adds that prefix", err)
+	}
+}
+
+// TestRetryAfterFlagRemoved: the 429 fallback is a constant, so run refuses
+// -retry-after as an unknown flag before it starts anything. The invalid
+// suite makes a run that did accept the flag fail before listening too.
+func TestRetryAfterFlagRemoved(t *testing.T) {
+	err := run([]string{"-retry-after", "3", "-suite", "bogus"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -retry-after") {
+		t.Errorf("run(-retry-after 3) = %v, want the unknown-flag error", err)
 	}
 }

@@ -58,16 +58,16 @@ func parseSLO(s string) (slo, error) {
 	for _, part := range strings.Split(s, ",") {
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
-			return out, fmt.Errorf("pastat: slo term %q is not key=value", part)
+			return out, fmt.Errorf("slo term %q is not key=value", part)
 		}
 		switch key {
 		case "p50", "p99", "max":
 			d, err := time.ParseDuration(val)
 			if err != nil {
-				return out, fmt.Errorf("pastat: slo %s: %w", key, err)
+				return out, fmt.Errorf("slo %s: %w", key, err)
 			}
 			if d <= 0 {
-				return out, fmt.Errorf("pastat: slo %s must be positive (got %s)", key, d)
+				return out, fmt.Errorf("slo %s must be positive (got %s)", key, d)
 			}
 			switch key {
 			case "p50":
@@ -80,14 +80,14 @@ func parseSLO(s string) (slo, error) {
 		case "err_rate":
 			r, err := strconv.ParseFloat(val, 64)
 			if err != nil {
-				return out, fmt.Errorf("pastat: slo err_rate: %w", err)
+				return out, fmt.Errorf("slo err_rate: %w", err)
 			}
 			if r < 0 || r > 1 {
-				return out, fmt.Errorf("pastat: slo err_rate must be in [0,1] (got %g)", r)
+				return out, fmt.Errorf("slo err_rate must be in [0,1] (got %g)", r)
 			}
 			out.errRate, out.hasErrRate = r, true
 		default:
-			return out, fmt.Errorf("pastat: unknown slo key %q (have p50, p99, max, err_rate)", key)
+			return out, fmt.Errorf("unknown slo key %q (have p50, p99, max, err_rate)", key)
 		}
 	}
 	return out, nil
@@ -336,7 +336,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 		return 0, err
 	}
 	if *eventsFile == "" && *validateTrace == "" {
-		return 0, fmt.Errorf("pastat: nothing to do (pass -events and/or -validate-trace)")
+		return 0, fmt.Errorf("nothing to do (pass -events and/or -validate-trace)")
 	}
 	obj, err := parseSLO(*sloFlag)
 	if err != nil {
@@ -371,7 +371,7 @@ func run(args []string, stdout io.Writer) (int, error) {
 		return 0, err
 	}
 	if len(events) == 0 {
-		return 0, fmt.Errorf("pastat: %s has no events", *eventsFile)
+		return 0, fmt.Errorf("%s has no events", *eventsFile)
 	}
 
 	rep := analyze(events)

@@ -158,8 +158,11 @@ func TestRunInputErrors(t *testing.T) {
 		{"-events", filepath.Join("testdata", "events.jsonl"), "-slo", "p42=1s"},
 	} {
 		var out bytes.Buffer
-		if _, err := run(args, &out); err == nil {
+		_, err := run(args, &out)
+		if err == nil {
 			t.Errorf("run(%v) succeeded, want an error", args)
+		} else if strings.HasPrefix(err.Error(), "pastat: ") {
+			t.Errorf("run(%v) error %q names the command; main adds that prefix", args, err)
 		}
 	}
 }

@@ -70,12 +70,12 @@ func run(args []string, stdout io.Writer) error {
 	}
 	s.Platform.Faults = cfg
 
-	rec := obs.NewRecorder()
+	reg := obs.NewRegistry()
 	var tape *mpi.Recording
 	if *commlog != "" {
 		tape = mpi.NewRecording()
 	}
-	res, err := s.RunKernelTraced(*kernel, *n, mhz, rec, tape)
+	res, err := s.RunKernelTraced(*kernel, *n, mhz, reg, tape)
 	if err != nil {
 		return err
 	}
@@ -94,19 +94,19 @@ func run(args []string, stdout io.Writer) error {
 	}
 	rep := obs.AttributeEnergy(res.Trace, s.Platform.Prof, st, res.Seconds, rankEnds)
 	if math.Abs(rep.TotalJoules-res.Joules) > 1e-9*res.Joules {
-		return fmt.Errorf("patrace: energy attribution sums to %.15g J but the run total is %.15g J",
+		return fmt.Errorf("energy attribution sums to %.15g J but the run total is %.15g J",
 			rep.TotalJoules, res.Joules)
 	}
 	fmt.Fprintf(stdout, "\nper-phase energy attribution (sums to run total within 1e-9):\n%s", rep.Text())
 
 	if *metrics {
-		fmt.Fprintf(stdout, "\nmetrics:\n%s", rec.Metrics().Snapshot().Text())
+		fmt.Fprintf(stdout, "\nmetrics:\n%s", reg.Snapshot().Text())
 	}
 
 	data := obs.ChromeTrace(res.Trace, "patrace "+*kernel)
 	nEvents, err := obs.ValidateChromeTrace(data)
 	if err != nil {
-		return fmt.Errorf("patrace: refusing to write invalid trace: %w", err)
+		return fmt.Errorf("refusing to write invalid trace: %w", err)
 	}
 	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		return err
@@ -134,7 +134,7 @@ func run(args []string, stdout io.Writer) error {
 		m.Seconds, m.Joules, m.AvgWatts = res.Seconds, res.Joules, res.AvgWatts()
 		m.EDP = res.EDP()
 		m.TraceEvents = nEvents
-		m.Metrics = rec.Metrics().Snapshot()
+		m.Metrics = reg.Snapshot()
 		mdata, err := m.JSON()
 		if err != nil {
 			return err

@@ -78,10 +78,14 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-f", "nan", "-out", out},
 		{"-suite", "huge", "-out", out},
 		{"-chaos", "seed=", "-out", out},
+		{"-suite", "quick", "-n", "2", "-chaos", "seed=1,jitter=1e308", "-out", out},
 	} {
 		var buf bytes.Buffer
-		if err := run(args, &buf); err == nil {
+		err := run(args, &buf)
+		if err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		} else if strings.HasPrefix(err.Error(), "patrace: ") {
+			t.Errorf("run(%v) error %q names the command; main adds that prefix", args, err)
 		}
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
 			t.Errorf("run(%v) wrote %s despite failing", args, out)

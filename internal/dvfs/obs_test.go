@@ -23,8 +23,8 @@ func TestPolicyGearSwitchMetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.NewRecorder()
-	applied.Obs = rec
+	reg := obs.NewRegistry()
+	applied.Metrics = reg
 	ft := npb.FT{Nx: 16, Ny: 16, Nz: 16, Iters: 2}
 	_, res, err := ft.Run(applied)
 	if err != nil {
@@ -39,7 +39,7 @@ func TestPolicyGearSwitchMetric(t *testing.T) {
 	if switches == 0 {
 		t.Fatal("policy run logged no dvfs-switch events; the policy did not engage")
 	}
-	got := rec.Metrics().Snapshot().Counter("mpi.gear_switches")
+	got := reg.Snapshot().Counter("mpi.gear_switches")
 	if got != float64(switches) { //palint:ignore floateq -- exact integer counts
 		t.Errorf("mpi.gear_switches = %g, trace has %d dvfs-switch stalls", got, switches)
 	}

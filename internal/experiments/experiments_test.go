@@ -643,7 +643,9 @@ func TestEDPAndTablesDirectEntryPoints(t *testing.T) {
 // paper suite: Kernel builds only the named row, rendering its class, its
 // grid and one platform fingerprint, and KernelNames builds no row at all.
 // Building the whole seven-row table per lookup costs about 170
-// allocations.
+// allocations. The Kernel budget is not measured under the race detector:
+// its sync.Pool drops a random share of Puts, so fmt's printer cache misses
+// and the count drifts past the budget at random.
 func TestKernelLookupAllocs(t *testing.T) {
 	s := Paper()
 	lookup := func() {
@@ -652,8 +654,10 @@ func TestKernelLookupAllocs(t *testing.T) {
 		}
 	}
 	const budget = 60
-	if avg := testing.AllocsPerRun(20, lookup); avg > budget {
-		t.Errorf("Kernel(\"ft\") allocates %.1f times, budget %d", avg, budget)
+	if !raceEnabled {
+		if avg := testing.AllocsPerRun(20, lookup); avg > budget {
+			t.Errorf("Kernel(\"ft\") allocates %.1f times, budget %d", avg, budget)
+		}
 	}
 	if avg := testing.AllocsPerRun(20, func() { s.KernelNames() }); avg > 1 {
 		t.Errorf("KernelNames allocates %.1f times, budget 1", avg)

@@ -119,15 +119,14 @@ func (s Suite) RunKernelOnce(name string, n int, mhz float64) (*mpi.Result, erro
 	return s.RunKernelTraced(name, n, mhz, nil, nil)
 }
 
-// RunKernelTraced executes the named kernel at one configuration with an
-// observability recorder and an operation-stream recording attached; either
-// may be nil to disable that side. The run span (stamped with the kernel
-// name), per-rank phase spans and run metrics land on rec; tape captures
+// RunKernelTraced executes the named kernel at one configuration with a
+// metrics registry and an operation-stream recording attached; either may
+// be nil to disable that side. The run's metrics land on reg; tape captures
 // each rank's operation stream, whose CommLog cmd/paverify checks against
 // the static skeleton. Both are injected on the World rather than the
 // Platform so the campaign store's content fingerprint of Platform never
 // sees a pointer.
-func (s Suite) RunKernelTraced(name string, n int, mhz float64, rec *obs.Recorder, tape *mpi.Recording) (*mpi.Result, error) {
+func (s Suite) RunKernelTraced(name string, n int, mhz float64, reg *obs.Registry, tape *mpi.Recording) (*mpi.Result, error) {
 	k, err := s.Kernel(name)
 	if err != nil {
 		return nil, err
@@ -136,16 +135,9 @@ func (s Suite) RunKernelTraced(name string, n int, mhz float64, rec *obs.Recorde
 	if err != nil {
 		return nil, err
 	}
-	w.Obs = rec
+	w.Metrics = reg
 	w.Record = tape
-	res, err := k.Run(w)
-	if err != nil {
-		return nil, err
-	}
-	if rec != nil {
-		rec.AddRunAttrs(obs.A("kernel", name))
-	}
-	return res, nil
+	return k.Run(w)
 }
 
 // SuiteByName resolves the -suite flag shared by every command.

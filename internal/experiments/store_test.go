@@ -230,13 +230,13 @@ func TestKernelPeekAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRunKernelObserved checks the recorder injection path the patrace
-// driver uses: the run span carries the kernel name, phase spans exist, and
-// the run result is bit-identical to an unobserved run.
+// TestRunKernelObserved checks the registry injection path the patrace
+// driver uses: the run counts on the registry, and the run result is
+// bit-identical to an unobserved run.
 func TestRunKernelObserved(t *testing.T) {
 	s := Quick()
-	rec := obs.NewRecorder()
-	res, err := s.RunKernelTraced("ft", 2, 600, rec, nil)
+	reg := obs.NewRegistry()
+	res, err := s.RunKernelTraced("ft", 2, 600, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,30 +249,8 @@ func TestRunKernelObserved(t *testing.T) {
 		t.Errorf("observed run differs from plain run: %g s %g J vs %g s %g J",
 			res.Seconds, res.Joules, plain.Seconds, plain.Joules)
 	}
-	spans := rec.Spans()
-	if len(spans) == 0 || spans[0].Name != "run" {
-		t.Fatalf("first span = %+v, want run span", spans)
-	}
-	foundKernel := false
-	for _, a := range spans[0].Attrs {
-		if a.Key == "kernel" && a.Value == "ft" {
-			foundKernel = true
-		}
-	}
-	if !foundKernel {
-		t.Errorf("run span attrs %+v missing kernel=ft", spans[0].Attrs)
-	}
-	phases := 0
-	for _, sp := range spans {
-		if sp.Rank >= 0 && sp.Parent > 0 {
-			phases++
-		}
-	}
-	if phases == 0 {
-		t.Error("no phase spans recorded for an observed FT run")
-	}
-	if rec.Metrics().Snapshot().Counter("mpi.runs") != 1 { //palint:ignore floateq -- exact integer counter
-		t.Error("observed run did not count on the recorder registry")
+	if reg.Snapshot().Counter("mpi.runs") != 1 { //palint:ignore floateq -- exact integer counter
+		t.Error("observed run did not count on the registry")
 	}
 }
 

@@ -58,7 +58,7 @@ type Config struct {
 	// retry k waits 2^k timeouts (exponential backoff). 0 means the 1 ms
 	// DefaultRetryTimeout.
 	RetryTimeoutSec units.Seconds
-	// MaxRetries bounds the retries of one message. 0 means
+	// MaxRetries bounds the retries of one message, at most 63. 0 means
 	// DefaultMaxRetries.
 	MaxRetries int
 
@@ -91,6 +91,11 @@ const DefaultRetryTimeout = units.Seconds(1e-3)
 // DefaultMaxRetries is the retry bound used when MaxRetries is zero.
 const DefaultMaxRetries = 3
 
+// maxRetryLimit is the largest MaxRetries Validate accepts: the largest
+// count whose 2^retries backoff (BackoffSec) fits a uint64 shift. It also
+// caps the PRNG draws one dropped message can cost.
+const maxRetryLimit = 63
+
 // Enabled reports whether any per-event fault knob is active. GearSwitchSec
 // is deliberately excluded: it is a static World parameter, not a drawn
 // perturbation, and needs no injector on the message path.
@@ -102,7 +107,8 @@ func (c Config) Enabled() bool {
 }
 
 // Validate reports an error for non-physical knobs: probabilities outside
-// [0,1], negative times or factors below 1, and NaN anywhere.
+// [0,1], negative or infinite times, factors below 1, a retry bound above
+// 63, and NaN anywhere.
 func (c Config) Validate() error {
 	probs := map[string]float64{
 		"DropProb":      c.DropProb,
@@ -117,11 +123,11 @@ func (c Config) Validate() error {
 	if math.IsNaN(c.LatencyJitterFrac) || math.IsInf(c.LatencyJitterFrac, 0) || c.LatencyJitterFrac < 0 {
 		return fmt.Errorf("faults: LatencyJitterFrac = %g", c.LatencyJitterFrac)
 	}
-	if c.RetryTimeoutSec < 0 || math.IsNaN(float64(c.RetryTimeoutSec)) {
+	if rt := float64(c.RetryTimeoutSec); math.IsNaN(rt) || math.IsInf(rt, 0) || rt < 0 {
 		return fmt.Errorf("faults: RetryTimeoutSec = %g", float64(c.RetryTimeoutSec))
 	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("faults: MaxRetries = %d", c.MaxRetries)
+	if c.MaxRetries < 0 || c.MaxRetries > maxRetryLimit {
+		return fmt.Errorf("faults: MaxRetries = %d, want 0..%d", c.MaxRetries, maxRetryLimit)
 	}
 	if c.DegradeFactor != 0 && (math.IsNaN(c.DegradeFactor) || math.IsInf(c.DegradeFactor, 0) || c.DegradeFactor < 1) {
 		return fmt.Errorf("faults: DegradeFactor = %g, want 0 (off) or ≥ 1", c.DegradeFactor)
@@ -129,7 +135,7 @@ func (c Config) Validate() error {
 	if c.StragglerSlowdown != 0 && (math.IsNaN(c.StragglerSlowdown) || math.IsInf(c.StragglerSlowdown, 0) || c.StragglerSlowdown < 1) {
 		return fmt.Errorf("faults: StragglerSlowdown = %g, want 0 (off) or ≥ 1", c.StragglerSlowdown)
 	}
-	if c.GearSwitchSec < 0 || math.IsNaN(float64(c.GearSwitchSec)) {
+	if gs := float64(c.GearSwitchSec); math.IsNaN(gs) || math.IsInf(gs, 0) || gs < 0 {
 		return fmt.Errorf("faults: GearSwitchSec = %g", float64(c.GearSwitchSec))
 	}
 	return nil
@@ -309,7 +315,7 @@ func (r *Rank) BackoffSec(retries int) float64 { return r.cfg.BackoffSec(retries
 //	jitter=F          LatencyJitterFrac
 //	drop=F            DropProb
 //	timeout=D         RetryTimeoutSec (Go duration, e.g. 1ms)
-//	retries=N         MaxRetries
+//	retries=N         MaxRetries (at most 63)
 //	degradeprob=F     DegradeProb
 //	degradefactor=F   DegradeFactor
 //	straggler=F       StragglerFrac

@@ -53,11 +53,14 @@ func TestValidateRejects(t *testing.T) {
 		{LatencyJitterFrac: -0.5},
 		{LatencyJitterFrac: math.Inf(1)},
 		{RetryTimeoutSec: -1},
+		{RetryTimeoutSec: units.Seconds(math.Inf(1))},
 		{MaxRetries: -1},
+		{MaxRetries: 64},
 		{DegradeFactor: 0.5},
 		{DegradeFactor: math.NaN()},
 		{StragglerSlowdown: 0.9},
 		{GearSwitchSec: -1e-6},
+		{GearSwitchSec: units.Seconds(math.Inf(1))},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

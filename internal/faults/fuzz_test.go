@@ -52,13 +52,17 @@ func FuzzMessageFault(f *testing.F) {
 }
 
 // FuzzParseSpec checks the CLI parser never panics and every accepted spec
-// round-trips into a config that passes validation.
+// round-trips into a config that passes validation, with a retry bound of
+// at most 63 (past it, one dropped message costs unbounded PRNG draws and
+// the 2^retries backoff overflows).
 func FuzzParseSpec(f *testing.F) {
 	f.Add("seed=1,jitter=0.5")
 	f.Add("drop=0.01,timeout=1ms,retries=3")
 	f.Add("gear=50us")
 	f.Add("")
 	f.Add("jitter=,=,x==")
+	f.Add("retries=64")
+	f.Add("retries=2147483647")
 	f.Fuzz(func(t *testing.T, spec string) {
 		c, err := ParseSpec(spec)
 		if err != nil {
@@ -66,6 +70,9 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if verr := c.Validate(); verr != nil {
 			t.Fatalf("ParseSpec(%q) accepted invalid config: %v", spec, verr)
+		}
+		if c.MaxRetries > 63 {
+			t.Fatalf("ParseSpec(%q) accepted MaxRetries = %d, want ≤ 63", spec, c.MaxRetries)
 		}
 	})
 }

@@ -12,14 +12,14 @@ import (
 
 // pingPongAllocs measures the allocations of one full Run executing rounds
 // ping-pong exchanges of vbytes-sized messages between two ranks; observe
-// attaches a fresh observability recorder to each Run.
+// attaches a fresh metrics registry to each Run.
 func pingPongAllocs(t *testing.T, rounds, vbytes int, observe bool) float64 {
 	t.Helper()
 	data := []float64{1, 2, 3, 4}
 	return testing.AllocsPerRun(3, func() {
 		w := testWorld(2, 600)
 		if observe {
-			w.Obs = obs.NewRecorder()
+			w.Metrics = obs.NewRegistry()
 		}
 		_, err := Run(w, func(c *Ctx) error {
 			for r := 0; r < rounds; r++ {
@@ -87,13 +87,12 @@ func TestEventEnginePingPongAllocs(t *testing.T) {
 	}
 }
 
-// TestObsEnabledSteadyStateAllocs pins the recording hot path's allocation
-// cost: per-round, an *enabled* recorder must stay within ≤ 1 alloc/round
-// (the plain path holds 0.1), because steady-state recording is
-// atomic histogram increments only — spans allocate on SetPhase, not per
-// message. Differencing two round counts cancels the recorder's fixed
-// per-run cost (rank logs, registry, the initial phase span) and isolates
-// the marginal cost the lock-free design promises is zero.
+// TestObsEnabledSteadyStateAllocs pins the observed hot path's allocation
+// cost: per-round, an attached registry must stay within ≤ 1 alloc/round
+// (the plain path holds 0.1), because steady-state recording is atomic
+// histogram increments only. Differencing two round counts cancels the
+// registry's fixed per-run cost (its metrics, filled once after the run)
+// and isolates the marginal cost the lock-free design promises is zero.
 func TestObsEnabledSteadyStateAllocs(t *testing.T) {
 	const r = 64
 	base := pingPongAllocs(t, r, 32, true)

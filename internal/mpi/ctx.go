@@ -32,7 +32,7 @@ type Ctx struct {
 	rdvDone                         float64
 
 	// rec is the rank's operation tape when the world carries a Recording;
-	// nil otherwise, the same nil-pointer hot-path guard as faults and obs.
+	// nil otherwise, the same nil-pointer hot-path guard as faults and metrics.
 	rec *rankTape
 
 	state power.PState
@@ -54,10 +54,9 @@ type Ctx struct {
 	// performs no draw, no extra event and no arithmetic change.
 	faults *faults.Rank
 
-	// obs is the rank's phase-span log and msgHist the shared message-size
-	// histogram; both nil when the world carries no recorder, the same
-	// nil-pointer hot-path guard as faults.
-	obs     *obs.RankLog
+	// msgHist is the shared message-size histogram; nil when the world
+	// carries no metrics registry, the same nil-pointer hot-path guard as
+	// faults.
 	msgHist *obs.Histogram
 
 	// gearSwitches counts actual P-state changes for the observability
@@ -185,10 +184,8 @@ func newCtx(e *engine, rank int) *Ctx {
 	if w.Faults.Enabled() {
 		c.faults = faults.NewRank(w.Faults, rank)
 	}
-	if w.Obs != nil {
-		c.obs = w.Obs.Rank(rank)
-		c.obs.Phase(c.phase, 0)
-		c.msgHist = w.Obs.Metrics().Histogram("mpi.msg_bytes", obs.MsgBytesBuckets)
+	if w.Metrics != nil {
+		c.msgHist = w.Metrics.Histogram("mpi.msg_bytes", obs.MsgBytesBuckets)
 	}
 	if w.traceHint != nil {
 		c.log.Grow(w.traceHint[rank])
@@ -258,9 +255,6 @@ func (c *Ctx) SetPhase(name string) {
 	c.phase = name
 	if c.rec != nil {
 		c.rec.addPhase(name)
-	}
-	if c.obs != nil {
-		c.obs.Phase(name, c.clock)
 	}
 	if c.eng.w.OnPhase != nil {
 		c.eng.w.OnPhase(c, name)

@@ -1,43 +1,16 @@
 package mpi
 
 import (
-	"pasp/internal/machine"
 	"pasp/internal/obs"
 	"pasp/internal/trace"
 )
 
-// beginObserve opens the recorder's run span with the platform attributes
-// the observability layer promises (N, f, CPI terms, interconnect) and
-// allocates the per-rank phase-span logs. Called once per Run, before the
-// rank goroutines start, so every Ctx can pick up its RankLog in newCtx.
-func beginObserve(w World) {
-	w.Obs.BeginRun(w.N, 0,
-		obs.F("n", float64(w.N)),
-		obs.F("mhz", w.State.Freq.MHz()),
-		obs.F("pollutil", pollUtil),
-		obs.A("net", w.Net.String()),
-		obs.F("cpi_reg", w.Mach.Cycles[machine.Reg]),
-		obs.F("cpi_l1", w.Mach.Cycles[machine.L1]),
-		obs.F("cpi_l2", w.Mach.Cycles[machine.L2]),
-		obs.F("mem_ns_fast", float64(w.Mach.MemNanosFast)),
-	)
-}
-
-// observeRun seals the recorder after aggregate: it closes each rank's
-// phase log at the rank's final clock, ends the run span at the makespan,
-// and fills the recorder's registry from the aggregated result. Metrics are
-// derived off the hot path — only the message-size histogram and the phase
-// spans record during simulation — so enabling observability perturbs no
-// virtual timing.
+// observeRun fills the world's metrics registry from the aggregated
+// result. Metrics are derived off the hot path — only the message-size
+// histogram records during simulation — so enabling observability perturbs
+// no virtual timing.
 func observeRun(w World, ctxs []*Ctx, res *Result) {
-	rec := w.Obs
-	for _, c := range ctxs {
-		rec.Rank(c.rank).Finish(c.clock)
-	}
-	rec.EndRun(res.Seconds)
-	rec.AddRunAttrs(obs.F("joules", res.Joules))
-
-	reg := rec.Metrics()
+	reg := w.Metrics
 	reg.Counter("mpi.runs").Inc()
 	gears := 0
 	for _, c := range ctxs {

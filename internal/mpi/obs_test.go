@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	goruntime "runtime"
+	"slices"
 	"testing"
 
 	"pasp/internal/faults"
@@ -17,7 +18,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // obsProgram is the observed test workload: a 2-rank job with three labeled
 // phases covering compute, eager ping-pong at several message sizes, and a
-// collective, so spans, the message histogram and every exporter get
+// collective, so phase labels, the message histogram and every exporter get
 // exercised.
 func obsProgram(c *Ctx) error {
 	data := []float64{1, 2, 3, 4}
@@ -105,7 +106,7 @@ func TestObsGoldenChromeTrace(t *testing.T) {
 	}
 	for name, cfg := range cases {
 		w := obsWorld(cfg)
-		w.Obs = obs.NewRecorder()
+		w.Metrics = obs.NewRegistry()
 		res, err := Run(w, obsProgram)
 		if err != nil {
 			t.Fatal(err)
@@ -118,7 +119,7 @@ func TestObsGoldenChromeTrace(t *testing.T) {
 
 		prev := goruntime.GOMAXPROCS(1)
 		w2 := obsWorld(cfg)
-		w2.Obs = obs.NewRecorder()
+		w2.Metrics = obs.NewRegistry()
 		res2, err := Run(w2, obsProgram)
 		goruntime.GOMAXPROCS(prev)
 		if err != nil {
@@ -140,7 +141,7 @@ func TestObsLeavesRunBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := obsWorld(cfg)
-		w.Obs = obs.NewRecorder()
+		w.Metrics = obs.NewRegistry()
 		observed, err := Run(w, obsProgram)
 		if err != nil {
 			t.Fatal(err)
@@ -161,13 +162,13 @@ func TestObsLeavesRunBitIdentical(t *testing.T) {
 // the trace, and the histogram saw every message.
 func TestObsRunMetrics(t *testing.T) {
 	w := obsWorld(faults.Config{})
-	rec := obs.NewRecorder()
-	w.Obs = rec
+	reg := obs.NewRegistry()
+	w.Metrics = reg
 	res, err := Run(w, obsProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := rec.Metrics().Snapshot()
+	s := reg.Snapshot()
 	wantMsgs, wantBytes := 0, 0
 	for _, r := range res.PerRank {
 		wantMsgs += r.Msgs
@@ -202,40 +203,52 @@ func TestObsRunMetrics(t *testing.T) {
 	}
 }
 
-// TestObsSpanHierarchy checks the run → rank → phase span tree matches the
-// program's phase structure and the run's timing.
-func TestObsSpanHierarchy(t *testing.T) {
+// TestRegistrySharedAcrossRuns pins the registry's accumulation contract:
+// one registry attached to two runs in turn counts both, each counter
+// reading twice its single-run value.
+func TestRegistrySharedAcrossRuns(t *testing.T) {
+	reg := obs.NewRegistry()
+	for i := 0; i < 2; i++ {
+		w := obsWorld(faults.Config{})
+		w.Metrics = reg
+		if _, err := Run(w, obsProgram); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	once := obs.NewRegistry()
 	w := obsWorld(faults.Config{})
-	rec := obs.NewRecorder()
-	w.Obs = rec
-	res, err := Run(w, obsProgram)
+	w.Metrics = once
+	if _, err := Run(w, obsProgram); err != nil {
+		t.Fatal(err)
+	}
+	s, one := reg.Snapshot(), once.Snapshot()
+	if got := s.Counter("mpi.runs"); got != 2 { //palint:ignore floateq -- exact integer counts
+		t.Errorf("mpi.runs = %g after two runs, want 2", got)
+	}
+	if got, want := s.Counter("mpi.msgs"), 2*one.Counter("mpi.msgs"); got != want { //palint:ignore floateq -- exact integer counts
+		t.Errorf("mpi.msgs = %g after two runs, want %g", got, want)
+	}
+}
+
+// TestObsSpanHierarchy checks the trace log carries the program's phase
+// structure: read per rank with consecutive repeats collapsed, the labels
+// are the program's SetPhase sequence. The initial "main" label carries no
+// event, because obsProgram relabels before its first operation.
+func TestObsSpanHierarchy(t *testing.T) {
+	res, err := Run(obsWorld(faults.Config{}), obsProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := rec.Spans()
-	if len(spans) == 0 || spans[0].Name != "run" {
-		t.Fatalf("first span = %+v, want the run span", spans[0])
-	}
-	if spans[0].End != res.Seconds { //palint:ignore floateq -- the span must carry the makespan verbatim
-		t.Errorf("run span ends at %g, makespan is %g", spans[0].End, res.Seconds)
-	}
 	perRank := map[int][]string{}
-	for _, s := range spans {
-		if s.Rank >= 0 && s.Parent >= 0 && spans[s.Parent].Rank == s.Rank {
-			perRank[s.Rank] = append(perRank[s.Rank], s.Name)
+	for _, e := range res.Trace.Events() {
+		if ps := perRank[e.Rank]; len(ps) == 0 || ps[len(ps)-1] != e.Phase {
+			perRank[e.Rank] = append(ps, e.Phase)
 		}
 	}
-	want := []string{"main", "warmup", "exchange", "reduce"}
+	want := []string{"warmup", "exchange", "reduce"}
 	for rank := 0; rank < 2; rank++ {
-		got := perRank[rank]
-		if len(got) != len(want) {
+		if got := perRank[rank]; !slices.Equal(got, want) {
 			t.Errorf("rank %d phases = %v, want %v", rank, got, want)
-			continue
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("rank %d phase %d = %q, want %q", rank, i, got[i], want[i])
-			}
 		}
 	}
 }

@@ -68,13 +68,13 @@ type World struct {
 	// nothing and leaves every timing bit-identical to the fault-free
 	// simulation; see package faults.
 	Faults faults.Config
-	// Obs, when non-nil, records the run into the observability layer:
-	// a run span with platform attributes, per-rank phase spans, and the
-	// recorder's metric registry. Nil follows the faults nil-injector
-	// contract — no allocation, no timing change, bit-identical traces
-	// (the alloc and golden tests in obs_test.go enforce this). A
-	// Recorder instruments exactly one run; reuse panics.
-	Obs *obs.Recorder
+	// Metrics, when non-nil, receives the run's metrics: the message-size
+	// histogram during the run, then metrics derived from the result. Runs
+	// sharing a registry add to its counters and histograms; its gauges
+	// hold the last run's values. Nil follows the faults nil-injector
+	// contract — no allocation, no timing change, bit-identical traces (the
+	// alloc and golden tests in obs_test.go enforce this).
+	Metrics *obs.Registry
 	// Record, when non-nil, captures every rank's operation stream (phases,
 	// compute work, message and collective shapes) so the run can be
 	// re-timed at another frequency with Replay without re-executing kernel
@@ -226,9 +226,6 @@ func Run(w World, fn RankFunc) (*Result, error) {
 			return nil, err
 		}
 	}
-	if w.Obs != nil {
-		beginObserve(w)
-	}
 	e := newEngine(w)
 	errs := e.run(fn)
 	// Prefer the root cause: a rank that failed on its own error rather
@@ -253,7 +250,7 @@ func Run(w World, fn RankFunc) (*Result, error) {
 		w.Record.finish(e.ctxs)
 	}
 	res := aggregate(w, e.ctxs)
-	if w.Obs != nil {
+	if w.Metrics != nil {
 		observeRun(w, e.ctxs, res)
 	}
 	return res, nil

@@ -97,7 +97,7 @@ func checkDigestGolden(t *testing.T, name, header string, got []string) {
 	}
 }
 
-// kernelDigest runs one kernel with the observability recorder attached and
+// kernelDigest runs one kernel with a metrics registry attached and
 // renders what the matrix pins as digest lines: SHA-256 of the timeline, of
 // the metric snapshot text and of the per-(rank, phase) energy rows, plus
 // makespan and energy at full precision.
@@ -105,8 +105,8 @@ func kernelDigest(t *testing.T, label string, run func(mpi.World) (any, *mpi.Res
 	t.Helper()
 	w := npbWorld(n, 1400)
 	w.Faults = cfg
-	rec := obs.NewRecorder()
-	w.Obs = rec
+	reg := obs.NewRegistry()
+	w.Metrics = reg
 	_, res, err := run(w)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -121,7 +121,7 @@ func kernelDigest(t *testing.T, label string, run func(mpi.World) (any, *mpi.Res
 	}
 	return []string{
 		fmt.Sprintf("%s timeline %x", label, sha256.Sum256([]byte(res.Trace.TimelineCSV()))),
-		fmt.Sprintf("%s metrics %x", label, sha256.Sum256([]byte(rec.Metrics().Snapshot().Text()))),
+		fmt.Sprintf("%s metrics %x", label, sha256.Sum256([]byte(reg.Snapshot().Text()))),
 		fmt.Sprintf("%s energy %x", label, sha256.Sum256([]byte(rows.String()))),
 		fmt.Sprintf("%s seconds %.17g", label, res.Seconds),
 		fmt.Sprintf("%s joules %.17g", label, res.Joules),

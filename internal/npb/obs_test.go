@@ -41,25 +41,26 @@ func TestFTObservedEnergyAttribution(t *testing.T) {
 	}
 }
 
-// TestFTPhaseSpans checks the kernel's existing SetPhase labels surface as
-// phase spans on every rank, gapless from 0 to the rank's final clock.
+// TestFTPhaseSpans checks the kernel's SetPhase labels surface in the trace
+// log on every rank, gapless from 0 to the rank's final clock: every clock
+// advance appends one event from the old clock to the new one, so each
+// rank's events tile its timeline exactly.
 func TestFTPhaseSpans(t *testing.T) {
 	w := npbWorld(2, 1400)
-	rec := obs.NewRecorder()
-	w.Obs = rec
 	ft := FT{Nx: 16, Ny: 16, Nz: 16, Iters: 2}
 	_, res, err := ft.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := rec.Spans()
 	names := map[string]bool{}
-	perRank := map[int][]obs.Span{}
-	for _, s := range spans {
-		if s.Rank >= 0 && s.Parent > 0 {
-			names[s.Name] = true
-			perRank[s.Rank] = append(perRank[s.Rank], s)
+	last := make([]float64, len(res.PerRank))
+	for _, e := range res.Trace.Events() {
+		names[e.Phase] = true
+		//palint:ignore floateq -- events must tile the rank's clock exactly: each starts where the previous ended
+		if e.Start != last[e.Rank] {
+			t.Errorf("rank %d: %q event starts at %g, previous ended at %g", e.Rank, e.Phase, e.Start, last[e.Rank])
 		}
+		last[e.Rank] = e.End
 	}
 	for _, want := range []string{"ft-init", "ft-alltoall", "ft-checksum"} {
 		if !names[want] {
@@ -67,21 +68,13 @@ func TestFTPhaseSpans(t *testing.T) {
 			for n := range names {
 				have = append(have, n)
 			}
-			t.Errorf("phase span %q missing (have %s)", want, strings.Join(have, ", "))
+			t.Errorf("phase %q missing from the trace (have %s)", want, strings.Join(have, ", "))
 		}
 	}
-	for rank, ps := range perRank {
-		last := 0.0
-		for _, s := range ps {
-			//palint:ignore floateq -- phase spans must tile the rank's clock exactly: each opens where the previous closed
-			if s.Start != last {
-				t.Errorf("rank %d: span %q starts at %g, previous ended at %g", rank, s.Name, s.Start, last)
-			}
-			last = s.End
-		}
-		//palint:ignore floateq -- the final phase closes at the rank's final clock verbatim
-		if last != res.PerRank[rank].Seconds {
-			t.Errorf("rank %d: phases end at %g, rank clock is %g", rank, last, res.PerRank[rank].Seconds)
+	for rank, end := range last {
+		//palint:ignore floateq -- the last event ends at the rank's final clock verbatim
+		if end != res.PerRank[rank].Seconds {
+			t.Errorf("rank %d: events end at %g, rank clock is %g", rank, end, res.PerRank[rank].Seconds)
 		}
 	}
 }

@@ -82,9 +82,9 @@ func ChromeTrace(l *trace.Log, processName string) []byte {
 	return b.Bytes()
 }
 
-// SpansChromeTrace renders a span hierarchy (campaign and run spans) as
-// trace-event JSON. Rank-owned spans land on the rank's track; campaign
-// and run spans land on track 0 so nesting shows as stacked slices.
+// SpansChromeTrace renders recorded spans (campaign, request and benchmark
+// spans) as trace-event JSON. A span with Rank ≥ 0 lands on track Rank+1;
+// the rest land on track 0, so nesting shows as stacked slices.
 func SpansChromeTrace(spans []Span, processName string) []byte {
 	var b bytes.Buffer
 	b.WriteString(`{"displayTimeUnit":"ms","traceEvents":[` + "\n")

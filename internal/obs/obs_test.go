@@ -114,60 +114,33 @@ func TestSnapshotDelta(t *testing.T) {
 func TestRecorderSpanHierarchy(t *testing.T) {
 	r := NewRecorder()
 	camp := r.StartSpan(-1, "campaign:ft", 0, A("kernel", "ft"))
-	r.BeginRun(2, 0, F("n", 2))
-	r.Rank(0).Phase("init", 0)
-	r.Rank(0).Phase("exchange", 1.5)
-	r.Rank(0).Finish(3)
-	r.Rank(1).Phase("init", 0)
-	r.Rank(1).Finish(2.5)
-	r.EndRun(3)
+	child := r.StartSpanAt(camp, "campaign:cg", 1, 0.5)
+	r.EndSpan(child, 2)
 	r.EndSpan(camp, 3)
-	r.AddRunAttrs(A("kernel", "ft"))
+	r.AddSpanAttrs(camp, F("cells", 4))
 
 	spans := r.Spans()
-	// campaign, run, rank 0, init, exchange, rank 1, init.
-	if len(spans) != 7 {
-		t.Fatalf("got %d spans, want 7: %+v", len(spans), spans)
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want 2: %+v", len(spans), spans)
 	}
-	if spans[0].Name != "campaign:ft" || spans[0].Parent != -1 {
-		t.Errorf("span 0 = %+v, want root campaign", spans[0])
+	if spans[0].Name != "campaign:ft" || spans[0].Parent != -1 || spans[0].End != 3 { //palint:ignore floateq -- exact virtual-time bookkeeping
+		t.Errorf("span 0 = %+v, want root campaign ending at 3", spans[0])
 	}
-	run := spans[1]
-	if run.Name != "run" || run.End != 3 { //palint:ignore floateq -- exact virtual-time bookkeeping
-		t.Errorf("run span = %+v", run)
+	if len(spans[0].Attrs) != 2 || spans[0].Attrs[1].Key != "cells" {
+		t.Errorf("campaign attrs = %+v, want kernel and cells", spans[0].Attrs)
 	}
-	if len(run.Attrs) != 2 || run.Attrs[1].Key != "kernel" {
-		t.Errorf("run attrs = %+v, want n and kernel", run.Attrs)
-	}
-	rank0 := spans[2]
-	if rank0.Name != "rank 0" || rank0.Parent != run.ID || rank0.Rank != 0 {
-		t.Errorf("rank 0 span = %+v", rank0)
-	}
-	if spans[3].Name != "init" || spans[3].Parent != rank0.ID || spans[3].End != 1.5 { //palint:ignore floateq -- exact virtual-time bookkeeping
-		t.Errorf("phase span = %+v", spans[3])
-	}
-	if spans[4].Name != "exchange" || spans[4].Start != 1.5 || spans[4].End != 3 { //palint:ignore floateq -- exact virtual-time bookkeeping
-		t.Errorf("phase span = %+v", spans[4])
-	}
-	if spans[5].Name != "rank 1" || spans[6].Name != "init" {
-		t.Errorf("rank 1 spans = %+v, %+v", spans[5], spans[6])
+	if spans[1].Name != "campaign:cg" || spans[1].Parent != spans[0].ID || spans[1].Rank != 1 {
+		t.Errorf("span 1 = %+v, want a child of span 0 on track 1", spans[1])
 	}
 	for i, s := range spans {
 		if s.ID != i {
 			t.Errorf("span %d carries ID %d; IDs must match returned order", i, s.ID)
 		}
 	}
-}
-
-func TestBeginRunTwicePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("second BeginRun did not panic")
-		}
-	}()
-	r := NewRecorder()
-	r.BeginRun(1, 0)
-	r.BeginRun(1, 0)
+	spans[0].Name = "mutated"
+	if r.Spans()[0].Name != "campaign:ft" {
+		t.Error("Spans returned the recorder's own storage, not a copy")
+	}
 }
 
 func TestGlobalRecorderInstall(t *testing.T) {

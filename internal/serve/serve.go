@@ -47,8 +47,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently *simulating* requests — cache hits
 	// are not admission-controlled. Default 4.
 	MaxInFlight int
-	// RetryAfterSec is the Retry-After hint on 429 responses. Default 1.
-	RetryAfterSec int
 	// MaxBodyBytes caps request bodies. Default 64 KiB.
 	MaxBodyBytes int64
 	// Registry receives the server's metrics. Default obs.Default(), which
@@ -73,12 +71,11 @@ type Server struct {
 	reg       *obs.Registry
 	// slots is the admission semaphore: held while a request is entitled to
 	// run (or wait on) a simulation, never by peek-served cache hits.
-	slots      chan struct{}
-	retryAfter string
-	maxBody    int64
-	fits       fitCache
-	events     *obs.EventLog
-	trace      *obs.Recorder
+	slots   chan struct{}
+	maxBody int64
+	fits    fitCache
+	events  *obs.EventLog
+	trace   *obs.Recorder
 	// epoch anchors request-span timestamps and the uptime gauge; idSeed
 	// and idSeq key the splitmix64 request-ID stream; spanSeq spreads
 	// request spans across exporter tracks; flights feeds the adaptive
@@ -95,9 +92,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 4
 	}
-	if cfg.RetryAfterSec <= 0 {
-		cfg.RetryAfterSec = 1
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = 64 << 10
 	}
@@ -109,18 +103,17 @@ func New(cfg Config) *Server {
 	}
 	epoch := time.Now() //palint:ignore detsource -- the server's epoch is host time by definition
 	return &Server{
-		suite:      cfg.Suite,
-		suiteName:  cfg.SuiteName,
-		kernels:    cfg.Suite.Kernels(),
-		reg:        cfg.Registry,
-		slots:      make(chan struct{}, cfg.MaxInFlight),
-		retryAfter: fmt.Sprintf("%d", cfg.RetryAfterSec),
-		maxBody:    cfg.MaxBodyBytes,
-		events:     cfg.Events,
-		trace:      cfg.Trace,
-		epoch:      epoch,
-		idSeed:     splitmix64(uint64(epoch.UnixNano())),
-		flights:    cfg.Registry.Histogram("serve.flight.seconds", flightBuckets),
+		suite:     cfg.Suite,
+		suiteName: cfg.SuiteName,
+		kernels:   cfg.Suite.Kernels(),
+		reg:       cfg.Registry,
+		slots:     make(chan struct{}, cfg.MaxInFlight),
+		maxBody:   cfg.MaxBodyBytes,
+		events:    cfg.Events,
+		trace:     cfg.Trace,
+		epoch:     epoch,
+		idSeed:    splitmix64(uint64(epoch.UnixNano())),
+		flights:   cfg.Registry.Histogram("serve.flight.seconds", flightBuckets),
 	}
 }
 

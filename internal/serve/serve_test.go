@@ -236,7 +236,7 @@ func TestStormCoalesces(t *testing.T) {
 // keep flowing; freeing a slot readmits.
 func TestAdmissionFullHouse(t *testing.T) {
 	reg := obs.NewRegistry()
-	srv, ts := newTestServer(t, Config{Suite: quickVariant(), MaxInFlight: 2, RetryAfterSec: 3, Registry: reg})
+	srv, ts := newTestServer(t, Config{Suite: quickVariant(), MaxInFlight: 2, Registry: reg})
 
 	// Measure FT through the server first so it peeks afterwards.
 	if code, body := post(t, ts, "/predict", `{"kernel":"ft","n":4,"f":1400}`); code != http.StatusOK {
@@ -257,8 +257,8 @@ func TestAdmissionFullHouse(t *testing.T) {
 		t.Fatalf("full house = %d (%s), want 429", resp.StatusCode, body)
 	}
 	// The warm request led a flight, so the hint is adaptive: ceil of the
-	// median led-flight duration, at least 1 s — not the configured
-	// fallback (TestRetryAfterFallsBackWhenUnmeasured pins that case).
+	// median led-flight duration, at least 1 s — not the fallback
+	// (TestRetryAfterFallsBackWhenUnmeasured pins that case).
 	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
 	if err != nil || ra < 1 {
 		t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
@@ -370,6 +370,11 @@ func TestTraceEndpointServesValidPerfetto(t *testing.T) {
 	// An impossible configuration is the client's fault, not a 500.
 	if code, _ := post(t, ts, "/trace", `{"kernel":"ft","n":100000,"f":1000}`); code != http.StatusBadRequest {
 		t.Fatalf("impossible trace config: %d, want 400", code)
+	}
+	// So is a retry bound past 63: it would let one dropped message cost
+	// unbounded PRNG draws while the request holds an admission slot.
+	if code, body := post(t, ts, "/trace", `{"kernel":"ft","n":2,"f":1000,"chaos":"seed=1,drop=1,retries=64"}`); code != http.StatusBadRequest {
+		t.Fatalf("retries=64 trace: %d (%s), want 400", code, body)
 	}
 }
 

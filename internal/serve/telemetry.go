@@ -166,13 +166,17 @@ func (s *Server) requestID(r *http.Request) string {
 // ceiling of a bucket bound.
 var flightBuckets = []float64{0.05, 0.1, 0.25, 0.5, 1, 2, 5, 10, 30, 60, 120, 300}
 
+// retryAfterFallback is the 429 Retry-After value, in seconds, until the
+// server has led a flight to measure.
+const retryAfterFallback = "1"
+
 // retryAfterHint derives the 429 Retry-After value from the median of
 // recently led flight durations — how long a slot actually stays busy —
-// falling back to the configured value until the server has led a flight.
+// falling back to retryAfterFallback until the server has led a flight.
 func (s *Server) retryAfterHint() string {
 	q, ok := s.flights.Quantile(0.5)
 	if !ok || math.IsInf(q, 1) {
-		return s.retryAfter
+		return retryAfterFallback
 	}
 	sec := int(math.Ceil(q))
 	if sec < 1 {

@@ -303,10 +303,9 @@ func TestDebugRequestsEndpoint(t *testing.T) {
 }
 
 // TestRetryAfterFallsBackWhenUnmeasured pins the adaptive hint's fallback:
-// a server that has never led a flight answers 429 with the configured
-// Retry-After.
+// a server that has never led a flight answers 429 with Retry-After 1.
 func TestRetryAfterFallsBackWhenUnmeasured(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Suite: quickVariant(), MaxInFlight: 1, RetryAfterSec: 7})
+	srv, ts := newTestServer(t, Config{Suite: quickVariant(), MaxInFlight: 1})
 	srv.slots <- struct{}{} // hold the only slot; no flight has ever run
 	resp, err := http.Post(ts.URL+"/predict", "application/json",
 		strings.NewReader(`{"kernel":"ft","n":4,"f":1400}`))
@@ -318,8 +317,8 @@ func TestRetryAfterFallsBackWhenUnmeasured(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full house = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Fatalf("Retry-After = %q, want the configured 7", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want the fallback 1", ra)
 	}
 	srv.release()
 }

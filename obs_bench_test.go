@@ -26,21 +26,21 @@ func BenchmarkObsDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkObsEnabled additionally reports the run's metric-snapshot deltas
-// as benchmark metrics: message count and wire bytes come from the
-// recorder's registry, trace events from the exporter's input. A fresh
-// recorder per iteration keeps iterations independent (a Recorder observes
-// exactly one run).
+// BenchmarkObsEnabled additionally reports the run's metric snapshot as
+// benchmark metrics: message count and wire bytes come from the run's
+// registry, trace events from the exporter's input. A fresh registry per
+// iteration keeps each iteration's counts its own (runs sharing a registry
+// add to the same counters).
 func BenchmarkObsEnabled(b *testing.B) {
 	s := benchSuite(b)
 	n, f := capN(s, 4), topF(s)
 	for i := 0; i < b.N; i++ {
-		rec := obs.NewRecorder()
-		res, err := s.RunKernelTraced("ft", n, f, rec, nil)
+		reg := obs.NewRegistry()
+		res, err := s.RunKernelTraced("ft", n, f, reg, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		snap := rec.Metrics().Snapshot()
+		snap := reg.Snapshot()
 		b.ReportMetric(res.Seconds, "vsec")
 		b.ReportMetric(snap.Counter("mpi.msgs"), "msgs")
 		b.ReportMetric(snap.Counter("mpi.wire_bytes"), "wirebytes")
