@@ -68,7 +68,7 @@ func main() {
 	}
 	fmt.Printf("  compute/comm   : %10.3f s / %.3f s (summed over ranks)\n",
 		res.ComputeSec(), res.CommSec())
-	if cfg.Enabled() || cfg.GearSwitchSec > 0 {
+	if cfg.Enabled() {
 		fmt.Printf("  injected chaos : %10.3f s across ranks, %d retransmissions\n",
 			res.FaultSec(), res.Retries())
 	}

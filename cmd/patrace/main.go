@@ -93,7 +93,8 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	rep := obs.AttributeEnergy(res.Trace, s.Platform.Prof, st, res.Seconds, rankEnds)
-	if math.Abs(rep.TotalJoules-res.Joules) > 1e-9*res.Joules {
+	// Written so that a NaN difference, as two infinite totals give, fails.
+	if !(math.Abs(rep.TotalJoules-res.Joules) <= 1e-9*res.Joules) {
 		return fmt.Errorf("energy attribution sums to %.15g J but the run total is %.15g J",
 			rep.TotalJoules, res.Joules)
 	}

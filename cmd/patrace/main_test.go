@@ -72,23 +72,34 @@ func TestRunEndToEnd(t *testing.T) {
 func TestRunRejectsBadInput(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "x.trace.json")
-	for _, args := range [][]string{
-		{"-kernel", "nope", "-out", out},
-		{"-f", "fast", "-out", out},
-		{"-f", "nan", "-out", out},
-		{"-suite", "huge", "-out", out},
-		{"-chaos", "seed=", "-out", out},
-		{"-suite", "quick", "-n", "2", "-chaos", "seed=1,jitter=1e308", "-out", out},
+	for _, tc := range []struct {
+		args []string
+		// errHas, when set, is text the error must contain.
+		errHas string
+	}{
+		{args: []string{"-kernel", "nope", "-out", out}},
+		{args: []string{"-f", "fast", "-out", out}},
+		{args: []string{"-f", "nan", "-out", out}},
+		{args: []string{"-suite", "huge", "-out", out}},
+		{args: []string{"-chaos", "seed=", "-out", out}},
+		// The jitter overflows the run to +Inf joules: the energy
+		// self-check must fail on the NaN difference of two infinities.
+		{args: []string{"-suite", "quick", "-n", "2", "-chaos", "seed=1,jitter=1e308", "-out", out}, errHas: "energy attribution"},
 	} {
 		var buf bytes.Buffer
-		err := run(args, &buf)
+		err := run(tc.args, &buf)
 		if err == nil {
-			t.Errorf("run(%v) succeeded, want error", args)
+			t.Errorf("run(%v) succeeded, want error", tc.args)
 		} else if strings.HasPrefix(err.Error(), "patrace: ") {
-			t.Errorf("run(%v) error %q names the command; main adds that prefix", args, err)
+			t.Errorf("run(%v) error %q names the command; main adds that prefix", tc.args, err)
+		} else if !strings.Contains(err.Error(), tc.errHas) {
+			t.Errorf("run(%v) error %q, want it to name %q", tc.args, err, tc.errHas)
+		}
+		if strings.Contains(buf.String(), "sums to run total") {
+			t.Errorf("run(%v) claimed the attribution sums to the run total before failing:\n%s", tc.args, buf.String())
 		}
 		if _, err := os.Stat(out); !os.IsNotExist(err) {
-			t.Errorf("run(%v) wrote %s despite failing", args, out)
+			t.Errorf("run(%v) wrote %s despite failing", tc.args, out)
 		}
 	}
 }

@@ -39,13 +39,9 @@ const (
 // commCollectives are the synchronizing collectives of the runtime.
 var commCollectives = map[string]bool{
 	"Barrier":   true,
-	"Bcast":     true,
 	"Allreduce": true,
-	"Reduce":    true,
 	"Alltoall":  true,
 	"Allgather": true,
-	"Gather":    true,
-	"Scatter":   true,
 }
 
 // isMPIRuntimePkg reports whether the package IS an mpi runtime: the passes

@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"encoding/json"
+	"go/types"
 	"testing"
 
 	"pasp/internal/commspec"
@@ -83,6 +84,55 @@ func TestBuildSkeletonShape(t *testing.T) {
 	}
 	if _, err := commspec.ParseSkeleton(data); err != nil {
 		t.Fatalf("extracted skeleton does not re-parse: %v", err)
+	}
+}
+
+// TestMPIVocabularyMatchesRuntime: palint names mpi calls by method name,
+// so every name its tables classify, and every method of the testdata stub
+// the seeded packages call through, must be a method of the real runtime's
+// *mpi.Ctx. An entry that outlives the call it names fails here.
+func TestMPIVocabularyMatchesRuntime(t *testing.T) {
+	const runtimePath, stubPath = "pasp/internal/mpi", "pasp/internal/analysis/testdata/src/mpistub"
+	pkgs, err := Load(repoRoot(t), []string{"internal/mpi", "internal/analysis/testdata/src/mpistub"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := map[string]map[string]bool{}
+	for _, p := range pkgs {
+		for _, e := range p.TypeErrors {
+			t.Errorf("%s: type error: %v", p.Path, e)
+		}
+		ctx, ok := p.Types.Scope().Lookup("Ctx").(*types.TypeName)
+		if !ok {
+			t.Fatalf("%s declares no Ctx type", p.Path)
+		}
+		names := map[string]bool{}
+		ms := types.NewMethodSet(types.NewPointer(ctx.Type()))
+		for i := 0; i < ms.Len(); i++ {
+			if m := ms.At(i).Obj(); m.Exported() {
+				names[m.Name()] = true
+			}
+		}
+		methods[p.Path] = names
+	}
+	runtime, stub := methods[runtimePath], methods[stubPath]
+	if len(runtime) == 0 || len(stub) == 0 {
+		t.Fatalf("no exported Ctx methods loaded for %s or %s", runtimePath, stubPath)
+	}
+	for name := range commCollectives {
+		if !runtime[name] {
+			t.Errorf("commCollectives names %s, which *mpi.Ctx does not have", name)
+		}
+	}
+	for name := range producerMethods {
+		if !runtime[name] {
+			t.Errorf("producerMethods names %s, which *mpi.Ctx does not have", name)
+		}
+	}
+	for name := range stub {
+		if !runtime[name] {
+			t.Errorf("the mpistub Ctx has %s, which *mpi.Ctx does not have", name)
+		}
 	}
 }
 

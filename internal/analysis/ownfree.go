@@ -10,16 +10,16 @@ import (
 
 // OwnFree enforces the payload-ownership protocol of the mpi freelists
 // (DESIGN §8) interprocedurally. A buffer returned by Recv, SendRecv,
-// Bcast, Alltoall or Allgather is caller-owned: it may reach Free at most
-// once and must not be read after it is freed. Helpers participate
-// through facts: a function that frees its parameter counts as a Free at
-// every call site, and a function that returns an unfreed producer result
-// hands ownership to its caller.
+// Alltoall or Allgather is caller-owned: it may reach Free at most once
+// and must not be read after it is freed. Helpers participate through
+// facts: a function that frees its parameter counts as a Free at every
+// call site, and a function that returns an unfreed producer result hands
+// ownership to its caller.
 var OwnFree = &Analyzer{
 	Name: "ownfree",
 	Doc:  "freelist payload ownership: double Free, use after Free",
 	Run:  runOwnFree,
-	Explain: `Buffers returned by the mpi producers (Recv, SendRecv, Bcast, Alltoall,
+	Explain: `Buffers returned by the mpi producers (Recv, SendRecv, Alltoall,
 Allgather — any method of a type that also has Free([]float64)) are owned
 by the caller, at every world size. ownfree tracks each owned variable
 through the function body and flags:
@@ -47,7 +47,7 @@ type producerKind int
 
 const (
 	notProducer producerKind = iota
-	ownedBuffer              // Recv/SendRecv/Bcast: one caller-owned buffer
+	ownedBuffer              // Recv/SendRecv: one caller-owned buffer
 	ownedSlices              // Alltoall/Allgather: one caller-owned buffer per rank
 )
 
@@ -56,7 +56,6 @@ const (
 var producerMethods = map[string]producerKind{
 	"Recv":      ownedBuffer,
 	"SendRecv":  ownedBuffer,
-	"Bcast":     ownedBuffer,
 	"Alltoall":  ownedSlices,
 	"Allgather": ownedSlices,
 }

@@ -64,16 +64,8 @@ func (c *Ctx) SendRecv(dst, src, tag int, data []float64, vbytes int) ([]float64
 // Barrier blocks until every rank arrives.
 func (c *Ctx) Barrier() error { return nil }
 
-// Bcast distributes root's data.
-func (c *Ctx) Bcast(root int, data []float64, vbytes int) ([]float64, error) { return data, nil }
-
 // Allreduce combines every rank's vector.
 func (c *Ctx) Allreduce(data []float64, op Op, vbytes int) ([]float64, error) { return data, nil }
-
-// Reduce combines every rank's vector at root.
-func (c *Ctx) Reduce(root int, data []float64, op Op, vbytes int) ([]float64, error) {
-	return data, nil
-}
 
 // Alltoall performs the personalized all-to-all exchange.
 func (c *Ctx) Alltoall(parts [][]float64, vbytes int) ([][]float64, error) { return parts, nil }
@@ -81,14 +73,4 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytes int) ([][]float64, error) { ret
 // Allgather concatenates every rank's vector.
 func (c *Ctx) Allgather(data []float64, vbytes int) ([][]float64, error) {
 	return [][]float64{data}, nil
-}
-
-// Gather collects every rank's vector at root.
-func (c *Ctx) Gather(root int, data []float64, vbytes int) ([][]float64, error) {
-	return [][]float64{data}, nil
-}
-
-// Scatter distributes root's parts.
-func (c *Ctx) Scatter(root int, parts [][]float64, vbytes int) ([]float64, error) {
-	return nil, nil
 }

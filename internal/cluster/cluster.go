@@ -80,14 +80,7 @@ func (p Platform) World(n int, mhz float64) (mpi.World, error) {
 	if err != nil {
 		return mpi.World{}, err
 	}
-	w := mpi.World{N: n, Net: p.Net, Mach: p.Mach, Prof: p.Prof, State: st, Faults: p.Faults}
-	// A configured P-state transition latency relaxes the paper's
-	// Assumption 2: gear switches are no longer free. DVFS policies that
-	// set their own SwitchSec override this downstream.
-	if p.Faults.GearSwitchSec > 0 {
-		w.GearSwitchSec = p.Faults.GearSwitchSec
-	}
-	return w, nil
+	return mpi.World{N: n, Net: p.Net, Mach: p.Mach, Prof: p.Prof, State: st, Faults: p.Faults}, nil
 }
 
 // Grid is a measurement campaign: every (N, MHz) combination.

@@ -1,8 +1,7 @@
 // Package faults is the deterministic chaos harness: a seed-driven
 // perturbation engine the simulation layers consult to model an imperfect
 // cluster — per-message latency jitter, transient bandwidth degradation,
-// dropped messages with timeout/retry, persistent straggler ranks and
-// P-state transition cost.
+// dropped messages with timeout/retry and persistent straggler ranks.
 //
 // The paper's models assume a perfect platform: homogeneous quiet nodes
 // (Assumption 1's uniform decomposition) and frequency-independent,
@@ -76,12 +75,6 @@ type Config struct {
 	// deterministic function of (Seed, rank).
 	StragglerFrac     float64
 	StragglerSlowdown float64
-
-	// GearSwitchSec is the P-state transition latency charged on each
-	// actual gear switch, relaxing the paper's Assumption 2 ("changing the
-	// operating point is free"). It is wired into mpi.World.GearSwitchSec
-	// by cluster.Platform.World rather than drawn per event.
-	GearSwitchSec units.Seconds
 }
 
 // DefaultRetryTimeout is the retransmission timeout used when
@@ -96,9 +89,7 @@ const DefaultMaxRetries = 3
 // caps the PRNG draws one dropped message can cost.
 const maxRetryLimit = 63
 
-// Enabled reports whether any per-event fault knob is active. GearSwitchSec
-// is deliberately excluded: it is a static World parameter, not a drawn
-// perturbation, and needs no injector on the message path.
+// Enabled reports whether any fault knob is active.
 func (c Config) Enabled() bool {
 	return c.LatencyJitterFrac > 0 ||
 		c.DropProb > 0 ||
@@ -135,16 +126,13 @@ func (c Config) Validate() error {
 	if c.StragglerSlowdown != 0 && (math.IsNaN(c.StragglerSlowdown) || math.IsInf(c.StragglerSlowdown, 0) || c.StragglerSlowdown < 1) {
 		return fmt.Errorf("faults: StragglerSlowdown = %g, want 0 (off) or ≥ 1", c.StragglerSlowdown)
 	}
-	if gs := float64(c.GearSwitchSec); math.IsNaN(gs) || math.IsInf(gs, 0) || gs < 0 {
-		return fmt.Errorf("faults: GearSwitchSec = %g", float64(c.GearSwitchSec))
-	}
 	return nil
 }
 
 // Scale returns the config with its intensity knobs — jitter fraction and
 // the three probabilities — multiplied by m (probabilities capped at 1).
-// The per-event magnitudes (timeout, degrade factor, slowdown, gear switch)
-// are left unchanged, so a robustness sweep varies how *often* and how
+// The per-event magnitudes (timeout, degrade factor, slowdown) are left
+// unchanged, so a robustness sweep varies how *often* and how
 // *strongly jittered* faults strike while each strike stays comparable.
 // Scale(0) disables every drawn fault.
 func (c Config) Scale(m float64) Config {
@@ -320,7 +308,6 @@ func (r *Rank) BackoffSec(retries int) float64 { return r.cfg.BackoffSec(retries
 //	degradefactor=F   DegradeFactor
 //	straggler=F       StragglerFrac
 //	slowdown=F        StragglerSlowdown
-//	gear=D            GearSwitchSec (Go duration, e.g. 50us)
 //
 // An empty spec returns the zero (disabled) config. The parsed config is
 // validated before being returned.
@@ -356,10 +343,6 @@ func ParseSpec(spec string) (Config, error) {
 			c.StragglerFrac, err = strconv.ParseFloat(v, 64)
 		case "slowdown":
 			c.StragglerSlowdown, err = strconv.ParseFloat(v, 64)
-		case "gear":
-			var d time.Duration
-			d, err = time.ParseDuration(v)
-			c.GearSwitchSec = units.Seconds(d.Seconds())
 		default:
 			return Config{}, fmt.Errorf("faults: unknown spec key %q", k)
 		}

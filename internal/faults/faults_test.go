@@ -15,11 +15,6 @@ func TestZeroConfigDisabled(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatalf("zero Config invalid: %v", err)
 	}
-	// GearSwitchSec alone must not demand an injector on the message path.
-	c.GearSwitchSec = units.Seconds(50e-6)
-	if c.Enabled() {
-		t.Fatal("GearSwitchSec alone reports Enabled")
-	}
 }
 
 func TestEnabledPerKnob(t *testing.T) {
@@ -59,8 +54,6 @@ func TestValidateRejects(t *testing.T) {
 		{DegradeFactor: 0.5},
 		{DegradeFactor: math.NaN()},
 		{StragglerSlowdown: 0.9},
-		{GearSwitchSec: -1e-6},
-		{GearSwitchSec: units.Seconds(math.Inf(1))},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -252,7 +245,7 @@ func TestCollective(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	c, err := ParseSpec("seed=42,jitter=0.5,drop=0.01,timeout=2ms,retries=5,degradeprob=0.1,degradefactor=2,straggler=0.25,slowdown=1.5,gear=50us")
+	c, err := ParseSpec("seed=42,jitter=0.5,drop=0.01,timeout=2ms,retries=5,degradeprob=0.1,degradefactor=2,straggler=0.25,slowdown=1.5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +259,6 @@ func TestParseSpec(t *testing.T) {
 		DegradeFactor:     2,
 		StragglerFrac:     0.25,
 		StragglerSlowdown: 1.5,
-		GearSwitchSec:     units.Seconds(50e-6),
 	}
 	if c != want {
 		t.Fatalf("ParseSpec = %+v, want %+v", c, want)
@@ -277,6 +269,7 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{
 		"jitter",          // no value
 		"warp=9",          // unknown key
+		"gear=50us",       // unknown key: gear switches are a DVFS policy's SwitchSec
 		"jitter=fast",     // unparseable float
 		"drop=1.5",        // fails validation
 		"timeout=3 miles", // unparseable duration

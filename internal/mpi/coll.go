@@ -34,18 +34,16 @@ func log2ceil(n int) int {
 // cache). All collectives are modelled as synchronizing, which matches the
 // dense patterns the NAS kernels use (alltoall, allreduce, barrier).
 //
-// recycle marks a deposit whose snapshot references cannot outlive the
-// epoch: every reader copies or combines it before its own collective call
-// returns. Such a deposit is parked on the Ctx and reclaimed into the
-// buffer cache one epoch later — by the same argument that lets the engine
-// rotate two snapshot containers (see engine.deposit), a rank returns from
-// epoch k+1's synchronization only after every rank finished reading
-// epoch k, so the parked buffers provably have no readers left. The same
-// holds for an Alltoall deposit's header, which readers index during the
-// epoch but never keep: it is cleared and kept as the rank's partsHeader
-// for its next Alltoall deposit. Gather and Scatter hand deposit slices to
-// their callers and must pass recycle = false.
-func (c *Ctx) collective(payload any, cost float64, recycle bool) (*collSnapshot, error) {
+// Every reader copies or combines a deposit before its own collective call
+// returns, so no snapshot reference outlives the epoch. The deposit is
+// parked on the Ctx and reclaimed into the buffer cache one epoch later —
+// by the same argument that lets the engine rotate two snapshot containers
+// (see engine.deposit), a rank returns from epoch k+1's synchronization
+// only after every rank finished reading epoch k, so the parked buffers
+// provably have no readers left. The same holds for an Alltoall deposit's
+// header, which readers index during the epoch but never keep: it is
+// cleared and kept as the rank's partsHeader for its next Alltoall deposit.
+func (c *Ctx) collective(payload any, cost float64) (*collSnapshot, error) {
 	snap, err := c.eng.deposit(c, payload)
 	if err != nil {
 		return nil, err
@@ -61,13 +59,11 @@ func (c *Ctx) collective(payload any, cost float64, recycle bool) (*collSnapshot
 		clear(c.collFreeParts)
 		c.partsHeader, c.collFreeParts = c.collFreeParts, nil
 	}
-	if recycle {
-		switch p := payload.(type) {
-		case []float64:
-			c.collFree = p
-		case [][]float64:
-			c.collFreeParts = p
-		}
+	switch p := payload.(type) {
+	case []float64:
+		c.collFree = p
+	case [][]float64:
+		c.collFreeParts = p
 	}
 	if err := c.advanceComm(snap.entry + cost); err != nil {
 		return nil, err
@@ -99,7 +95,7 @@ func (c *Ctx) Barrier() error {
 	rounds := log2ceil(n)
 	c.noteMsgs(rounds, 0)
 	cost := float64(rounds) * (2*c.cpuOverhead(0) + net.LatencySec)
-	_, err := c.collective(nil, cost, false)
+	_, err := c.collective(nil, cost)
 	return err
 }
 
@@ -110,38 +106,6 @@ func collBytes(data []float64, vbytes int) int {
 		return vbytes
 	}
 	return 8 * len(data)
-}
-
-// Bcast distributes root's data to every rank (binomial tree). Every rank
-// passes its own data slice; non-root inputs are ignored, as in MPI's
-// in-place broadcast buffer.
-func (c *Ctx) Bcast(root int, data []float64, vbytes int) ([]float64, error) {
-	n := c.Size()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("mpi: bcast root %d out of range", root)
-	}
-	if c.rec != nil {
-		c.rec.add(recOp{kind: opBcast, peer: root, nlen: len(data), vbytes: vbytes})
-	}
-	if n == 1 {
-		return c.snapshotPayload(data), nil
-	}
-	net := &c.eng.w.Net
-	b := collBytes(data, vbytes)
-	c.noteMsgs(1, b) // binomial tree: each rank forwards at most once per round; one send on average
-	rounds := float64(log2ceil(n))
-	cost := rounds * (2*c.cpuOverhead(b) + net.LatencySec + net.ContendedWireTime(b, n/2))
-	snap, err := c.collective(c.snapshotPayload(data), cost, true)
-	if err != nil {
-		return nil, err
-	}
-	got, ok := snap.payloads[root].([]float64)
-	if !ok && snap.payloads[root] != nil {
-		return nil, fmt.Errorf("mpi: bcast payload type mismatch")
-	}
-	// Snapshot: the root may reuse its buffer after the call returns. The
-	// copy is caller-owned and may be recycled with Free.
-	return c.snapshotPayload(got), nil
 }
 
 // reduce returns the epoch's reduction of every rank's deposit with op,
@@ -222,38 +186,12 @@ func (c *Ctx) Allreduce(data []float64, op Op, vbytes int) ([]float64, error) {
 	if c.Size() == 1 {
 		return append([]float64(nil), data...), nil
 	}
-	snap, err := c.collective(c.snapshotPayload(data), c.reduceCost(collBytes(data, vbytes)), true)
+	snap, err := c.collective(c.snapshotPayload(data), c.reduceCost(collBytes(data, vbytes)))
 	if err != nil {
 		return nil, err
 	}
 	red, err := snap.reduce(op)
 	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), red...), nil
-}
-
-// Reduce combines every rank's vector with op; only root receives the
-// result (other ranks get nil), a copy it owns. As in Allreduce, every
-// rank must pass the same op and a vector of rank 0's length: every rank
-// reads the epoch's reduction, so any rank's disagreement fails the call.
-func (c *Ctx) Reduce(root int, data []float64, op Op, vbytes int) ([]float64, error) {
-	n := c.Size()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("mpi: reduce root %d out of range", root)
-	}
-	if c.rec != nil {
-		c.rec.add(recOp{kind: opReduce, peer: root, ref: int(op), nlen: len(data), vbytes: vbytes})
-	}
-	if n == 1 {
-		return append([]float64(nil), data...), nil
-	}
-	snap, err := c.collective(c.snapshotPayload(data), c.reduceCost(collBytes(data, vbytes)), true)
-	if err != nil {
-		return nil, err
-	}
-	red, err := snap.reduce(op)
-	if err != nil || c.rank != root {
 		return nil, err
 	}
 	return append([]float64(nil), red...), nil
@@ -274,7 +212,7 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 		return nil, fmt.Errorf("mpi: alltoall needs %d parts, got %d", n, len(parts))
 	}
 	if c.rec != nil {
-		c.rec.addParts(opAlltoall, 0, parts, vbytesPerPair)
+		c.rec.addAlltoall(parts, vbytesPerPair)
 	}
 	if n == 1 {
 		return [][]float64{c.snapshotPayload(parts[0])}, nil
@@ -308,7 +246,7 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 	for d := range parts {
 		deposit[d] = c.snapshotPayload(parts[d])
 	}
-	snap, err := c.collective(deposit, cost, true)
+	snap, err := c.collective(deposit, cost)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +280,7 @@ func (c *Ctx) Allgather(data []float64, vbytes int) ([][]float64, error) {
 	net := &c.eng.w.Net
 	perRound := 2*c.cpuOverhead(b) + net.LatencySec + net.ContendedWireTime(b, n)
 	cost := float64(n-1) * perRound
-	snap, err := c.collective(c.snapshotPayload(data), cost, true)
+	snap, err := c.collective(c.snapshotPayload(data), cost)
 	if err != nil {
 		return nil, err
 	}
@@ -355,97 +293,4 @@ func (c *Ctx) Allgather(data []float64, vbytes int) ([][]float64, error) {
 		out[s] = c.snapshotPayload(v)
 	}
 	return out, nil
-}
-
-// Gather collects every rank's vector at root (binomial tree); only root
-// receives the result (other ranks get nil), indexed by source rank.
-func (c *Ctx) Gather(root int, data []float64, vbytes int) ([][]float64, error) {
-	n := c.Size()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("mpi: gather root %d out of range", root)
-	}
-	if c.rec != nil {
-		c.rec.add(recOp{kind: opGather, peer: root, nlen: len(data), vbytes: vbytes})
-	}
-	if n == 1 {
-		return [][]float64{append([]float64(nil), data...)}, nil
-	}
-	b := collBytes(data, vbytes)
-	c.noteMsgs(1, b)
-	net := &c.eng.w.Net
-	// Binomial gather: log₂n rounds; message sizes double toward the root,
-	// bounded by the total payload converging on one port.
-	rounds := float64(log2ceil(n))
-	cost := rounds*(2*c.cpuOverhead(b)+net.LatencySec) + net.WireTime(b*(n-1))
-	// recycle = false: root hands the deposit slices themselves to its
-	// caller, so they escape the epoch and can never be reclaimed.
-	snap, err := c.collective(c.snapshotPayload(data), cost, false)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank != root {
-		return nil, nil
-	}
-	out := make([][]float64, n)
-	for s, p := range snap.payloads {
-		v, ok := p.([]float64)
-		if !ok {
-			return nil, fmt.Errorf("mpi: gather payload from rank %d is %T", s, p)
-		}
-		out[s] = v
-	}
-	return out, nil
-}
-
-// Scatter distributes root's parts: parts[d] goes to rank d. Non-root
-// ranks pass nil parts. vbytesPerPart, when positive, overrides the timed
-// per-destination size.
-func (c *Ctx) Scatter(root int, parts [][]float64, vbytesPerPart int) ([]float64, error) {
-	n := c.Size()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("mpi: scatter root %d out of range", root)
-	}
-	if c.rank == root && len(parts) != n {
-		return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", n, len(parts))
-	}
-	if c.rec != nil {
-		var rootParts [][]float64 // only root's parts shape the call
-		if c.rank == root {
-			rootParts = parts
-		}
-		c.rec.addParts(opScatter, root, rootParts, vbytesPerPart)
-	}
-	if n == 1 {
-		return append([]float64(nil), parts[0]...), nil
-	}
-	var deposit any
-	b := vbytesPerPart
-	if c.rank == root {
-		cp := make([][]float64, n)
-		for d := range parts {
-			cp[d] = c.snapshotPayload(parts[d])
-			if b <= 0 && 8*len(parts[d]) > b {
-				b = 8 * len(parts[d])
-			}
-		}
-		deposit = cp
-	}
-	if b <= 0 {
-		b = 8
-	}
-	c.noteMsgs(1, b)
-	net := &c.eng.w.Net
-	rounds := float64(log2ceil(n))
-	cost := rounds*(2*c.cpuOverhead(b)+net.LatencySec) + net.WireTime(b*(n-1))
-	// recycle = false: every rank keeps its slice of root's deposit, so
-	// the parts escape the epoch and can never be reclaimed.
-	snap, err := c.collective(deposit, cost, false)
-	if err != nil {
-		return nil, err
-	}
-	sp, ok := snap.payloads[root].([][]float64)
-	if !ok {
-		return nil, fmt.Errorf("mpi: scatter payload from root is %T", snap.payloads[root])
-	}
-	return sp[c.rank], nil
 }

@@ -80,9 +80,7 @@ type Ctx struct {
 	// collFree / collFreeParts hold this rank's deposit from its previous
 	// collective epoch, reclaimed into bufCache once the next epoch's
 	// synchronization proves every reader is done with it (see
-	// Ctx.collective). Only deposits whose snapshot references never escape
-	// the collective call are parked here; Gather and Scatter hand deposit
-	// slices to callers, so theirs are never recycled.
+	// Ctx.collective).
 	collFree      []float64
 	collFreeParts [][]float64
 	// partsHeader is the header of the last reclaimed Alltoall deposit,
@@ -212,9 +210,6 @@ func (c *Ctx) Freq() units.Hertz { return c.state.Freq }
 // arithmetic that divides instruction counts by it.
 func (c *Ctx) hz() float64 { return float64(c.state.Freq) }
 
-// State returns the node's current operating point.
-func (c *Ctx) State() power.PState { return c.state }
-
 // SetPState switches the node to a new operating point, charging the
 // world's gear-switch penalty when the state actually changes. DVFS
 // schedulers call this from a phase hook to slow the processor through
@@ -260,9 +255,6 @@ func (c *Ctx) SetPhase(name string) {
 		c.eng.w.OnPhase(c, name)
 	}
 }
-
-// Counters returns a snapshot of the rank's simulated PAPI counters.
-func (c *Ctx) Counters() papi.Counters { return c.counters }
 
 // Compute advances the rank's clock by the time the instruction mix takes
 // on the node at the job's P-state, and accounts the mix on the PAPI

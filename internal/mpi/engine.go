@@ -83,10 +83,9 @@ type collSnapshot struct {
 	payloads []any
 	// entry is max(0, entry clocks), folded in by each arrival.
 	entry float64
-	// red, redOp and redErr are a Reduce or Allreduce epoch's result, the
-	// op it was computed with and its failure, valid once reduced is set
-	// (see reduce). red is the snapshot's own buffer, reused every other
-	// epoch.
+	// red, redOp and redErr are an Allreduce epoch's result, the op it was
+	// computed with and its failure, valid once reduced is set (see
+	// reduce). red is the snapshot's own buffer, reused every other epoch.
 	red     []float64
 	redOp   Op
 	redErr  error
@@ -409,8 +408,8 @@ func (e *engine) completeRendezvous(src int, doneAt float64) {
 // container k&1 remains by the time it is overwritten, and the first
 // deposit of epoch k+2 may reset the container's shared results (entry
 // maximum, cached reduction) for the new epoch. The deposited payload
-// values themselves are never recycled here; collectives hand them to
-// callers.
+// values themselves are not recycled here: each rank reclaims its own
+// deposit one epoch later (see Ctx.collective).
 //
 //palint:hotpath
 func (e *engine) deposit(c *Ctx, payload any) (*collSnapshot, error) {

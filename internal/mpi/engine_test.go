@@ -311,15 +311,13 @@ func TestReplayReissuesNoOpSetPState(t *testing.T) {
 	requireIdentical(t, "pinned gear", direct, replayed)
 }
 
-// everyOpProgram issues all fourteen recorded operation kinds, in shapes
-// that neither the kernels nor chaosProgram reach: Bcast, Reduce, Gather and
-// Scatter from non-zero roots, Max reductions, Alltoall and Allgather with
-// uneven lengths, Scatter with parts on its root only, gear switches and
-// vbytes overrides. It never branches on the frequency, and each SetPState
-// switches the gear whether the run started at 600 or 1400 MHz. The first
-// Scatter's part lengths follow an Alltoall's on the tape, and its largest
-// part comes first, so a replay that misreads where they start times it
-// differently.
+// everyOpProgram issues all ten recorded operation kinds, in shapes that
+// neither the kernels nor chaosProgram reach: Max reductions, Alltoall and
+// Allgather with uneven lengths, gear switches and vbytes overrides. It
+// never branches on the frequency, and each SetPState switches the gear
+// whether the run started at 600 or 1400 MHz. The second Alltoall's part
+// lengths follow the first's on the tape and set its timed block size, so a
+// replay that misreads where they start times it differently.
 func everyOpProgram(c *Ctx) error {
 	n, r := c.Size(), c.Rank()
 	buf := make([]float64, 8)
@@ -354,32 +352,11 @@ func everyOpProgram(c *Ctx) error {
 	c.SetPhase("coll")
 	c.SetPState(testState(800))
 	steps := []func() error{
-		func() error { _, err := c.Bcast(1%n, buf[:3], 0); return err },
-		func() error { _, err := c.Bcast(n-1, buf[:1], 2048); return err },
 		func() error { _, err := c.Allreduce(buf[:4], Max, 0); return err },
 		func() error { _, err := c.Allreduce(buf[:2], Sum, 4096); return err },
-		func() error { _, err := c.Reduce(n-1, buf[:5], Max, 0); return err },
-		func() error { _, err := c.Reduce(n/2, buf[:3], Sum, 1024); return err },
 		func() error { _, err := c.Allgather(buf[:1+r%4], 0); return err },
-		func() error { _, err := c.Gather(n-1, buf[:2], 0); return err },
-		func() error { _, err := c.Alltoall(parts(func(d int) int { return 1 + (r+2*d)%5 }), 0); return err },
-		func() error {
-			var sp [][]float64
-			if r == n/2 {
-				sp = parts(func(d int) int { return n + 2 - d })
-			}
-			_, err := c.Scatter(n/2, sp, 0)
-			return err
-		},
-		func() error {
-			var sp [][]float64
-			if r == 0 {
-				sp = parts(func(d int) int { return 1 + d%2 })
-			}
-			_, err := c.Scatter(0, sp, 128)
-			return err
-		},
 		func() error { _, err := c.Alltoall(parts(func(d int) int { return (r + d) % 3 }), 256); return err },
+		func() error { _, err := c.Alltoall(parts(func(d int) int { return 1 + (r+2*d)%5 }), 0); return err },
 	}
 	for _, step := range steps {
 		if err := step(); err != nil {
@@ -420,7 +397,7 @@ func TestReplayEveryOpKind(t *testing.T) {
 					t.Fatalf("n=%d record at %g MHz: %v", n, recMHz, err)
 				}
 				if n > 1 {
-					var seen [opScatter + 1]bool
+					var seen [opAllgather + 1]bool
 					for _, tape := range rec.tapes {
 						for _, o := range tape.ops {
 							seen[o.kind] = true
@@ -509,18 +486,10 @@ func TestRecordingCommLog(t *testing.T) {
 			return err
 		}
 		c.SetPhase("coll")
-		var scatter [][]float64
-		if r == 0 {
-			scatter = parts
-		}
 		for _, call := range []func() error{
-			func() error { _, err := c.Bcast(0, buf, 0); return err },
 			func() error { _, err := c.Allreduce(buf, Sum, 0); return err },
-			func() error { _, err := c.Reduce(0, buf, Sum, 0); return err },
 			func() error { _, err := c.Alltoall(parts, 0); return err },
 			func() error { _, err := c.Allgather(buf, 0); return err },
-			func() error { _, err := c.Gather(0, buf, 0); return err },
-			func() error { _, err := c.Scatter(0, scatter, 0); return err },
 		} {
 			if err := call(); err != nil {
 				return err
@@ -549,7 +518,7 @@ func TestRecordingCommLog(t *testing.T) {
 			want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommRecv, Peer: 0, Tag: 6, Phase: "ring"})
 		}
 		want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommPhase, Name: "coll"})
-		for _, op := range []string{"Bcast", "Allreduce", "Reduce", "Alltoall", "Allgather", "Gather", "Scatter"} {
+		for _, op := range []string{"Allreduce", "Alltoall", "Allgather"} {
 			want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommColl, Name: op, Phase: "coll"})
 		}
 	}

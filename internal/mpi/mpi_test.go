@@ -325,46 +325,6 @@ func TestAllreduceMax(t *testing.T) {
 	}
 }
 
-func TestReduceRootOnly(t *testing.T) {
-	_, err := Run(testWorld(4, 600), func(c *Ctx) error {
-		out, err := c.Reduce(2, []float64{1}, Sum, 0)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 2 {
-			if out == nil || out[0] != 4 {
-				return fmt.Errorf("root got %v", out)
-			}
-		} else if out != nil {
-			return fmt.Errorf("non-root got %v", out)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBcast(t *testing.T) {
-	_, err := Run(testWorld(4, 600), func(c *Ctx) error {
-		var mine []float64
-		if c.Rank() == 1 {
-			mine = []float64{3.14, 2.72}
-		}
-		got, err := c.Bcast(1, mine, 16)
-		if err != nil {
-			return err
-		}
-		if len(got) != 2 || got[0] != 3.14 {
-			return fmt.Errorf("bcast got %v", got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAlltoall(t *testing.T) {
 	n := 4
 	_, err := Run(testWorld(n, 600), func(c *Ctx) error {
@@ -429,9 +389,6 @@ func TestSingleRankCollectives(t *testing.T) {
 		if out, err := c.Alltoall([][]float64{{7}}, 0); err != nil || out[0][0] != 7 {
 			return fmt.Errorf("alltoall: %v %v", out, err)
 		}
-		if out, err := c.Bcast(0, []float64{9}, 0); err != nil || out[0] != 9 {
-			return fmt.Errorf("bcast: %v %v", out, err)
-		}
 		return nil
 	})
 	if err != nil {
@@ -450,13 +407,9 @@ func TestSingleRankResultsAreCallerOwned(t *testing.T) {
 		name string
 		call func(c *Ctx, in []float64) ([][]float64, error)
 	}{
-		{"Bcast", func(c *Ctx, in []float64) ([][]float64, error) { return one(c.Bcast(0, in, 0)) }},
 		{"Allreduce", func(c *Ctx, in []float64) ([][]float64, error) { return one(c.Allreduce(in, Sum, 0)) }},
-		{"Reduce", func(c *Ctx, in []float64) ([][]float64, error) { return one(c.Reduce(0, in, Max, 0)) }},
 		{"Alltoall", func(c *Ctx, in []float64) ([][]float64, error) { return c.Alltoall([][]float64{in}, 0) }},
 		{"Allgather", func(c *Ctx, in []float64) ([][]float64, error) { return c.Allgather(in, 0) }},
-		{"Gather", func(c *Ctx, in []float64) ([][]float64, error) { return c.Gather(0, in, 0) }},
-		{"Scatter", func(c *Ctx, in []float64) ([][]float64, error) { return one(c.Scatter(0, [][]float64{in}, 0)) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Run(testWorld(1, 600), func(c *Ctx) error {
@@ -630,12 +583,9 @@ func TestReduceAllLengthMismatch(t *testing.T) {
 		name string
 		n    int
 		lens func(rank int) int
-		// root is the Reduce root, or -1 for an Allreduce.
-		root int
 	}{
-		{"allreduce rank 1 longer", 2, func(r int) int { return 1 + r }, -1},
-		{"allreduce rank 0 empty", 3, func(r int) int { return min(r, 1) }, -1},
-		{"reduce rank 0 empty", 3, func(r int) int { return min(r, 1) }, 2},
+		{"allreduce rank 1 longer", 2, func(r int) int { return 1 + r }},
+		{"allreduce rank 0 empty", 3, func(r int) int { return min(r, 1) }},
 	}
 	for _, tc := range cases {
 		_, err := Run(testWorld(tc.n, 600), func(c *Ctx) error {
@@ -643,12 +593,7 @@ func TestReduceAllLengthMismatch(t *testing.T) {
 			for i := range data {
 				data[i] = float64(c.Rank())
 			}
-			var err error
-			if tc.root < 0 {
-				_, err = c.Allreduce(data, Sum, 0)
-			} else {
-				_, err = c.Reduce(tc.root, data, Sum, 0)
-			}
+			_, err := c.Allreduce(data, Sum, 0)
 			return err
 		})
 		if err == nil || !strings.Contains(err.Error(), "length mismatch") {
@@ -659,29 +604,18 @@ func TestReduceAllLengthMismatch(t *testing.T) {
 
 // A reduction whose ranks pass different ops has no single answer: with
 // rank 0 summing and rank 1 taking the maximum, an Allreduce once gave the
-// ranks [2 4] and [1 2], and a Reduce gave root 0 [2 4], with no error.
+// ranks [2 4] and [1 2], with no error.
 func TestAllreduceOpMismatch(t *testing.T) {
-	for _, root := range []int{-1, 0, 1} {
-		name := "Allreduce"
-		if root >= 0 {
-			name = fmt.Sprintf("Reduce to root %d", root)
+	_, err := Run(testWorld(2, 600), func(c *Ctx) error {
+		op := Sum
+		if c.Rank() == 1 {
+			op = Max
 		}
-		_, err := Run(testWorld(2, 600), func(c *Ctx) error {
-			op := Sum
-			if c.Rank() == 1 {
-				op = Max
-			}
-			var err error
-			if root < 0 {
-				_, err = c.Allreduce([]float64{1, 2}, op, 0)
-			} else {
-				_, err = c.Reduce(root, []float64{1, 2}, op, 0)
-			}
-			return err
-		})
-		if err == nil || !strings.Contains(err.Error(), "op mismatch") {
-			t.Errorf("%s: err = %v, want an op mismatch", name, err)
-		}
+		_, err := c.Allreduce([]float64{1, 2}, op, 0)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "op mismatch") {
+		t.Errorf("err = %v, want an op mismatch", err)
 	}
 }
 
@@ -922,7 +856,7 @@ func TestSetPStateNoopWithoutChange(t *testing.T) {
 	w := testWorld(1, 600)
 	w.GearSwitchSec = 1 // would be visible
 	res, err := Run(w, func(c *Ctx) error {
-		c.SetPState(c.State()) // same gear: free
+		c.SetPState(w.State) // same gear: free
 		return c.Compute(machine.W(6e8, 0, 0, 0))
 	})
 	if err != nil {
@@ -963,114 +897,6 @@ func TestAlltoallSkewTimedByMaxPart(t *testing.T) {
 	}
 	if uniform, skewed := run(false), run(true); skewed <= uniform {
 		t.Errorf("skewed alltoall (%g s) not slower than uniform (%g s)", skewed, uniform)
-	}
-}
-
-func TestGather(t *testing.T) {
-	_, err := Run(testWorld(4, 600), func(c *Ctx) error {
-		out, err := c.Gather(2, []float64{float64(c.Rank() * 11)}, 0)
-		if err != nil {
-			return err
-		}
-		if c.Rank() != 2 {
-			if out != nil {
-				return fmt.Errorf("non-root got %v", out)
-			}
-			return nil
-		}
-		for s := range out {
-			if out[s][0] != float64(s*11) {
-				return fmt.Errorf("slot %d = %v", s, out[s])
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(testWorld(2, 600), func(c *Ctx) error {
-		_, err := c.Gather(9, nil, 8)
-		return err
-	})
-	if err == nil {
-		t.Error("out-of-range root accepted")
-	}
-}
-
-func TestScatter(t *testing.T) {
-	_, err := Run(testWorld(4, 600), func(c *Ctx) error {
-		var parts [][]float64
-		if c.Rank() == 1 {
-			parts = [][]float64{{10}, {11}, {12}, {13}}
-		}
-		got, err := c.Scatter(1, parts, 0)
-		if err != nil {
-			return err
-		}
-		if got[0] != float64(10+c.Rank()) {
-			return fmt.Errorf("rank %d got %v", c.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = Run(testWorld(2, 600), func(c *Ctx) error {
-		var parts [][]float64
-		if c.Rank() == 0 {
-			parts = [][]float64{{1}} // wrong count
-		}
-		_, err := c.Scatter(0, parts, 0)
-		return err
-	})
-	if err == nil {
-		t.Error("short parts accepted")
-	}
-}
-
-func TestGatherScatterRoundTrip(t *testing.T) {
-	// Scatter then gather returns the original data at the root.
-	_, err := Run(testWorld(4, 800), func(c *Ctx) error {
-		var parts [][]float64
-		if c.Rank() == 0 {
-			parts = [][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
-		}
-		mine, err := c.Scatter(0, parts, 0)
-		if err != nil {
-			return err
-		}
-		back, err := c.Gather(0, mine, 0)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			for s := range back {
-				if back[s][0] != float64(2*s+1) || back[s][1] != float64(2*s+2) {
-					return fmt.Errorf("slot %d = %v", s, back[s])
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherScatterSingleRank(t *testing.T) {
-	_, err := Run(testWorld(1, 600), func(c *Ctx) error {
-		out, err := c.Gather(0, []float64{5}, 0)
-		if err != nil || out[0][0] != 5 {
-			return fmt.Errorf("gather: %v %v", out, err)
-		}
-		got, err := c.Scatter(0, [][]float64{{7}}, 0)
-		if err != nil || got[0] != 7 {
-			return fmt.Errorf("scatter: %v %v", got, err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

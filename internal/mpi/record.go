@@ -38,7 +38,7 @@ import (
 // only its spare capacity, and the garbage collector never scans it. What
 // varies in size lives in per-rank side tables the op indexes: compute
 // mixes and P-states in the order recorded, phase labels interned once per
-// tape, and one arena of the Alltoall and Scatter part lengths.
+// tape, and one arena of the Alltoall part lengths.
 //
 // What recording refuses: an OnPhase hook (a DVFS scheduler's decisions
 // need not be frequency-independent; Run rejects the combination). What it
@@ -62,13 +62,9 @@ const (
 	opRecv
 	opSendRecv
 	opBarrier
-	opBcast
 	opAllreduce
-	opReduce
 	opAlltoall
 	opAllgather
-	opGather
-	opScatter
 )
 
 // recOp is one recorded Ctx call: the operation's shape, never its data.
@@ -77,19 +73,19 @@ const (
 // side tables that ref indexes.
 type recOp struct {
 	kind opKind
-	// peer is the destination, source or root rank, kind-dependent; peer2
-	// is SendRecv's source.
+	// peer is the destination or source rank, kind-dependent; peer2 is
+	// SendRecv's source.
 	peer, peer2 int
 	tag         int
-	// nlen is the payload length in float64s, or for opAlltoall and
-	// opScatter the number of part lengths recorded at lens[ref:]; vbytes
-	// is the virtual-size override passed through unchanged.
+	// nlen is the payload length in float64s, or for opAlltoall the number
+	// of part lengths recorded at lens[ref:]; vbytes is the virtual-size
+	// override passed through unchanged.
 	nlen   int
 	vbytes int
 	// ref is kind-dependent: the index of the label in phases (opPhase),
 	// of the operating point in states (opPState) or of the mix in work
-	// (opCompute), the offset of the first part length in lens (opAlltoall,
-	// opScatter), or the reduction Op (opAllreduce, opReduce).
+	// (opCompute), the offset of the first part length in lens
+	// (opAlltoall), or the reduction Op (opAllreduce).
 	ref int
 }
 
@@ -99,8 +95,7 @@ type rankTape struct {
 	ops    []recOp
 	work   []machine.Work
 	states []power.PState
-	// lens is the arena of every Alltoall and Scatter part length, in
-	// recording order.
+	// lens is the arena of every Alltoall part length, in recording order.
 	lens []int
 	// phases holds each distinct phase label once, in first-use order, and
 	// phaseRef maps a label to its index: a kernel cycles through a few
@@ -136,18 +131,13 @@ func (t *rankTape) addCompute(w machine.Work) {
 	t.work = append(t.work, w)
 }
 
-// addParts records an Alltoall or Scatter: the per-destination part
-// lengths go to the lens arena, where the op's ref and nlen find them.
-func (t *rankTape) addParts(kind opKind, root int, parts [][]float64, vbytes int) {
-	t.add(recOp{kind: kind, peer: root, nlen: len(parts), vbytes: vbytes, ref: len(t.lens)})
+// addAlltoall records an Alltoall: the per-destination part lengths go to
+// the lens arena, where the op's ref and nlen find them.
+func (t *rankTape) addAlltoall(parts [][]float64, vbytes int) {
+	t.add(recOp{kind: opAlltoall, nlen: len(parts), vbytes: vbytes, ref: len(t.lens)})
 	for _, p := range parts {
 		t.lens = append(t.lens, len(p))
 	}
-}
-
-// partLens returns the part lengths an opAlltoall or opScatter recorded.
-func (t *rankTape) partLens(o *recOp) []int {
-	return t.lens[o.ref : o.ref+o.nlen]
 }
 
 // Recording captures the operation streams of exactly one run (attach via
@@ -202,13 +192,9 @@ func (r *Recording) Ops(rank int) int { return len(r.tapes[rank].ops) }
 // comm log and the static skeleton share.
 var collNames = [...]string{
 	opBarrier:   "Barrier",
-	opBcast:     "Bcast",
 	opAllreduce: "Allreduce",
-	opReduce:    "Reduce",
 	opAlltoall:  "Alltoall",
 	opAllgather: "Allgather",
-	opGather:    "Gather",
-	opScatter:   "Scatter",
 }
 
 // CommLog projects the recorded streams onto the communication-protocol
@@ -276,7 +262,7 @@ func (rec *Recording) replayRank(c *Ctx) error {
 	t := &rec.tapes[c.Rank()]
 	maxLen := 0
 	for i := range t.ops {
-		if o := &t.ops[i]; o.kind != opAlltoall && o.kind != opScatter {
+		if o := &t.ops[i]; o.kind != opAlltoall {
 			maxLen = max(maxLen, o.nlen)
 		}
 	}
@@ -316,25 +302,15 @@ func (rec *Recording) replayRank(c *Ctx) error {
 			if err := c.Barrier(); err != nil {
 				return err
 			}
-		case opBcast:
-			got, err := c.Bcast(o.peer, scratch[:o.nlen], o.vbytes)
-			if err != nil {
-				return err
-			}
-			c.Free(got)
 		case opAllreduce:
 			got, err := c.Allreduce(scratch[:o.nlen], Op(o.ref), o.vbytes)
 			if err != nil {
 				return err
 			}
 			c.Free(got)
-		case opReduce:
-			if _, err := c.Reduce(o.peer, scratch[:o.nlen], Op(o.ref), o.vbytes); err != nil {
-				return err
-			}
 		case opAlltoall:
 			parts = parts[:0]
-			for _, l := range t.partLens(o) {
+			for _, l := range t.lens[o.ref : o.ref+o.nlen] {
 				parts = append(parts, scratch[:l])
 			}
 			outs, err := c.Alltoall(parts, o.vbytes)
@@ -351,22 +327,6 @@ func (rec *Recording) replayRank(c *Ctx) error {
 			}
 			for _, b := range outs {
 				c.Free(b)
-			}
-		case opGather:
-			if _, err := c.Gather(o.peer, scratch[:o.nlen], o.vbytes); err != nil {
-				return err
-			}
-		case opScatter:
-			var sp [][]float64
-			if c.Rank() == o.peer {
-				parts = parts[:0]
-				for _, l := range t.partLens(o) {
-					parts = append(parts, scratch[:l])
-				}
-				sp = parts
-			}
-			if _, err := c.Scatter(o.peer, sp, o.vbytes); err != nil {
-				return err
 			}
 		default:
 			return fmt.Errorf("mpi: replay: unknown operation kind %d", o.kind)

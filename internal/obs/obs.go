@@ -57,9 +57,6 @@ type Span struct {
 	Attrs []Attr `json:"attrs,omitempty"`
 }
 
-// Duration returns End − Start.
-func (s Span) Duration() float64 { return s.End - s.Start }
-
 // Recorder collects named spans — campaign, request and benchmark
 // intervals — plus a metrics registry. Per-rank phase timing is not a span:
 // it lives in the run's trace log (mpi.Result.Trace), which the exporters
