@@ -93,7 +93,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	rep := obs.AttributeEnergy(res.Trace, s.Platform.Prof, st, res.Seconds, rankEnds)
-	// Written so that a NaN difference, as two infinite totals give, fails.
+	// An overflowed run has no total to check against; otherwise the test
+	// is written so that a NaN difference fails.
+	if math.IsInf(res.Joules, 0) || math.IsNaN(res.Joules) {
+		return fmt.Errorf("energy attribution: run total is %.15g J, not finite", res.Joules)
+	}
 	if !(math.Abs(rep.TotalJoules-res.Joules) <= 1e-9*res.Joules) {
 		return fmt.Errorf("energy attribution sums to %.15g J but the run total is %.15g J",
 			rep.TotalJoules, res.Joules)

@@ -76,13 +76,14 @@ type fixture struct {
 
 // fixtures lists each analyzer's own package, plus maporder, which seeds
 // detsource's map-iteration-output rule (a pass of its own before it was
-// folded into detsource).
+// folded into detsource), and ownfreempi, which seeds ownfree's rules on
+// the mpi stub's producers.
 func fixtures() []fixture {
 	var fs []fixture
 	for _, a := range All() {
 		fs = append(fs, fixture{a.Name, a})
 	}
-	return append(fs, fixture{"maporder", DetSource})
+	return append(fs, fixture{"maporder", DetSource}, fixture{"ownfreempi", OwnFree})
 }
 
 // TestGolden proves each analyzer detects its seeded violations (≥ 2 per

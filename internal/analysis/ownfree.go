@@ -10,19 +10,19 @@ import (
 
 // OwnFree enforces the payload-ownership protocol of the mpi freelists
 // (DESIGN §8) interprocedurally. A buffer returned by Recv, SendRecv,
-// Alltoall or Allgather is caller-owned: it may reach Free at most once
-// and must not be read after it is freed. Helpers participate through
-// facts: a function that frees its parameter counts as a Free at every
-// call site, and a function that returns an unfreed producer result hands
-// ownership to its caller.
+// Allreduce, Alltoall or Allgather is caller-owned: it may reach Free at
+// most once and must not be read after it is freed. Helpers participate
+// through facts: a function that frees its parameter counts as a Free at
+// every call site, and a function that returns an unfreed producer result
+// hands ownership to its caller.
 var OwnFree = &Analyzer{
 	Name: "ownfree",
 	Doc:  "freelist payload ownership: double Free, use after Free",
 	Run:  runOwnFree,
-	Explain: `Buffers returned by the mpi producers (Recv, SendRecv, Alltoall,
-Allgather — any method of a type that also has Free([]float64)) are owned
-by the caller, at every world size. ownfree tracks each owned variable
-through the function body and flags:
+	Explain: `Buffers returned by the mpi producers (Recv, SendRecv, Allreduce,
+Alltoall, Allgather — any method of a type that also has Free([]float64))
+are owned by the caller, at every world size. ownfree tracks each owned
+variable through the function body and flags:
   - a second Free of the same buffer on one execution path (including a
     Free repeated every loop iteration for a buffer bound outside the
     loop, and a Free duplicated through a helper that frees its argument)
@@ -47,7 +47,7 @@ type producerKind int
 
 const (
 	notProducer producerKind = iota
-	ownedBuffer              // Recv/SendRecv: one caller-owned buffer
+	ownedBuffer              // Recv/SendRecv/Allreduce: one caller-owned buffer
 	ownedSlices              // Alltoall/Allgather: one caller-owned buffer per rank
 )
 
@@ -56,6 +56,7 @@ const (
 var producerMethods = map[string]producerKind{
 	"Recv":      ownedBuffer,
 	"SendRecv":  ownedBuffer,
+	"Allreduce": ownedBuffer,
 	"Alltoall":  ownedSlices,
 	"Allgather": ownedSlices,
 }

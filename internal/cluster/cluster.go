@@ -205,9 +205,12 @@ func Sweep(ctx context.Context, p Platform, g Grid, run RunFunc) ([]Cell, error)
 }
 
 // sweepUnits runs do(0..units-1) on up to GOMAXPROCS workers. Units are
-// handed out in order; each writes only its own cells, so the fan-out is
-// race-free and the results are scheduling-independent. A cancelled ctx
-// stops the hand-out; units already dispatched run to completion.
+// handed out in descending index, which on a Grid (Ns ascending) is the
+// largest rank count first: the longest unit starts first instead of
+// running alone at the end. Each unit writes only its own cells, so the
+// fan-out is race-free and the results are scheduling-independent. A
+// cancelled ctx stops the hand-out; units already dispatched run to
+// completion.
 func sweepUnits(ctx context.Context, units int, do func(int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > units {
@@ -226,7 +229,7 @@ func sweepUnits(ctx context.Context, units int, do func(int)) {
 		}()
 	}
 dispatch:
-	for u := 0; u < units; u++ {
+	for u := units - 1; u >= 0; u-- {
 		// With a worker waiting, both cases of the select are ready and
 		// it picks one at random, so a cancelled ctx could still start a
 		// unit; checking first means it starts none.

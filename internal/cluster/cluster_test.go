@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -128,6 +130,28 @@ func TestSweepPropagatesErrors(t *testing.T) {
 	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Errorf("error not propagated: %v", err)
+	}
+}
+
+// With one worker, the sweep's hand-out order is the order cells run in:
+// the largest rank count, the longest unit, goes first.
+func TestSweepStartsLargestRankCountFirst(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var mu sync.Mutex
+	var order []int
+	_, err := Sweep(context.Background(), PentiumM(), Grid{Ns: []int{1, 2, 4}, MHz: []float64{600}}, func(w mpi.World) (*mpi.Result, error) {
+		mu.Lock()
+		order = append(order, w.N)
+		mu.Unlock()
+		return mpi.Run(w, func(c *mpi.Ctx) error {
+			return c.Compute(machine.W(1e6, 0, 0, 0))
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{4, 2, 1}; !slices.Equal(order, want) {
+		t.Errorf("cells ran at N = %v, want %v", order, want)
 	}
 }
 

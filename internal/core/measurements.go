@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"pasp/internal/power"
@@ -105,14 +106,18 @@ func (m *Measurements) Freqs() []float64 {
 	return out
 }
 
-// BaseMHz returns f0: the lowest measured frequency. It returns an error
-// for an empty campaign.
+// BaseMHz returns f0: the lowest measured frequency, Freqs()[0], found by
+// one scan that builds nothing, since every Speedup calls it. It returns an
+// error for an empty campaign.
 func (m *Measurements) BaseMHz() (float64, error) {
-	fs := m.Freqs()
-	if len(fs) == 0 {
+	if len(m.times) == 0 {
 		return 0, fmt.Errorf("core: empty measurement campaign")
 	}
-	return fs[0], nil
+	base := math.Inf(1)
+	for c := range m.times {
+		base = math.Min(base, c.MHz)
+	}
+	return base, nil
 }
 
 // Speedup returns the measured power-aware speedup S_N(w, f) =

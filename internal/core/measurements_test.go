@@ -61,8 +61,13 @@ func TestAxesSorted(t *testing.T) {
 		t.Errorf("Freqs = %v", fs)
 	}
 	base, err := m.BaseMHz()
-	if err != nil || base != 600 {
-		t.Errorf("BaseMHz = %g, %v", base, err)
+	if err != nil || base != fs[0] {
+		t.Errorf("BaseMHz = %g, %v; Freqs()[0] = %g", base, err, fs[0])
+	}
+	// BaseMHz runs once per Speedup, so once per row of a served sweep: it
+	// finds f0 without building the axis.
+	if a := testing.AllocsPerRun(100, func() { _, _ = m.BaseMHz() }); a != 0 {
+		t.Errorf("BaseMHz allocates %g times per call, want 0", a)
 	}
 }
 

@@ -164,9 +164,10 @@ func (a *Adaptive) Chosen(rank int) map[string]power.PState {
 	return out
 }
 
-// CompareAdaptive runs the kernel pinned at the top gear and then under a
-// fresh adaptive tuner, reporting the tradeoff and the gears rank 0
-// converged to.
+// CompareAdaptive runs the kernel pinned at the top gear beside a run under
+// a fresh adaptive tuner, reporting the tradeoff and the gears rank 0
+// converged to. As in Compare, run is called concurrently for the two
+// worlds; only the tuned run calls the tuner.
 func CompareAdaptive(w mpi.World, a *Adaptive, run func(w mpi.World) (*mpi.Result, error)) (Comparison, map[string]power.PState, error) {
 	cmp, err := compare(w, a.Apply, run)
 	if err != nil {

@@ -17,6 +17,7 @@ package dvfs
 
 import (
 	"fmt"
+	"sync"
 
 	"pasp/internal/mpi"
 	"pasp/internal/power"
@@ -61,13 +62,17 @@ func (c Comparison) String() string {
 
 // Compare runs the kernel twice on the given world — once pinned at the
 // policy's default gear, once under the policy — and reports the tradeoff.
+// The two runs share nothing and go side by side, so run is called
+// concurrently for the two worlds. A World.Metrics registry on w would take
+// both runs' figures, in either order.
 func Compare(w mpi.World, p GearPolicy, run func(w mpi.World) (*mpi.Result, error)) (Comparison, error) {
 	return compare(w, p.Apply, run)
 }
 
 // compare is the body every comparison shares: apply installs the schedule
-// on a copy of w, the baseline runs pinned at the gear that schedule starts
-// from, and then the scheduled world runs.
+// on a copy of w, and the baseline, pinned at the gear that schedule starts
+// from with no phase hook, runs beside the scheduled world. A failed
+// baseline is reported first, as a serial comparison would.
 func compare(w mpi.World, apply func(mpi.World) (mpi.World, error), run func(w mpi.World) (*mpi.Result, error)) (Comparison, error) {
 	sched, err := apply(w)
 	if err != nil {
@@ -77,19 +82,29 @@ func compare(w mpi.World, apply func(mpi.World) (mpi.World, error), run func(w m
 	base.State = sched.State
 	base.OnPhase = nil
 	base.GearSwitchSec = 0
-	baseRes, err := run(base)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("dvfs: baseline: %w", err)
+	worlds := [2]mpi.World{base, sched}
+	var res [2]*mpi.Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range worlds {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res[i], errs[i] = run(worlds[i])
+		}(i)
 	}
-	schedRes, err := run(sched)
-	if err != nil {
-		return Comparison{}, fmt.Errorf("dvfs: scheduled: %w", err)
+	wg.Wait()
+	if errs[0] != nil {
+		return Comparison{}, fmt.Errorf("dvfs: baseline: %w", errs[0])
+	}
+	if errs[1] != nil {
+		return Comparison{}, fmt.Errorf("dvfs: scheduled: %w", errs[1])
 	}
 	return Comparison{
-		BaselineSec:     units.Seconds(baseRes.Seconds),
-		BaselineJoules:  units.Joules(baseRes.Joules),
-		ScheduledSec:    units.Seconds(schedRes.Seconds),
-		ScheduledJoules: units.Joules(schedRes.Joules),
+		BaselineSec:     units.Seconds(res[0].Seconds),
+		BaselineJoules:  units.Joules(res[0].Joules),
+		ScheduledSec:    units.Seconds(res[1].Seconds),
+		ScheduledJoules: units.Joules(res[1].Joules),
 	}, nil
 }
 

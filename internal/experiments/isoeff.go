@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"sync"
 
 	"pasp/internal/mpi"
 	"pasp/internal/stats"
@@ -43,76 +45,105 @@ const maxIsoMult = 64.0
 // own sequential run, all at the base frequency; the target is the N=ns[0]
 // efficiency at multiplier 1, and each larger N is searched (bisection on
 // the multiplier) for the factor that restores it.
+//
+// Once the target is known, each search depends only on it and on its own
+// N, so the searches run side by side, and within each step the sequential
+// and the N-rank cell do too: runAt and the runners it returns are called
+// concurrently. Every figure is the one a serial study computes, and a
+// failing study reports the error of the first failing N in ns order.
 func (s Suite) Isoefficiency(kernel string, ns []int, runAt func(mult float64) func(mpi.World) (*mpi.Result, error)) (*IsoefficiencyResult, error) {
 	if len(ns) < 2 {
 		return nil, fmt.Errorf("experiments: isoefficiency needs ≥ 2 processor counts")
 	}
 	baseMHz := s.Grid.MHz[0]
+	cellSec := func(n int, run func(mpi.World) (*mpi.Result, error)) (float64, error) {
+		w, err := s.Platform.World(n, baseMHz)
+		if err != nil {
+			return 0, err
+		}
+		r, err := run(w)
+		if err != nil {
+			return 0, err
+		}
+		return r.Seconds, nil
+	}
 	// The sequential reference depends only on the multiplier, never on n,
-	// and the search re-evaluates the same multipliers across processor
+	// and the searches re-evaluate the same multipliers across processor
 	// counts (1 and maxIsoMult at every n, overlapping bisection midpoints).
 	// Memoizing its makespan skips those repeated N=1 runs — the mult=64
 	// sequential run is the single most expensive cell in the study — while
-	// leaving every computed efficiency bit-identical.
-	seqSec := map[float64]float64{}
+	// leaving every computed efficiency bit-identical. Each entry runs once,
+	// however many searches ask for it at the same time.
+	type seqRun struct {
+		once sync.Once
+		sec  float64
+		err  error
+	}
+	var mu sync.Mutex
+	seqRuns := map[float64]*seqRun{}
+	seqSec := func(mult float64, run func(mpi.World) (*mpi.Result, error)) (float64, error) {
+		mu.Lock()
+		e, ok := seqRuns[mult]
+		if !ok {
+			e = &seqRun{}
+			seqRuns[mult] = e
+		}
+		mu.Unlock()
+		e.once.Do(func() { e.sec, e.err = cellSec(1, run) })
+		return e.sec, e.err
+	}
 	eff := func(mult float64, n int) (float64, error) {
 		run := runAt(mult)
-		t1, ok := seqSec[mult]
-		if !ok {
-			w1, err := s.Platform.World(1, baseMHz)
-			if err != nil {
-				return 0, err
-			}
-			r1, err := run(w1)
-			if err != nil {
-				return 0, err
-			}
-			t1 = r1.Seconds
-			seqSec[mult] = t1
+		// Slot 0 is the sequential reference, slot 1 the N=n cell.
+		var sec [2]float64
+		var errs [2]error
+		var wg sync.WaitGroup
+		for i := range sec {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if i == 0 {
+					sec[i], errs[i] = seqSec(mult, run)
+				} else {
+					sec[i], errs[i] = cellSec(n, run)
+				}
+			}(i)
 		}
-		wn, err := s.Platform.World(n, baseMHz)
-		if err != nil {
+		wg.Wait()
+		if err := cmp.Or(errs[:]...); err != nil {
 			return 0, err
 		}
-		rn, err := run(wn)
-		if err != nil {
-			return 0, err
-		}
-		if rn.Seconds <= 0 {
+		if sec[1] <= 0 {
 			return 0, fmt.Errorf("experiments: degenerate zero-time run at N=%d", n)
 		}
-		return t1 / rn.Seconds / float64(n), nil
+		return sec[0] / sec[1] / float64(n), nil
 	}
 	target, err := eff(1, ns[0])
 	if err != nil {
 		return nil, err
 	}
-	out := &IsoefficiencyResult{Kernel: kernel, Target: target, Ns: ns, Multiplier: make([]float64, len(ns))}
-	out.Multiplier[0] = 1
-	for i := 1; i < len(ns); i++ {
+	search := func(i int) (float64, error) {
 		n := ns[i]
 		lo, hi := 1.0, maxIsoMult
 		eHi, err := eff(hi, n)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if eHi < target {
-			out.Multiplier[i] = maxIsoMult
-			continue
+			return maxIsoMult, nil
 		}
 		eLo, err := eff(lo, n)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if eLo >= target {
-			out.Multiplier[i] = 1
-			continue
+			return 1, nil
 		}
 		for iter := 0; iter < 12 && !stats.AlmostEqual(lo, hi, 0.02); iter++ {
 			mid := (lo + hi) / 2
 			e, err := eff(mid, n)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
 			if e >= target {
 				hi = mid
@@ -120,7 +151,23 @@ func (s Suite) Isoefficiency(kernel string, ns []int, runAt func(mult float64) f
 				lo = mid
 			}
 		}
-		out.Multiplier[i] = (lo + hi) / 2
+		return (lo + hi) / 2, nil
+	}
+	out := &IsoefficiencyResult{Kernel: kernel, Target: target, Ns: ns, Multiplier: make([]float64, len(ns))}
+	out.Multiplier[0] = 1
+	// The largest N, the longest search, starts first.
+	errs := make([]error, len(ns))
+	var wg sync.WaitGroup
+	for i := len(ns) - 1; i >= 1; i-- {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out.Multiplier[i], errs[i] = search(i)
+		}(i)
+	}
+	wg.Wait()
+	if err := cmp.Or(errs...); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
