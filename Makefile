@@ -146,7 +146,10 @@ fuzz:
 # quick-suite server must never shed this load), or request-ID echo
 # mismatch. The two phases use distinct seeds so their deterministic
 # request IDs stay disjoint — pastat -strict treats a duplicate ID as a
-# finding. After the graceful drain, pastat closes the loop offline: the
+# finding. Then two /robustness requests: one on the warmed FT campaign,
+# whose SP and FP fits the traffic has already memoized, must get 200, and
+# one whose magnitude pushes the jitter past its ceiling must get 400.
+# After the graceful drain, pastat closes the loop offline: the
 # wide-event log must satisfy a loose SLO, pass the telemetry-integrity
 # checks, and the Perfetto trace must validate. The /metrics and
 # /debug/requests scrapes, the paload JSON report, the event log, the trace
@@ -176,6 +179,10 @@ serve-smoke:
 		-mix predict -kernel ft -n 4 -f 1400mhz -strict -json $(LOADJSON) || exit 1; \
 	./paload.bin -url http://$(SERVEADDR) -qps 200 -duration 10s -seed 2 \
 		-mix quick -kernel ft -n 4 -f 1400mhz -strict || exit 1; \
+	code=$$(curl -sS -o /dev/null -w '%{http_code}' -d '{"kernel":"ft","ns":[2,4],"magnitudes":[0,1]}' http://$(SERVEADDR)/robustness); \
+	[ "$$code" = 200 ] || { echo "/robustness on warmed FT answered $$code, want 200"; exit 1; }; \
+	code=$$(curl -sS -o /dev/null -w '%{http_code}' -d '{"kernel":"is","ns":[4],"magnitudes":[0,1e308],"chaos":"seed=1,jitter=1.7"}' http://$(SERVEADDR)/robustness); \
+	[ "$$code" = 400 ] || { echo "/robustness past the jitter ceiling answered $$code, want 400"; exit 1; }; \
 	curl -fsS http://$(SERVEADDR)/metrics > $(SERVEMETRICS) || exit 1; \
 	curl -fsS http://$(SERVEADDR)/debug/requests > $(SERVEDEBUG) || exit 1; \
 	trap - EXIT; \

@@ -38,12 +38,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pasweep: %v\n", err)
 		os.Exit(2)
 	}
-	camp, err := s.MeasureKernel(ctx, *bench)
+	camp, err := k.Measure(ctx)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pasweep: %v\n", err)
 		os.Exit(1)
 	}
-	s.Grid = k.Grid // LU sweeps the smaller grid
 	fig, err := s.FigureFrom(strings.ToUpper(*bench), camp)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pasweep: %v\n", err)

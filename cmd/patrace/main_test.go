@@ -82,9 +82,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{args: []string{"-f", "nan", "-out", out}},
 		{args: []string{"-suite", "huge", "-out", out}},
 		{args: []string{"-chaos", "seed=", "-out", out}},
-		// The jitter overflows the run to +Inf joules: the energy
-		// self-check must fail and say the total is not finite.
-		{args: []string{"-suite", "quick", "-n", "2", "-chaos", "seed=1,jitter=1e308", "-out", out}, errHas: []string{"energy attribution", "not finite"}},
+		// A jitter that would overflow the run to +Inf joules is past its
+		// ceiling: the spec is refused before anything runs.
+		{args: []string{"-suite", "quick", "-n", "2", "-chaos", "seed=1,jitter=1e308", "-out", out}, errHas: []string{"LatencyJitterFrac = 1e+308"}},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf)

@@ -1271,21 +1271,6 @@ func subtreeHas(nodes []*opNode, pred func(*opNode) bool) bool {
 	return false
 }
 
-// subtreeHasCommOp reports p2p or collective presence, resolving opCall
-// edges through the fact table.
-func (prog *Program) subtreeHasCommOp(nodes []*opNode) bool {
-	return subtreeHas(nodes, func(n *opNode) bool {
-		switch n.kind {
-		case opP2P, opColl:
-			return true
-		case opCall:
-			f := prog.commFactOf(n.callee)
-			return f.hasP2P || len(f.colls) > 0
-		}
-		return false
-	})
-}
-
 // expandTree replaces opCall nodes by their callees' trees so a whole
 // kernel becomes one instantiable forest. Recursive or overly deep call
 // chains fail the expansion (ok=false) — the callers then treat the

@@ -26,9 +26,6 @@ type Adaptive struct {
 	Prof power.Profile
 	// SwitchSec is the gear-transition stall.
 	SwitchSec units.Seconds
-	// Explore is how many visits each gear gets per phase before the tuner
-	// commits; 0 selects 2.
-	Explore int
 
 	mu    sync.Mutex
 	ranks map[int]*tuner
@@ -58,18 +55,12 @@ func (a *Adaptive) Validate() error {
 	if a.SwitchSec < 0 {
 		return fmt.Errorf("dvfs: negative switch time")
 	}
-	if a.Explore < 0 {
-		return fmt.Errorf("dvfs: negative exploration count")
-	}
 	return nil
 }
 
-func (a *Adaptive) explore() int {
-	if a.Explore == 0 {
-		return 2
-	}
-	return a.Explore
-}
+// explore is how many visits each gear gets per phase before the tuner
+// commits.
+const explore = 2
 
 func (a *Adaptive) tunerFor(rank int) *tuner {
 	a.mu.Lock()
@@ -86,14 +77,14 @@ func (a *Adaptive) tunerFor(rank int) *tuner {
 }
 
 // pick selects the gear for a phase: round-robin exploration until every
-// gear has Explore visits, then the EDP-argmin (node power × mean duration
+// gear has explore visits, then the EDP-argmin (node power × mean duration
 // squared) forever after.
 func (a *Adaptive) pick(ps *phaseStats) int {
 	if ps.chosen >= 0 {
 		return ps.chosen
 	}
 	for g := range a.Prof.States {
-		if ps.visits[g] < a.explore() {
+		if ps.visits[g] < explore {
 			return g
 		}
 	}

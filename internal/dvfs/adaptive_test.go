@@ -20,9 +20,6 @@ func TestAdaptiveValidate(t *testing.T) {
 	if err := (&Adaptive{Prof: power.PentiumM(), SwitchSec: -1}).Validate(); err == nil {
 		t.Error("negative switch accepted")
 	}
-	if err := (&Adaptive{Prof: power.PentiumM(), Explore: -1}).Validate(); err == nil {
-		t.Error("negative exploration accepted")
-	}
 }
 
 // On a workload with many iterations the tuner must converge: the

@@ -26,7 +26,7 @@ func (r *EDPResult) String() string {
 // as N·P(f)·T (busy-poll utilization 1.0), then scores both against the
 // simulator's measured time and integrated energy.
 func (s Suite) EDPFrom(name string, camp *Campaign, ns []int, mhz []float64) (*EDPResult, error) {
-	sp, err := core.FitSP(camp.Meas)
+	sp, err := camp.SP()
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func (s Suite) SweetSpotFrom(camp *Campaign) (measured, predicted core.Candidate
 	if err != nil {
 		return core.Candidate{}, core.Candidate{}, err
 	}
-	sp, err := core.FitSP(camp.Meas)
+	sp, err := camp.SP()
 	if err != nil {
 		return core.Candidate{}, core.Candidate{}, err
 	}

@@ -15,6 +15,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"pasp/internal/cluster"
 	"pasp/internal/core"
@@ -124,7 +125,9 @@ func Scale() Suite {
 // Campaign is a measured grid plus the raw per-cell results. Campaigns
 // obtained from Kernel.Measure (and the MeasureXX calls through it) are
 // memoized process-wide (see store.go) and shared between callers, so a
-// Campaign must be treated as read-only after construction.
+// Campaign must be treated as read-only after construction. Its one
+// synchronized exception is the fit memo: SP and Kernel.FP each fit their
+// model on first use, once, and every caller shares the outcome.
 type Campaign struct {
 	// Meas holds times and energies keyed by configuration.
 	Meas *core.Measurements
@@ -133,6 +136,22 @@ type Campaign struct {
 
 	// index maps (N, MHz) to a position in Cells; NewCampaign builds it.
 	index map[cellKey]int
+
+	// The fit memo. A failed fit is as deterministic as a successful one
+	// (an FP fit on a grid cell that sent no messages), so its error is
+	// kept too.
+	spOnce, fpOnce sync.Once
+	sp             *core.SP
+	fp             *core.FP
+	spErr, fpErr   error
+}
+
+// SP returns the simplified parameterization (Eqs. 16–18) fitted on the
+// campaign's measurements. The fit runs once per campaign; every later
+// call, from any goroutine, returns the same model or the same error.
+func (c *Campaign) SP() (*core.SP, error) {
+	c.spOnce.Do(func() { c.sp, c.spErr = core.FitSP(c.Meas) })
+	return c.sp, c.spErr
 }
 
 // cellKey is the exact-match lookup key of one grid cell. The frequency is

@@ -2,13 +2,19 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"pasp/internal/cluster"
 	"pasp/internal/core"
 	"pasp/internal/dvfs"
+	"pasp/internal/faults"
 	"pasp/internal/machine"
 	"pasp/internal/power"
 	"pasp/internal/stats"
@@ -752,5 +758,153 @@ func TestIsoefficiencyCG(t *testing.T) {
 	}
 	if res.Multiplier[1] >= maxIsoMult {
 		t.Errorf("multiplier hit the cap; target unreachable")
+	}
+}
+
+// TestCampaignFitsShared pins the fit memo's sharing contract: concurrent
+// SP and FP callers on one campaign all get the same models, and those
+// models are the ones the unmemoized fitters compute. Run it under -race.
+func TestCampaignFitsShared(t *testing.T) {
+	s := Quick()
+	k, err := s.Kernel("ft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := k.Measure(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A campaign of its own, so no earlier test has filled its memo.
+	camp := NewCampaign(stored.Cells)
+	const callers = 8
+	sps := make([]*core.SP, callers)
+	fps := make([]*core.FP, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for i := range callers {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var spErr, fpErr error
+			sps[i], spErr = camp.SP()
+			fps[i], fpErr = k.FP(camp)
+			errs[i] = errors.Join(spErr, fpErr)
+		}(i)
+	}
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if sps[i] != sps[0] || fps[i] != fps[0] {
+			t.Fatalf("caller %d got SP %p / FP %p, caller 0 got %p / %p; the campaign fitted more than once",
+				i, sps[i], fps[i], sps[0], fps[0])
+		}
+	}
+	sp, err := core.FitSP(camp.Meas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := s.FitFP(camp, k.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(sp, sps[0]) || !reflect.DeepEqual(fp, fps[0]) {
+		t.Error("the memoized fits differ from fresh FitSP and FitFP fits")
+	}
+}
+
+// TestCampaignFitErrorMemoized pins that a failed fit is memoized like a
+// model: a campaign without its N=1 cells can fit neither SP nor FP, and
+// every call returns the very error value of the first, where a refit would
+// build a new one.
+func TestCampaignFitErrorMemoized(t *testing.T) {
+	s := Quick()
+	k, err := s.Kernel("ft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := k.Measure(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []cluster.Cell
+	for _, c := range stored.Cells {
+		if c.N != 1 {
+			cells = append(cells, c)
+		}
+	}
+	camp := NewCampaign(cells)
+	_, spErr := camp.SP()
+	_, fpErr := k.FP(camp)
+	if spErr == nil || fpErr == nil {
+		t.Fatalf("fits without N=1 cells: SP error %v, FP error %v; want both to fail", spErr, fpErr)
+	}
+	for range 3 {
+		if _, err := camp.SP(); err != spErr {
+			t.Fatalf("SP returned %v (%p), first call %v (%p); the campaign refitted", err, err, spErr, spErr)
+		}
+		if _, err := k.FP(camp); err != fpErr {
+			t.Fatalf("FP returned %v (%p), first call %v (%p); the campaign refitted", err, err, fpErr, fpErr)
+		}
+	}
+	if _, err := core.FitSP(camp.Meas); err == spErr {
+		t.Fatal("FitSP returns one shared error value, so identity cannot tell a refit apart")
+	}
+}
+
+// TestStoreKeysOnPingReps: the FP fit a campaign memoizes reads the suite's
+// PingReps, so two suites that differ only there must not share a campaign.
+func TestStoreKeysOnPingReps(t *testing.T) {
+	s := Quick()
+	variant := s
+	variant.PingReps++
+	if s.Kernels()["lu"].key == variant.Kernels()["lu"].key {
+		t.Error("suites with different PingReps share a campaign-store key")
+	}
+}
+
+// TestFigureFromDrawsCampaignGrid: a figure is drawn on the grid its
+// campaign measured, not on the suite's EP/FT grid, so LU's smaller grid
+// needs no override.
+func TestFigureFromDrawsCampaignGrid(t *testing.T) {
+	s := Quick()
+	s.LUGrid = cluster.Grid{Ns: []int{1, 2}, MHz: []float64{600, 1400}}
+	camp, err := s.MeasureLU(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, err := s.FigureFrom("LU", camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*ValueGrid{fig.Time, fig.Speedup} {
+		if !slices.Equal(g.Ns, s.LUGrid.Ns) || !slices.Equal(g.MHz, s.LUGrid.MHz) {
+			t.Errorf("%s drawn on Ns %v × MHz %v, want LU's grid %v × %v", g.Title, g.Ns, g.MHz, s.LUGrid.Ns, s.LUGrid.MHz)
+		}
+	}
+}
+
+// TestChaosCeilingsKeepRunFinite runs kernels with every chaos knob at its
+// ceiling and every message dropped to its last retry: the worst run the
+// ceilings admit still has finite seconds and joules. FT's alltoall takes
+// the jitter, degradation and straggling; LU's point-to-point messages
+// also take the 63-retry backoff.
+func TestChaosCeilingsKeepRunFinite(t *testing.T) {
+	cfg, err := faults.ParseSpec("seed=1,jitter=1e6,drop=1,retries=63,timeout=1000000s," +
+		"degradeprob=1,degradefactor=1e6,straggler=1,slowdown=1e6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Quick()
+	s.Platform.Faults = cfg
+	for _, name := range []string{"ft", "lu"} {
+		res, err := s.RunKernelOnce(name, 2, 600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.IsInf(res.Seconds, 0) || math.IsNaN(res.Seconds) || math.IsInf(res.Joules, 0) || math.IsNaN(res.Joules) {
+			t.Errorf("%s worst-case chaos run: %g s, %g J; want both finite", name, res.Seconds, res.Joules)
+		}
 	}
 }

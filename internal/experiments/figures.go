@@ -41,9 +41,10 @@ func (s Suite) Figure2(ctx context.Context) (*Figure, error) {
 	return s.FigureFrom("Fig 2: FT", camp)
 }
 
-// FigureFrom builds the two panels from an existing campaign.
+// FigureFrom builds the two panels from an existing campaign, on the
+// campaign's own grid.
 func (s Suite) FigureFrom(name string, camp *Campaign) (*Figure, error) {
-	tg, sg, err := timeAndSpeedupGrids(name, camp, s.Grid.Ns, s.Grid.MHz)
+	tg, sg, err := timeAndSpeedupGrids(name, camp)
 	if err != nil {
 		return nil, err
 	}

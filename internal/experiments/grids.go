@@ -151,8 +151,10 @@ func errorGridFrom(title string, ns []int, mhz []float64,
 	return e, nil
 }
 
-// timeAndSpeedupGrids extracts the two Figure-style grids from a campaign.
-func timeAndSpeedupGrids(name string, camp *Campaign, ns []int, mhz []float64) (tg, sg *ValueGrid, err error) {
+// timeAndSpeedupGrids extracts the two Figure-style grids from a campaign,
+// over the processor counts and frequencies it measured.
+func timeAndSpeedupGrids(name string, camp *Campaign) (tg, sg *ValueGrid, err error) {
+	ns, mhz := camp.Meas.Ns(), camp.Meas.Freqs()
 	tg = newValueGrid(fmt.Sprintf("%s execution time (s)", name), ns, mhz, "%.2f")
 	sg = newValueGrid(fmt.Sprintf("%s power-aware speedup", name), ns, mhz, "%.2f")
 	for i, n := range ns {

@@ -12,10 +12,11 @@ import (
 )
 
 // Kernel is one registered benchmark: its runner, its campaign grid and
-// the campaign-store key naming both on the suite's platform. The key is
-// rendered once, when Kernel or Kernels builds the row, so Measure and Peek
-// format nothing. The key stands for Run's class and for Grid, so treat a
-// built Kernel as read-only.
+// the campaign-store key naming both on the suite's platform, with the
+// suite's PingReps for the FP fit. The key is rendered once, when Kernel
+// or Kernels builds the row, so Measure and Peek format nothing. The key
+// stands for Run's class and for Grid, so treat a built Kernel as
+// read-only.
 type Kernel struct {
 	// Name is the lower-case NAS name ("ep", "ft", ...).
 	Name string
@@ -72,12 +73,14 @@ func (s Suite) class(name string) (class any, g cluster.Grid, run cluster.RunFun
 // newKernel builds one table row and renders its campaign key from the
 // upper-cased name ("EP", "FT", ...) with class, the kernel's full
 // parameter struct, so two classes of one kernel cannot collide; from the
-// grid; and from platform, the caller's fingerprint of s.Platform.
+// grid; from platform, the caller's fingerprint of s.Platform; and from
+// s.PingReps.
 func (s Suite) newKernel(name string, class any, g cluster.Grid, run cluster.RunFunc, platform string) Kernel {
 	return Kernel{Name: name, Run: run, Grid: g, platform: s.Platform, key: campaignKey{
 		kernel:   fmt.Sprintf("%s %+v", strings.ToUpper(name), class),
 		grid:     fmt.Sprintf("%v %v", g.Ns, g.MHz),
 		platform: platform,
+		pingReps: s.PingReps,
 	}}
 }
 

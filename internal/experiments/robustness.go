@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"pasp/internal/cluster"
-	"pasp/internal/core"
 	"pasp/internal/faults"
 	"pasp/internal/stats"
 	"pasp/internal/table"
@@ -126,10 +125,11 @@ type RobustnessResult struct {
 	Retries [][]int
 }
 
-// Robustness runs the sweep: fit SP and FP on the kernel's clean memoized
-// campaign, then, once per magnitude, cluster.Sweep the Ns at the base
-// frequency on a platform carrying the scaled fault config, the cells of
-// one magnitude spread over the sweep's worker pool. Perturbed cells are
+// Robustness runs the sweep: take SP and FP as fitted on the kernel's clean
+// memoized campaign (its fit memo, so a repeated sweep does not refit),
+// then, once per magnitude, cluster.Sweep the Ns at the base frequency on a
+// platform carrying the scaled fault config, the cells of one magnitude
+// spread over the sweep's worker pool. Perturbed cells are
 // fresh simulations that never enter the campaign store (each scaled
 // platform would be a distinct store identity), so repeated sweeps
 // re-derive — and therefore actually test — the harness's determinism. A
@@ -156,11 +156,11 @@ func (s Suite) Robustness(ctx context.Context, spec RobustnessSpec) (*Robustness
 	if err != nil {
 		return nil, err
 	}
-	sp, err := core.FitSP(camp.Meas)
+	sp, err := camp.SP()
 	if err != nil {
 		return nil, err
 	}
-	fp, err := s.FitFP(camp, k.Grid)
+	fp, err := k.FP(camp)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,7 @@ func (s Suite) scaledSweep(ctx context.Context, name string, run cluster.RunFunc
 	if err != nil {
 		return nil, err
 	}
-	_, fixed, err := timeAndSpeedupGrids(name, camp, s.Grid.Ns, s.Grid.MHz)
+	_, fixed, err := timeAndSpeedupGrids(name, camp)
 	if err != nil {
 		return nil, err
 	}

@@ -96,7 +96,7 @@ func (s Suite) SegmentVsSP(camp *Campaign) (*SegmentResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp, err := core.FitSP(camp.Meas)
+	sp, err := camp.SP()
 	if err != nil {
 		return nil, err
 	}

@@ -15,12 +15,15 @@ import (
 // starts from a campaign, and most of them start from the *same* campaign:
 // before the store, the benchmark harness re-simulated the FT sweep seven
 // times. A campaign is a pure function of (kernel class and parameters,
-// grid, platform), so it is content-keyed on exactly those and measured at
-// most once.
+// grid, platform), so it is content-keyed on those and measured at most
+// once. The key also names the suite's PingReps: a campaign memoizes its
+// SP and FP fits, and the FP fit prices messages with PingReps ping-pongs,
+// so everything a stored campaign holds is a pure function of its key.
 //
 // Cached campaigns are shared: every caller receives the same *Campaign and
 // must treat it — Meas, Cells and the per-cell Results and Traces — as
-// read-only. All in-tree consumers only read (fits, grids, trace scans).
+// read-only. All in-tree consumers only read (grids, trace scans); the
+// fit memo is the campaign's own, synchronized.
 //
 // Variant platforms are naturally distinct keys: the ablations mutate a
 // copy of Suite.Platform (FlowConcurrency, MsgCPUIns, BusDrop, ...) and the
@@ -55,6 +58,7 @@ type campaignKey struct {
 	kernel   string // kernel name plus its full parameter struct
 	grid     string // Ns × MHz
 	platform string // machine, network and power models plus MaxNodes
+	pingReps int    // Suite.PingReps, the one FP-fit input the rest omits
 }
 
 // flight is one in-progress measurement attempt of an entry. Its fields are

@@ -61,7 +61,7 @@ func (s Suite) Table3(ctx context.Context) (*ErrorGrid, error) {
 
 // Table3From computes Table 3 from an existing FT campaign.
 func (s Suite) Table3From(camp *Campaign) (*ErrorGrid, error) {
-	sp, err := core.FitSP(camp.Meas)
+	sp, err := camp.SP()
 	if err != nil {
 		return nil, err
 	}
@@ -229,11 +229,15 @@ func (s Suite) Table7(ctx context.Context) (*Table7Result, error) {
 
 // Table7From computes Table 7 from an existing LU campaign.
 func (s Suite) Table7From(camp *Campaign) (*Table7Result, error) {
-	sp, err := core.FitSP(camp.Meas)
+	lu, err := s.Kernel("lu")
 	if err != nil {
 		return nil, err
 	}
-	fp, err := s.FitFP(camp, s.LUGrid)
+	sp, err := camp.SP()
+	if err != nil {
+		return nil, err
+	}
+	fp, err := lu.FP(camp)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +282,24 @@ func (s Suite) Table7From(camp *Campaign) (*Table7Result, error) {
 // and prices the profiled per-N message traffic with mpptest ping-pongs.
 // (The paper applies the technique to LU as its case study and notes it
 // "applied this technique to FT with error rates similar to ... Table 3".)
+// FitFP fits afresh on every call; Kernel.FP is a campaign's memoized fit.
 func (s Suite) FitFP(camp *Campaign, grid cluster.Grid) (*core.FP, error) {
+	return fitFP(s.Platform, s.PingReps, camp, grid)
+}
+
+// FP returns the fine-grain parameterization fitted on camp, which must be
+// one of the kernel's campaigns, over the kernel's grid with the kernel's
+// platform and PingReps. The campaign-store key names all three, so a
+// stored campaign's fit is a pure function of its key. The fit runs once
+// per campaign; every later call, from any goroutine, returns the same
+// model or the same error.
+func (k Kernel) FP(camp *Campaign) (*core.FP, error) {
+	camp.fpOnce.Do(func() { camp.fp, camp.fpErr = fitFP(k.platform, k.key.pingReps, camp, k.Grid) })
+	return camp.fp, camp.fpErr
+}
+
+// fitFP is FitFP on a given platform and ping-pong repetition count.
+func fitFP(pl cluster.Platform, pingReps int, camp *Campaign, grid cluster.Grid) (*core.FP, error) {
 	base, err := camp.Meas.BaseMHz()
 	if err != nil {
 		return nil, err
@@ -297,7 +318,7 @@ func (s Suite) FitFP(camp *Campaign, grid cluster.Grid) (*core.FP, error) {
 		CommSec:   map[int]map[float64]units.Seconds{},
 	}
 	for _, mhz := range grid.MHz {
-		ln, err := lmbench.LevelNanos(s.Platform.Mach, units.MHz(mhz))
+		ln, err := lmbench.LevelNanos(pl.Mach, units.MHz(mhz))
 		if err != nil {
 			return nil, err
 		}
@@ -329,11 +350,11 @@ func (s Suite) FitFP(camp *Campaign, grid cluster.Grid) (*core.FP, error) {
 		avg := bytes / msgs
 		fp.CommSec[n] = map[float64]units.Seconds{}
 		for _, mhz := range grid.MHz {
-			w2, err := s.Platform.World(2, mhz)
+			w2, err := pl.World(2, mhz)
 			if err != nil {
 				return nil, err
 			}
-			per, err := mpptest.PingPong(w2, avg, s.PingReps)
+			per, err := mpptest.PingPong(w2, avg, pingReps)
 			if err != nil {
 				return nil, err
 			}

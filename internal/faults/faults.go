@@ -89,6 +89,19 @@ const DefaultMaxRetries = 3
 // caps the PRNG draws one dropped message can cost.
 const maxRetryLimit = 63
 
+// Ceilings on the per-event magnitudes Validate accepts; past them a
+// finite knob can overflow a run to +Inf. With every knob at its ceiling
+// and every message dropped down to its last retry, a message or
+// collective costs at most a few million times its clean latency and wire
+// time plus (2^63 − 1)·1e6 s ≈ 9.2e24 s of backoff, and a compute interval
+// a million times its clean length. Even on 1024 nodes drawing 100 W each,
+// such a run needs more than 1e270 messages to reach float64's 1.8e308 s
+// or joules.
+const (
+	maxFactor       = 1e6
+	maxRetryTimeout = units.Seconds(1e6)
+)
+
 // Enabled reports whether any fault knob is active.
 func (c Config) Enabled() bool {
 	return c.LatencyJitterFrac > 0 ||
@@ -98,8 +111,9 @@ func (c Config) Enabled() bool {
 }
 
 // Validate reports an error for non-physical knobs: probabilities outside
-// [0,1], negative or infinite times, factors below 1, a retry bound above
-// 63, and NaN anywhere.
+// [0,1], negative times, factors below 1, NaN anywhere, a retry bound above
+// 63, and a jitter fraction, degrade factor or straggler slowdown above
+// 1e6 or a retry timeout above 1e6 s, the ceilings that keep a run finite.
 func (c Config) Validate() error {
 	probs := map[string]float64{
 		"DropProb":      c.DropProb,
@@ -111,20 +125,20 @@ func (c Config) Validate() error {
 			return fmt.Errorf("faults: %s = %g outside [0,1]", name, p)
 		}
 	}
-	if math.IsNaN(c.LatencyJitterFrac) || math.IsInf(c.LatencyJitterFrac, 0) || c.LatencyJitterFrac < 0 {
-		return fmt.Errorf("faults: LatencyJitterFrac = %g", c.LatencyJitterFrac)
+	if math.IsNaN(c.LatencyJitterFrac) || c.LatencyJitterFrac < 0 || c.LatencyJitterFrac > maxFactor {
+		return fmt.Errorf("faults: LatencyJitterFrac = %g, want 0..%g", c.LatencyJitterFrac, maxFactor)
 	}
-	if rt := float64(c.RetryTimeoutSec); math.IsNaN(rt) || math.IsInf(rt, 0) || rt < 0 {
-		return fmt.Errorf("faults: RetryTimeoutSec = %g", float64(c.RetryTimeoutSec))
+	if rt := float64(c.RetryTimeoutSec); math.IsNaN(rt) || rt < 0 || rt > float64(maxRetryTimeout) {
+		return fmt.Errorf("faults: RetryTimeoutSec = %g, want 0..%g s", rt, float64(maxRetryTimeout))
 	}
 	if c.MaxRetries < 0 || c.MaxRetries > maxRetryLimit {
 		return fmt.Errorf("faults: MaxRetries = %d, want 0..%d", c.MaxRetries, maxRetryLimit)
 	}
-	if c.DegradeFactor != 0 && (math.IsNaN(c.DegradeFactor) || math.IsInf(c.DegradeFactor, 0) || c.DegradeFactor < 1) {
-		return fmt.Errorf("faults: DegradeFactor = %g, want 0 (off) or ≥ 1", c.DegradeFactor)
+	if c.DegradeFactor != 0 && (math.IsNaN(c.DegradeFactor) || c.DegradeFactor < 1 || c.DegradeFactor > maxFactor) {
+		return fmt.Errorf("faults: DegradeFactor = %g, want 0 (off) or 1..%g", c.DegradeFactor, maxFactor)
 	}
-	if c.StragglerSlowdown != 0 && (math.IsNaN(c.StragglerSlowdown) || math.IsInf(c.StragglerSlowdown, 0) || c.StragglerSlowdown < 1) {
-		return fmt.Errorf("faults: StragglerSlowdown = %g, want 0 (off) or ≥ 1", c.StragglerSlowdown)
+	if c.StragglerSlowdown != 0 && (math.IsNaN(c.StragglerSlowdown) || c.StragglerSlowdown < 1 || c.StragglerSlowdown > maxFactor) {
+		return fmt.Errorf("faults: StragglerSlowdown = %g, want 0 (off) or 1..%g", c.StragglerSlowdown, maxFactor)
 	}
 	return nil
 }

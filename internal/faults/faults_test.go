@@ -54,13 +54,26 @@ func TestValidateRejects(t *testing.T) {
 		{DegradeFactor: 0.5},
 		{DegradeFactor: math.NaN()},
 		{StragglerSlowdown: 0.9},
+		// Just above each ceiling: finite, but able to overflow a run.
+		{LatencyJitterFrac: above(maxFactor)},
+		{DegradeFactor: above(maxFactor)},
+		{StragglerSlowdown: above(maxFactor)},
+		{RetryTimeoutSec: units.Seconds(above(float64(maxRetryTimeout)))},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d (%+v): Validate accepted a non-physical config", i, c)
 		}
 	}
+	atCeiling := Config{LatencyJitterFrac: maxFactor, DegradeFactor: maxFactor,
+		StragglerSlowdown: maxFactor, RetryTimeoutSec: maxRetryTimeout, MaxRetries: maxRetryLimit}
+	if err := atCeiling.Validate(); err != nil {
+		t.Errorf("knobs at their ceilings rejected: %v", err)
+	}
 }
+
+// above returns the next float64 above x.
+func above(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
 
 func TestScale(t *testing.T) {
 	c := Config{
@@ -92,8 +105,14 @@ func TestScale(t *testing.T) {
 	if c.Scale(0).Enabled() || c.Scale(-3).Enabled() {
 		t.Error("Scale(0) or Scale(-3) still enabled")
 	}
-	if err := c.Scale(1e9).Validate(); err != nil {
+	// A huge scale caps the probabilities, so the config stays valid while
+	// the jitter stays within its ceiling (0.4 × 1e6); past that ceiling
+	// Validate refuses it.
+	if err := c.Scale(1e6).Validate(); err != nil {
 		t.Errorf("huge scale yields invalid config: %v", err)
+	}
+	if err := c.Scale(1e9).Validate(); err == nil {
+		t.Error("scale 1e9 pushes the jitter to 4e8, past its ceiling, yet Validate accepted it")
 	}
 }
 

@@ -54,7 +54,8 @@ func FuzzMessageFault(f *testing.F) {
 // FuzzParseSpec checks the CLI parser never panics and every accepted spec
 // round-trips into a config that passes validation, with a retry bound of
 // at most 63 (past it, one dropped message costs unbounded PRNG draws and
-// the 2^retries backoff overflows).
+// the 2^retries backoff overflows) and every per-event magnitude within its
+// ceiling (past it, a finite knob can overflow a run to +Inf).
 func FuzzParseSpec(f *testing.F) {
 	f.Add("seed=1,jitter=0.5")
 	f.Add("drop=0.01,timeout=1ms,retries=3")
@@ -63,6 +64,10 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("jitter=,=,x==")
 	f.Add("retries=64")
 	f.Add("retries=2147483647")
+	f.Add("jitter=1e308")
+	f.Add("degradefactor=1e308,degradeprob=1")
+	f.Add("slowdown=1e308,straggler=1")
+	f.Add("timeout=2562047h")
 	f.Fuzz(func(t *testing.T, spec string) {
 		c, err := ParseSpec(spec)
 		if err != nil {
@@ -73,6 +78,9 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if c.MaxRetries > 63 {
 			t.Fatalf("ParseSpec(%q) accepted MaxRetries = %d, want ≤ 63", spec, c.MaxRetries)
+		}
+		if c.LatencyJitterFrac > 1e6 || c.DegradeFactor > 1e6 || c.StragglerSlowdown > 1e6 || c.RetryTimeoutSec > 1e6 {
+			t.Fatalf("ParseSpec(%q) accepted a knob above its ceiling: %+v", spec, c)
 		}
 	})
 }

@@ -281,21 +281,6 @@ func (s *mgState) exchange(l *mgLevel, a []float64) error {
 	return nil
 }
 
-// applyA evaluates the 7-point operator at (p, j, i). One index computation
-// serves all seven accesses (the neighbours sit at strides ±side², ±side,
-// ±1); the operand order matches the indexed form, so the result is
-// bit-identical.
-//
-//palint:hotpath
-func (l *mgLevel) applyA(a []float64, p, j, i int) float64 {
-	s := l.side()
-	id := (p*s+j)*s + i
-	return 6*a[id] -
-		a[id-s*s] - a[id+s*s] -
-		a[id-s] - a[id+s] -
-		a[id-1] - a[id+1]
-}
-
 // smooth runs one weighted-Jacobi sweep: u ← u + ω(rhs − A·u)/6.
 func (s *mgState) smooth(l *mgLevel) error {
 	if err := s.exchange(l, l.u); err != nil {
@@ -307,8 +292,10 @@ func (s *mgState) smooth(l *mgLevel) error {
 		l.u[l.idx(1, 1, 1)] = l.rhs[l.idx(1, 1, 1)] / 6
 		return nil
 	}
-	// Inlined applyA with an incrementing index: same operand order, so the
-	// result is bit-identical to the indexed form.
+	// A·u is the 7-point operator 6·u[id] − u[id−side²] − u[id+side²] −
+	// u[id−side] − u[id+side] − u[id−1] − u[id+1], subtracted left to right
+	// in that order, with one index stepping along i. The order fixes the
+	// bits; residual keeps the same one.
 	sd := l.side()
 	ss := sd * sd
 	u, rhs, res := l.u, l.rhs, l.res

@@ -73,7 +73,6 @@ type Server struct {
 	// run (or wait on) a simulation, never by peek-served cache hits.
 	slots   chan struct{}
 	maxBody int64
-	fits    fitCache
 	events  *obs.EventLog
 	trace   *obs.Recorder
 	// epoch anchors request-span timestamps and the uptime gauge; idSeed
@@ -328,7 +327,9 @@ type PredictResponse struct {
 	FPErr     *float64 `json:"fp_err,omitempty"`
 }
 
-// predictRow assembles one PredictResponse from a measured campaign.
+// predictRow assembles one PredictResponse from a measured campaign and
+// the models the campaign memoizes: the first request for a kernel pays
+// for the SP and FP fits, every later one reuses them.
 func (s *Server) predictRow(k experiments.Kernel, camp *experiments.Campaign, n int, mhz float64) (PredictResponse, error) {
 	res, err := camp.Cell(n, mhz)
 	if err != nil {
@@ -338,15 +339,15 @@ func (s *Server) predictRow(k experiments.Kernel, camp *experiments.Campaign, n 
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	f := s.fits.fit(s.suite, k, camp)
-	if f.spErr != nil {
-		return PredictResponse{}, f.spErr
-	}
-	spT, err := f.sp.PredictTime(n, mhz)
+	sp, err := camp.SP()
 	if err != nil {
 		return PredictResponse{}, err
 	}
-	spS, err := f.sp.PredictSpeedup(n, mhz)
+	spT, err := sp.PredictTime(n, mhz)
+	if err != nil {
+		return PredictResponse{}, err
+	}
+	spS, err := sp.PredictSpeedup(n, mhz)
 	if err != nil {
 		return PredictResponse{}, err
 	}
@@ -363,8 +364,11 @@ func (s *Server) predictRow(k experiments.Kernel, camp *experiments.Campaign, n 
 		SPSpeedup: spS,
 		SPErr:     stats.RelError(spT, res.Seconds),
 	}
-	if f.fpErr == nil {
-		if fpT, err := f.fp.PredictTime(n, mhz); err == nil {
+	// The FP fit legitimately fails for workload shapes outside its
+	// methodology (a grid cell that sent no messages); the row then omits
+	// the FP fields.
+	if fp, err := k.FP(camp); err == nil {
+		if fpT, err := fp.PredictTime(n, mhz); err == nil {
 			v := float64(fpT)
 			e := stats.RelError(v, res.Seconds)
 			row.FPSeconds, row.FPErr = &v, &e

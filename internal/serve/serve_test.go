@@ -423,6 +423,9 @@ func TestRobustnessEndpoint(t *testing.T) {
 		{"descending ns", `{"kernel":"ft","ns":[4,2,2,2,2],"magnitudes":[0,1]}`, http.StatusBadRequest},
 		{"repeated ns", `{"kernel":"ft","ns":[2,4,4],"magnitudes":[0,1]}`, http.StatusBadRequest},
 		{"magnitude overflows the knobs", `{"kernel":"ft","ns":[2],"magnitudes":[0,1e308],"chaos":"seed=1,jitter=2"}`, http.StatusBadRequest},
+		// 1.7 × 1e308 is finite but far past the jitter ceiling; accepted,
+		// it stretched an IS run to 2.39e307 s.
+		{"magnitude past the jitter ceiling", `{"kernel":"is","ns":[4],"magnitudes":[0,1e308],"chaos":"seed=1,jitter=1.7"}`, http.StatusBadRequest},
 		{"bad chaos", `{"kernel":"ft","ns":[2],"magnitudes":[0,1],"chaos":"zap=1"}`, http.StatusBadRequest},
 		{"17 magnitudes", `{"kernel":"ft","ns":[2],"magnitudes":[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16]}`, http.StatusBadRequest},
 		{"unknown kernel", `{"kernel":"zz","ns":[2],"magnitudes":[0,1]}`, http.StatusNotFound},

@@ -220,7 +220,7 @@ func TestDisabledTelemetryAllocs(t *testing.T) {
 			t.Fatalf("cache hit = %d", w.Code)
 		}
 	}
-	run() // warm the fit cache and instruments
+	run() // warm the campaign's fits and the instruments
 	const budget = 120
 	if avg := testing.AllocsPerRun(50, run); avg > budget {
 		t.Errorf("cache-hit request allocates %.1f times, budget %d", avg, budget)
