@@ -22,9 +22,10 @@
 // The first request for a kernel measures its campaign (bounded by
 // -max-inflight; identical concurrent requests coalesce onto one sweep);
 // later requests answer from the memoized campaign without admission
-// control. -warm pre-measures kernels before the listener opens so a load
-// test starts in the cache-hit regime. On SIGINT/SIGTERM the server stops
-// accepting connections and drains in-flight requests for up to -drain.
+// control. -warm pre-measures kernels and fits their SP and FP models before
+// the listener opens, so a load test starts in the cache-hit regime. On
+// SIGINT/SIGTERM the server stops accepting connections and drains
+// in-flight requests for up to -drain.
 //
 // Telemetry: -events appends one wide JSON event per request (the format
 // cmd/pastat analyzes) and enables /debug/requests over the last -ring
@@ -51,6 +52,34 @@ import (
 	"pasp/internal/obs"
 	"pasp/internal/serve"
 )
+
+// warmKernels measures each comma-separated kernel's campaign and fits its
+// SP and FP models, so the first requests find both in the campaign's memo.
+// A fit error fails start-up, as a measurement error does.
+func warmKernels(ctx context.Context, s experiments.Suite, names string, stdout io.Writer) error {
+	for _, name := range strings.Split(names, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		k, err := s.Kernel(name)
+		if err != nil {
+			return fmt.Errorf("warming %s: %w", name, err)
+		}
+		camp, err := k.Measure(ctx)
+		if err != nil {
+			return fmt.Errorf("warming %s: %w", name, err)
+		}
+		if _, err := camp.SP(); err != nil {
+			return fmt.Errorf("warming %s: SP fit: %w", name, err)
+		}
+		if _, err := k.FP(camp); err != nil {
+			return fmt.Errorf("warming %s: FP fit: %w", name, err)
+		}
+		fmt.Fprintf(stdout, "paserve: warmed %s\n", name)
+	}
+	return nil
+}
 
 // run executes the server against args, writing human output to stdout. It
 // returns when the listener fails or a shutdown signal has been drained.
@@ -98,17 +127,8 @@ func run(args []string, stdout io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *warm != "" {
-		for _, name := range strings.Split(*warm, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if _, err := s.MeasureKernel(ctx, name); err != nil {
-				return fmt.Errorf("warming %s: %w", name, err)
-			}
-			fmt.Fprintf(stdout, "paserve: warmed %s\n", name)
-		}
+	if err := warmKernels(ctx, s, *warm, stdout); err != nil {
+		return err
 	}
 
 	srv := serve.New(serve.Config{

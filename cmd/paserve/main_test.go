@@ -1,10 +1,12 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -68,5 +70,34 @@ func TestRetryAfterFlagRemoved(t *testing.T) {
 	err := run([]string{"-retry-after", "3", "-suite", "bogus"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -retry-after") {
 		t.Errorf("run(-retry-after 3) = %v, want the unknown-flag error", err)
+	}
+}
+
+// TestWarmFitsModels: -warm leaves a kernel's FP fit in its stored
+// campaign's memo, so the first /predict after start-up waits on no fit. A
+// memo hit allocates a handful of objects; FT's FP fit on the quick suite
+// allocates about twenty thousand.
+func TestWarmFitsModels(t *testing.T) {
+	s := experiments.Quick()
+	if err := warmKernels(context.Background(), s, "ft", io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	k, err := s.Kernel("ft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	camp, err := k.Measure(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = k.FP(camp)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.Mallocs - before.Mallocs; n > 1000 {
+		t.Errorf("first FP after warm-up allocated %d objects; want a memo hit, not a fit", n)
 	}
 }

@@ -1,7 +1,7 @@
 // Package analysis is a self-contained, stdlib-only static-analysis
 // framework specialized for this repository's failure modes. The model core
 // (package core) is pure floating-point arithmetic over frequency ratios,
-// DOP classes and overhead terms: its bugs are silent — an unguarded
+// workload terms and overhead terms: its bugs are silent — an unguarded
 // division producing ±Inf, a NaN propagating into a speedup table, a
 // dropped error from Time/Speedup, a report whose row order depends on map
 // iteration — rather than crashes. The analyzers here make those classes of

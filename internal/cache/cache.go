@@ -46,8 +46,6 @@ type Cache struct {
 	sets      [][]uint64 // each set holds tags in MRU-first order
 	lineShift uint
 	setMask   uint64
-	hits      uint64
-	misses    uint64
 }
 
 // New returns an empty cache with the given geometry.
@@ -80,11 +78,9 @@ func (c *Cache) Access(addr uint64) bool {
 			// Move to MRU position.
 			copy(set[1:i+1], set[:i])
 			set[0] = line
-			c.hits++
 			return true
 		}
 	}
-	c.misses++
 	if len(set) < c.cfg.Ways {
 		set = append(set, 0)
 	}
@@ -93,18 +89,6 @@ func (c *Cache) Access(addr uint64) bool {
 	c.sets[line&c.setMask] = set
 	return false
 }
-
-// Hits returns the number of accesses served by this level.
-func (c *Cache) Hits() uint64 { return c.hits }
-
-// Misses returns the number of accesses that missed this level.
-func (c *Cache) Misses() uint64 { return c.misses }
-
-// Accesses returns the total number of accesses observed.
-func (c *Cache) Accesses() uint64 { return c.hits + c.misses }
-
-// ResetCounters clears the hit/miss counters without disturbing contents.
-func (c *Cache) ResetCounters() { c.hits, c.misses = 0, 0 }
 
 // Where identifies the level of the hierarchy that served an access.
 type Where int

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Amdahl returns the speedup of the paper's Eq. 2: a workload of which
 // fraction fe benefits from an enhancement with speedup factor se.
@@ -76,53 +73,4 @@ func KarpFlatt(speedup float64, n int) (float64, error) {
 	}
 	invN := 1 / float64(n)
 	return (1/speedup - invN) / (1 - invN), nil
-}
-
-// Gustafson returns the fixed-time (scaled) speedup of related work [20]:
-// S = N − α(N−1) for serial fraction α of the scaled workload.
-func Gustafson(serialFrac float64, n int) (float64, error) {
-	if serialFrac < 0 || serialFrac > 1 {
-		return 0, fmt.Errorf("core: serial fraction %g outside [0,1]", serialFrac)
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("core: N = %d", n)
-	}
-	return float64(n) - serialFrac*float64(n-1), nil
-}
-
-// SunNi returns the memory-bounded speedup of related work [30]: with the
-// workload scaled by the factor g(N) that fills N nodes' memory,
-// S = (α + (1−α)·g(N)) / (α + (1−α)·g(N)/N).
-func SunNi(serialFrac float64, n int, g func(n float64) float64) (float64, error) {
-	if serialFrac < 0 || serialFrac > 1 {
-		return 0, fmt.Errorf("core: serial fraction %g outside [0,1]", serialFrac)
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("core: N = %d", n)
-	}
-	if g == nil {
-		return 0, fmt.Errorf("core: nil memory-scaling function")
-	}
-	gn := g(float64(n))
-	if gn <= 0 {
-		return 0, fmt.Errorf("core: non-positive scaled workload g(N) = %g", gn)
-	}
-	num := serialFrac + (1-serialFrac)*gn
-	den := serialFrac + (1-serialFrac)*gn/float64(n)
-	return num / den, nil
-}
-
-// Isoefficiency returns the workload growth factor needed to hold parallel
-// efficiency constant when moving from n1 to n2 processors, given the
-// overhead exponent b of T_overhead ∝ N^b·w^a with a < 1 folded into an
-// empirical overhead function. This helper solves the common special case
-// T_o(N, w) = c·N^b: w2/w1 = (N2/N1)^(b/(1−a)) with a = 0.
-func Isoefficiency(n1, n2 int, b float64) (float64, error) {
-	if n1 < 1 || n2 < 1 {
-		return 0, fmt.Errorf("core: processor counts %d, %d", n1, n2)
-	}
-	if b < 0 {
-		return 0, fmt.Errorf("core: negative overhead exponent %g", b)
-	}
-	return math.Pow(float64(n2)/float64(n1), b), nil
 }

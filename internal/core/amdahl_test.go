@@ -99,66 +99,6 @@ func TestKarpFlattRecoversSerialFraction(t *testing.T) {
 	}
 }
 
-func TestGustafson(t *testing.T) {
-	if s, _ := Gustafson(0, 16); s != 16 {
-		t.Errorf("fully parallel scaled speedup %g, want 16", s)
-	}
-	if s, _ := Gustafson(1, 16); s != 1 {
-		t.Errorf("fully serial scaled speedup %g, want 1", s)
-	}
-	if _, err := Gustafson(-0.1, 4); err == nil {
-		t.Error("negative fraction accepted")
-	}
-	if _, err := Gustafson(0.5, 0); err == nil {
-		t.Error("N=0 accepted")
-	}
-}
-
-func TestSunNiReductions(t *testing.T) {
-	// g(n) = 1 (no memory scaling) reduces to fixed-size Amdahl.
-	alpha := 0.2
-	n := 8
-	got, err := SunNi(alpha, n, func(float64) float64 { return 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	amdahl := 1 / (alpha + (1-alpha)/float64(n))
-	if !stats.AlmostEqual(got, amdahl, 1e-12) {
-		t.Errorf("Sun–Ni(g=1) = %g, want Amdahl %g", got, amdahl)
-	}
-	// g(n) = n reduces to Gustafson.
-	got, err = SunNi(alpha, n, func(x float64) float64 { return x })
-	if err != nil {
-		t.Fatal(err)
-	}
-	gus, _ := Gustafson(alpha, n)
-	if !stats.AlmostEqual(got, gus, 1e-12) {
-		t.Errorf("Sun–Ni(g=n) = %g, want Gustafson %g", got, gus)
-	}
-	// g growing faster than n exceeds Gustafson.
-	got, _ = SunNi(alpha, n, func(x float64) float64 { return x * x })
-	if got <= gus {
-		t.Errorf("memory-bounded speedup %g not above Gustafson %g", got, gus)
-	}
-	if _, err := SunNi(alpha, n, nil); err == nil {
-		t.Error("nil g accepted")
-	}
-}
-
-func TestIsoefficiency(t *testing.T) {
-	// Linear overhead growth (b=1): doubling processors doubles workload.
-	k, err := Isoefficiency(4, 8, 1)
-	if err != nil || k != 2 {
-		t.Errorf("Isoefficiency = %g, %v", k, err)
-	}
-	if _, err := Isoefficiency(0, 8, 1); err == nil {
-		t.Error("zero processors accepted")
-	}
-	if _, err := Isoefficiency(2, 4, -1); err == nil {
-		t.Error("negative exponent accepted")
-	}
-}
-
 // Property: Amdahl speedup is bounded by the enhancement factor and at
 // least min(1, se).
 func TestAmdahlBoundsProperty(t *testing.T) {

@@ -89,21 +89,3 @@ func (f *FP) PredictTime(n int, mhz float64) (units.Seconds, error) {
 	}
 	return t1.Div(float64(n)) + comm, nil
 }
-
-// PredictSpeedup predicts power-aware speedup relative to the model's own
-// base sequential time at baseMHz.
-func (f *FP) PredictSpeedup(n int, mhz, baseMHz float64) (float64, error) {
-	t1, err := f.PredictT1(baseMHz)
-	if err != nil {
-		return 0, err
-	}
-	tn, err := f.PredictTime(n, mhz)
-	if err != nil {
-		return 0, err
-	}
-	if tn <= 0 {
-		return 0, fmt.Errorf("core: FP predicted non-positive time")
-	}
-	//palint:ignore floatdiv -- guarded: tn <= 0 returns above
-	return float64(t1) / float64(tn), nil
-}

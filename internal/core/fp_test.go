@@ -85,20 +85,25 @@ func TestFPPredictTimeEq15(t *testing.T) {
 	}
 }
 
+// TestFPPredictSpeedup: the speedup FP's predictions imply, T1(f0)/T_N(f),
+// is 1 at the base cell and above 1 at N=4 on the top gear.
 func TestFPPredictSpeedup(t *testing.T) {
 	fp := testFP()
-	s, err := fp.PredictSpeedup(1, 600, 600)
+	t1, err := fp.PredictT1(600)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.AlmostEqual(s, 1, 1e-12) {
+	speedup := func(n int, mhz float64) float64 {
+		tn, err := fp.PredictTime(n, mhz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return float64(t1) / float64(tn)
+	}
+	if s := speedup(1, 600); !stats.AlmostEqual(s, 1, 1e-12) {
 		t.Errorf("base speedup %g, want 1", s)
 	}
-	s4, err := fp.PredictSpeedup(4, 1400, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s4 <= 1 {
+	if s4 := speedup(4, 1400); s4 <= 1 {
 		t.Errorf("speedup at N=4@1400 is %g", s4)
 	}
 }

@@ -1,9 +1,10 @@
 // Package core implements the paper's contribution: the power-aware
-// speedup model (Eqs. 4–13) and its two parameterizations — simplified
-// (Section 5.1, Eqs. 16–18) and fine-grain (Section 5.2, Eqs. 14–15) —
-// together with the classical speedup models it is compared against
-// (Amdahl's law and its multi-enhancement generalization, Eqs. 1–3) and the
-// energy-delay analysis the abstract promises.
+// speedup model (Eq. 11, with its Eq. 12 and Eq. 13 special cases) and its
+// two parameterizations — simplified (Section 5.1, Eqs. 16–18) and
+// fine-grain (Section 5.2, Eqs. 14–15) — together with the classical
+// speedup models it is compared against (Amdahl's law and its
+// multi-enhancement generalization, Eqs. 1–3) and the energy-delay
+// analysis the abstract promises.
 //
 // The package deliberately consumes only *measurements*: execution times,
 // hardware-counter snapshots, microbenchmark latencies and communication

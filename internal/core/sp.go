@@ -52,9 +52,6 @@ func FitSP(m *Measurements) (*SP, error) {
 	return sp, nil
 }
 
-// BaseMHz returns the fitted model's reference frequency f0.
-func (s *SP) BaseMHz() float64 { return s.baseMHz }
-
 // Overhead returns the derived parallel-overhead time T(wPO_OFF) for n
 // processors (Eq. 17). The derivation can come out slightly negative when
 // the workload scales superlinearly (cache effects); the value is reported

@@ -15,8 +15,8 @@ func TestSPFitExactOnAssumptionSatisfyingWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sp.BaseMHz() != 600 {
-		t.Errorf("base = %g, want 600", sp.BaseMHz())
+	if sp.baseMHz != 600 {
+		t.Errorf("base = %g, want 600", sp.baseMHz)
 	}
 	for _, n := range m.Ns() {
 		for _, mhz := range m.Freqs() {

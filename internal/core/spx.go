@@ -104,19 +104,3 @@ func (x *SPX) PredictTime(n int, mhz float64) (float64, error) {
 	}
 	return t1/float64(n) + tpo, nil
 }
-
-// PredictSpeedup predicts power-aware speedup at any processor count.
-func (x *SPX) PredictSpeedup(n int, mhz float64) (float64, error) {
-	t1, ok := x.sp.t1[x.sp.baseMHz]
-	if !ok {
-		return 0, fmt.Errorf("core: SPX missing base sequential time")
-	}
-	tn, err := x.PredictTime(n, mhz)
-	if err != nil {
-		return 0, err
-	}
-	if tn <= 0 {
-		return 0, fmt.Errorf("core: SPX predicted non-positive time")
-	}
-	return t1 / tn, nil
-}

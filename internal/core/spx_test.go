@@ -31,11 +31,12 @@ func TestSPXExactOnModelFamily(t *testing.T) {
 		}
 	}
 	// And far beyond the measured range.
-	s64, err := x.PredictSpeedup(64, 1400)
+	t1, _ := m.Time(1, 600)
+	t64, err := x.PredictTime(64, 1400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s64 <= 0 || s64 > 64*1400.0/600 {
+	if s64 := t1 / t64; s64 <= 0 || s64 > 64*1400.0/600 {
 		t.Errorf("N=64 speedup %g outside sane bounds", s64)
 	}
 }

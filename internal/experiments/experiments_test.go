@@ -16,8 +16,10 @@ import (
 	"pasp/internal/dvfs"
 	"pasp/internal/faults"
 	"pasp/internal/machine"
+	"pasp/internal/obs"
 	"pasp/internal/power"
 	"pasp/internal/stats"
+	"pasp/internal/units"
 )
 
 func TestValueGridAccessors(t *testing.T) {
@@ -224,13 +226,21 @@ func TestFigure1EPObservations(t *testing.T) {
 	if !(mustAt(fig.Time, 1, 1400) < mustAt(fig.Time, 1, 600)) {
 		t.Error("EP time not decreasing with f")
 	}
-	// (3) speedup at base frequency ≈ N.
-	if s4 := mustAt(fig.Speedup, 4, 600); !stats.AlmostEqual(s4, 4, 0.02) {
-		t.Errorf("EP speedup at (4,600) = %g, want ≈ 4", s4)
+	eq12 := func(n int, mhz float64) float64 {
+		t.Helper()
+		s, err := core.EPSpeedup(n, units.MHz(mhz).Per(units.MHz(600)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
-	// (4) frequency speedup ≈ f/f0.
-	if sf := mustAt(fig.Speedup, 1, 1400); !stats.AlmostEqual(sf, 1400.0/600, 0.02) {
-		t.Errorf("EP speedup at (1,1400) = %g, want ≈ 2.33", sf)
+	// (3) speedup at base frequency ≈ N (Eq. 12 at f = f0).
+	if s4, want := mustAt(fig.Speedup, 4, 600), eq12(4, 600); !stats.AlmostEqual(s4, want, 0.02) {
+		t.Errorf("EP speedup at (4,600) = %g, want ≈ %g (Eq. 12)", s4, want)
+	}
+	// (4) frequency speedup ≈ f/f0 (Eq. 12 at N = 1).
+	if sf, want := mustAt(fig.Speedup, 1, 1400), eq12(1, 1400); !stats.AlmostEqual(sf, want, 0.02) {
+		t.Errorf("EP speedup at (1,1400) = %g, want ≈ %g (Eq. 12)", sf, want)
 	}
 	// (5) combined ≈ product (within the paper's 2.3%).
 	prod := mustAt(fig.Speedup, 4, 600) * mustAt(fig.Speedup, 1, 1400)
@@ -535,9 +545,12 @@ func TestScaledSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 4 * 1400.0 / 600
+	want, err := core.EPSpeedup(4, units.MHz(1400).Per(units.MHz(600)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !stats.AlmostEqual(got, want, 0.02) {
-		t.Errorf("EP scaled speedup at (4,1400) = %g, want ≈ %g", got, want)
+		t.Errorf("EP scaled speedup at (4,1400) = %g, want ≈ %g (Eq. 12)", got, want)
 	}
 
 	mg, err := s.ScaledMG(context.Background())
@@ -885,11 +898,13 @@ func TestFigureFromDrawsCampaignGrid(t *testing.T) {
 	}
 }
 
-// TestChaosCeilingsKeepRunFinite runs kernels with every chaos knob at its
-// ceiling and every message dropped to its last retry: the worst run the
-// ceilings admit still has finite seconds and joules. FT's alltoall takes
-// the jitter, degradation and straggling; LU's point-to-point messages
-// also take the 63-retry backoff.
+// TestChaosCeilingsKeepRunFinite runs every kernel with every chaos knob at
+// its ceiling and every message dropped to its last retry: the worst run the
+// ceilings admit still has finite seconds and joules, and its Chrome trace
+// validates. Collectives take the jitter, degradation and straggling;
+// point-to-point messages also take the 63-retry backoff (LU's run is the
+// longest, at about 2.5e27 s). This is why neither paserve's /trace nor
+// patrace checks a run's makespan or energy for overflow.
 func TestChaosCeilingsKeepRunFinite(t *testing.T) {
 	cfg, err := faults.ParseSpec("seed=1,jitter=1e6,drop=1,retries=63,timeout=1000000s," +
 		"degradeprob=1,degradefactor=1e6,straggler=1,slowdown=1e6")
@@ -898,13 +913,16 @@ func TestChaosCeilingsKeepRunFinite(t *testing.T) {
 	}
 	s := Quick()
 	s.Platform.Faults = cfg
-	for _, name := range []string{"ft", "lu"} {
+	for _, name := range s.KernelNames() {
 		res, err := s.RunKernelOnce(name, 2, 600)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if math.IsInf(res.Seconds, 0) || math.IsNaN(res.Seconds) || math.IsInf(res.Joules, 0) || math.IsNaN(res.Joules) {
 			t.Errorf("%s worst-case chaos run: %g s, %g J; want both finite", name, res.Seconds, res.Joules)
+		}
+		if _, err := obs.ValidateChromeTrace(obs.ChromeTrace(res.Trace, name)); err != nil {
+			t.Errorf("%s worst-case chaos run: %v", name, err)
 		}
 	}
 }

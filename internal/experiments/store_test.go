@@ -150,12 +150,11 @@ func TestStoreHitMissCounters(t *testing.T) {
 	if _, err := variant.MeasureFT(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	d := obs.Default().Snapshot().Delta(before)
-	if d.Counter("store.misses") != 1 { //palint:ignore floateq -- exact integer counter delta
-		t.Errorf("first measurement: misses delta = %g, want 1", d.Counter("store.misses"))
+	if d := counterDelta(before, "store.misses"); d != 1 { //palint:ignore floateq -- exact integer counter delta
+		t.Errorf("first measurement: misses delta = %g, want 1", d)
 	}
-	if d.Counter("store.hits") != 0 { //palint:ignore floateq -- exact integer counter delta
-		t.Errorf("first measurement: hits delta = %g, want 0", d.Counter("store.hits"))
+	if d := counterDelta(before, "store.hits"); d != 0 { //palint:ignore floateq -- exact integer counter delta
+		t.Errorf("first measurement: hits delta = %g, want 0", d)
 	}
 	const reuses = 3
 	for i := 0; i < reuses; i++ {
@@ -163,13 +162,18 @@ func TestStoreHitMissCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d = obs.Default().Snapshot().Delta(before)
-	if d.Counter("store.misses") != 1 { //palint:ignore floateq -- exact integer counter delta
-		t.Errorf("after %d reuses: misses delta = %g, want 1 (campaign re-measured?)", reuses, d.Counter("store.misses"))
+	if d := counterDelta(before, "store.misses"); d != 1 { //palint:ignore floateq -- exact integer counter delta
+		t.Errorf("after %d reuses: misses delta = %g, want 1 (campaign re-measured?)", reuses, d)
 	}
-	if d.Counter("store.hits") != reuses { //palint:ignore floateq -- exact integer counter delta
-		t.Errorf("after %d reuses: hits delta = %g, want %d", reuses, d.Counter("store.hits"), reuses)
+	if d := counterDelta(before, "store.hits"); d != reuses { //palint:ignore floateq -- exact integer counter delta
+		t.Errorf("after %d reuses: hits delta = %g, want %d", reuses, d, reuses)
 	}
+}
+
+// counterDelta returns how far the named process-wide counter has moved
+// since the snapshot before.
+func counterDelta(before obs.Snapshot, name string) float64 {
+	return obs.Default().Snapshot().Counter(name) - before.Counter(name)
 }
 
 // TestStoreCampaignSpan proves a fresh measurement reports a campaign span

@@ -20,14 +20,6 @@ import (
 	"pasp/internal/units"
 )
 
-// Point is one working-set measurement.
-type Point struct {
-	// WSBytes is the working-set size.
-	WSBytes int
-	// Nanos is the measured average time per load.
-	Nanos units.Nanos
-}
-
 // hierarchyFor builds a cache hierarchy matching the machine's geometry
 // (8-way, like the Pentium M).
 func hierarchyFor(m machine.Config) (*cache.Hierarchy, error) {
@@ -83,20 +75,6 @@ func Latency(m machine.Config, freq units.Hertz, wsBytes int) (units.Nanos, erro
 		return 0, fmt.Errorf("lmbench: pointer chase issued no loads")
 	}
 	return total.Div(float64(loads)).Nanos(), nil
-}
-
-// Sweep measures latency over a doubling working-set schedule from 1 KiB
-// to maxBytes.
-func Sweep(m machine.Config, freq units.Hertz, maxBytes int) ([]Point, error) {
-	var out []Point
-	for ws := 1 << 10; ws <= maxBytes; ws <<= 1 {
-		ns, err := Latency(m, freq, ws)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Point{WSBytes: ws, Nanos: ns})
-	}
-	return out, nil
 }
 
 // LevelNanos returns the measured nanoseconds per instruction for each

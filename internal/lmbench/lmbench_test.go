@@ -30,21 +30,22 @@ func TestLatencyPlateaus(t *testing.T) {
 
 func TestSweepMonotoneAcrossLevels(t *testing.T) {
 	m := machine.PentiumM()
-	pts, err := Sweep(m, 600e6, 8<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) < 10 {
-		t.Fatalf("sweep too short: %d points", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Nanos+1e-9 < pts[i-1].Nanos {
-			t.Errorf("latency decreased at ws=%d: %g → %g", pts[i].WSBytes, pts[i-1].Nanos, pts[i].Nanos)
+	// A doubling working-set schedule from 1 KiB to 8 MiB.
+	var prev, ns units.Nanos
+	for ws := 1 << 10; ws <= 8<<20; ws <<= 1 {
+		var err error
+		ns, err = Latency(m, 600e6, ws)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if ns+1e-9 < prev {
+			t.Errorf("latency decreased at ws=%d: %g → %g", ws, prev, ns)
+		}
+		prev = ns
 	}
-	// The last point (8 MB) must sit at memory latency, the first at L1.
-	if !stats.AlmostEqual(float64(pts[len(pts)-1].Nanos), float64(m.MemNanos(600e6)), 0.05) {
-		t.Errorf("tail latency %g, want memory %g", float64(pts[len(pts)-1].Nanos), float64(m.MemNanos(600e6)))
+	// The last point (8 MB) must sit at memory latency.
+	if !stats.AlmostEqual(float64(ns), float64(m.MemNanos(600e6)), 0.05) {
+		t.Errorf("tail latency %g, want memory %g", float64(ns), float64(m.MemNanos(600e6)))
 	}
 }
 

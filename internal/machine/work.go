@@ -36,24 +36,6 @@ func (w Work) OnChip() float64 { return w.Ops[Reg] + w.Ops[L1] + w.Ops[L2] }
 // OffChip returns wOFF, the instruction count requiring main-memory access.
 func (w Work) OffChip() float64 { return w.Ops[Mem] }
 
-// Add returns the element-wise sum of two mixes.
-func (w Work) Add(o Work) Work {
-	var r Work
-	for l := range w.Ops {
-		r.Ops[l] = w.Ops[l] + o.Ops[l]
-	}
-	return r
-}
-
-// Scale returns the mix with every count multiplied by k.
-func (w Work) Scale(k float64) Work {
-	var r Work
-	for l := range w.Ops {
-		r.Ops[l] = w.Ops[l] * k
-	}
-	return r
-}
-
 // Fractions returns each level's share of the total instruction count, or
 // all zeros for an empty mix.
 func (w Work) Fractions() [NumLevels]float64 {
@@ -91,19 +73,4 @@ func (c Config) TimeFor(w Work, freq units.Hertz) units.Seconds {
 	mem := c.MemNanos(freq).Sec().Times(w.Ops[Mem])
 	hidden := units.Seconds(c.MemOverlap * math.Min(float64(on), float64(mem)))
 	return on + mem - hidden
-}
-
-// BlendedCPIOn returns the average cycles per ON-chip instruction under the
-// mix's ON-chip level weights — the CPION of Table 6. It returns an error
-// when the mix has no ON-chip work.
-func (c Config) BlendedCPIOn(w Work) (float64, error) {
-	on := w.OnChip()
-	if on == 0 {
-		return 0, fmt.Errorf("machine: BlendedCPIOn of mix with no ON-chip work")
-	}
-	sum := 0.0
-	for l := Reg; l <= L2; l++ {
-		sum += w.Ops[l] * c.Cycles[l]
-	}
-	return sum / on, nil
 }

@@ -13,14 +13,6 @@ import (
 	"pasp/internal/units"
 )
 
-// Point is one message-size measurement.
-type Point struct {
-	// Bytes is the message size.
-	Bytes int
-	// Sec is the measured one-way time per message.
-	Sec units.Seconds
-}
-
 // PingPong measures the one-way message time for msgBytes on the given
 // two-rank world by timing reps round trips.
 func PingPong(w mpi.World, msgBytes, reps int) (units.Seconds, error) {
@@ -55,21 +47,4 @@ func PingPong(w mpi.World, msgBytes, reps int) (units.Seconds, error) {
 		return 0, err
 	}
 	return units.Seconds(res.Seconds).Div(float64(2 * reps)), nil
-}
-
-// Sweep measures one-way times over a doubling size schedule between
-// minBytes and maxBytes inclusive.
-func Sweep(w mpi.World, minBytes, maxBytes, reps int) ([]Point, error) {
-	if minBytes <= 0 || maxBytes < minBytes {
-		return nil, fmt.Errorf("mpptest: bad sweep range [%d, %d]", minBytes, maxBytes)
-	}
-	var out []Point
-	for b := minBytes; b <= maxBytes; b *= 2 {
-		sec, err := PingPong(w, b, reps)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Point{Bytes: b, Sec: sec})
-	}
-	return out, nil
 }

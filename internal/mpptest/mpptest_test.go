@@ -68,27 +68,20 @@ func TestPingPongValidation(t *testing.T) {
 	}
 }
 
+// TestSweepMonotone pings a doubling size schedule from 64 B to 64 KiB:
+// the one-way time grows with every step.
 func TestSweepMonotone(t *testing.T) {
-	pts, err := Sweep(world(2, 800), 64, 64<<10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 11 {
-		t.Fatalf("got %d points, want 11", len(pts))
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Sec <= pts[i-1].Sec {
-			t.Errorf("time not increasing at %d bytes", pts[i].Bytes)
+	w := world(2, 800)
+	var prev units.Seconds
+	for b := 64; b <= 64<<10; b *= 2 {
+		sec, err := PingPong(w, b, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestSweepValidation(t *testing.T) {
-	if _, err := Sweep(world(2, 800), 0, 1024, 5); err == nil {
-		t.Error("zero min accepted")
-	}
-	if _, err := Sweep(world(2, 800), 1024, 512, 5); err == nil {
-		t.Error("inverted range accepted")
+		if sec <= prev {
+			t.Errorf("time not increasing at %d bytes", b)
+		}
+		prev = sec
 	}
 }
 
@@ -96,20 +89,21 @@ func TestSweepValidation(t *testing.T) {
 // with the configured network model.
 func TestLinearFitRecoversNetworkParameters(t *testing.T) {
 	w := world(2, 1400)
-	pts, err := Sweep(w, 1<<10, 32<<10, 10)
+	var rows [][]float64
+	var ys []float64
+	for b := 1 << 10; b <= 32<<10; b *= 2 {
+		sec, err := PingPong(w, b, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, []float64{1, float64(b)})
+		ys = append(ys, float64(sec))
+	}
+	beta, err := stats.LeastSquares(rows, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	xs := make([]float64, len(pts))
-	ys := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i] = float64(p.Bytes)
-		ys[i] = float64(p.Sec)
-	}
-	intercept, slope, err := stats.LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	intercept, slope := beta[0], beta[1]
 	// Slope ≈ 1/BW + 2·per-byte-CPU/f.
 	wantSlope := 1/w.Net.BandwidthBps + 2*w.Net.ByteCPUIns/float64(w.State.Freq)
 	if !stats.AlmostEqual(slope, wantSlope, 0.05) {

@@ -187,8 +187,11 @@ func TestCGOperatorSymmetric(t *testing.T) {
 	rng := newRandlc(123)
 	x := make([]float64, cg.Size)
 	y := make([]float64, cg.Size)
-	rng.fill(x)
-	rng.fill(y)
+	for _, v := range [][]float64{x, y} {
+		for i := range v {
+			v[i] = rng.next()
+		}
+	}
 	dot := func(a, b []float64) float64 {
 		s := 0.0
 		for i := range a {

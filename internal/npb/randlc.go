@@ -69,13 +69,6 @@ func newRandlc(skip uint64) *randlc {
 	return &randlc{seed: mul46(powA(defaultA, skip), defaultSeed)}
 }
 
-// fill writes n deviates into dst.
-func (r *randlc) fill(dst []float64) {
-	for i := range dst {
-		dst[i] = r.next()
-	}
-}
-
 // checkPow2 returns an error unless v is a positive power of two.
 func checkPow2(name string, v int) error {
 	if v <= 0 || v&(v-1) != 0 {

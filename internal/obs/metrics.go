@@ -275,40 +275,6 @@ func (s Snapshot) Counter(name string) float64 {
 	return 0
 }
 
-// Delta returns the change from prev to s: counters and histogram counts
-// subtract (an instrument absent from prev counts from zero); gauges keep
-// their current value. Instruments absent from s are dropped — a delta
-// describes what s knows about.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	var d Snapshot
-	for _, c := range s.Counters {
-		d.Counters = append(d.Counters, CounterPoint{Name: c.Name, Value: c.Value - prev.Counter(c.Name)})
-	}
-	d.Gauges = append(d.Gauges, s.Gauges...)
-	prevHists := map[string]HistogramPoint{}
-	for _, h := range prev.Histograms {
-		prevHists[h.Name] = h
-	}
-	for _, h := range s.Histograms {
-		dh := HistogramPoint{
-			Name:   h.Name,
-			Bounds: append([]float64(nil), h.Bounds...),
-			Counts: append([]int64(nil), h.Counts...),
-			Count:  h.Count,
-			Sum:    h.Sum,
-		}
-		if p, ok := prevHists[h.Name]; ok && len(p.Counts) == len(dh.Counts) {
-			for i := range dh.Counts {
-				dh.Counts[i] -= p.Counts[i]
-			}
-			dh.Count -= p.Count
-			dh.Sum -= p.Sum
-		}
-		d.Histograms = append(d.Histograms, dh)
-	}
-	return d
-}
-
 // fmtFloat renders a metric value with the shortest exact representation,
 // so snapshots round-trip and stay byte-stable.
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

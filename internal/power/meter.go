@@ -16,8 +16,6 @@ import (
 type Meter struct {
 	profile Profile
 	joules  units.Joules
-	seconds units.Seconds
-	busy    float64
 }
 
 // NewMeter returns a meter that prices intervals with profile.
@@ -33,36 +31,8 @@ func (m *Meter) Accumulate(s PState, util float64, dt units.Seconds) error {
 		return fmt.Errorf("power: negative interval %g s", dt)
 	}
 	m.joules += m.profile.NodePower(s, util).Energy(dt)
-	m.seconds += dt
-	m.busy += util * float64(dt)
 	return nil
 }
 
 // Joules returns the total energy accumulated so far.
 func (m *Meter) Joules() units.Joules { return m.joules }
-
-// Seconds returns the total time accumulated so far.
-func (m *Meter) Seconds() units.Seconds { return m.seconds }
-
-// Utilization returns the time-weighted mean utilization, or 0 when nothing
-// has been accumulated.
-func (m *Meter) Utilization() float64 {
-	if m.seconds == 0 {
-		return 0
-	}
-	return m.busy / float64(m.seconds)
-}
-
-// Add merges another meter's totals into m. Both meters must have been
-// constructed from the same profile for the sum to be meaningful; Add does
-// not check this.
-func (m *Meter) Add(other *Meter) {
-	m.joules += other.joules
-	m.seconds += other.seconds
-	m.busy += other.busy
-}
-
-// Reset clears the accumulated totals, keeping the profile.
-func (m *Meter) Reset() {
-	m.joules, m.seconds, m.busy = 0, 0, 0
-}

@@ -19,7 +19,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -28,7 +27,6 @@ import (
 	"pasp/internal/faults"
 	"pasp/internal/obs"
 	"pasp/internal/stats"
-	"pasp/internal/units"
 )
 
 // statusClientClosed is the non-standard status reported when the client
@@ -579,13 +577,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		// The platform rejecting the configuration (too many nodes, no such
 		// operating point) is the client's asking, not a server fault.
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// So is a chaos spec that stretches the run past what a trace can
-	// spell: the makespan in microseconds overflows float64.
-	if us := units.Seconds(res.Seconds).Micros(); math.IsInf(us, 0) || math.IsNaN(us) {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("serve: chaos spec %q stretches the run to %g s, past a trace's time range", req.Chaos, res.Seconds))
 		return
 	}
 	data := obs.ChromeTrace(res.Trace, "paserve "+req.Kernel)

@@ -208,9 +208,9 @@ func TestStormCoalesces(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	delta := obs.Default().Snapshot().Delta(before)
-	misses := delta.Counter("store.misses")
-	hits := delta.Counter("store.hits")
+	after := obs.Default().Snapshot()
+	misses := after.Counter("store.misses") - before.Counter("store.misses")
+	hits := after.Counter("store.hits") - before.Counter("store.hits")
 	peeks := reg.Counter("serve.predict.cache_hits").Value()
 	if misses != 1 {
 		t.Errorf("store.misses delta = %g, want exactly 1 (one simulation for %d requests)", misses, k)

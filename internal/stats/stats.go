@@ -44,43 +44,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// LinearFit fits y = a + b·x by ordinary least squares and returns (a, b).
-// It is used to extract latency/bandwidth pairs from message-size sweeps in
-// the mpptest substrate. It returns an error when fewer than two distinct x
-// values are supplied.
-func LinearFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, fmt.Errorf("stats: LinearFit length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, 0, fmt.Errorf("stats: LinearFit needs ≥ 2 points, got %d", len(xs))
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, fmt.Errorf("stats: LinearFit degenerate: all x equal")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, nil
-}
-
 // Percent formats a fraction as a percentage string with one decimal, e.g.
 // 0.0213 → "2.1%". The paper's error tables are printed this way.
 func Percent(frac float64) string {

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -37,34 +38,39 @@ func TestMeanMedianStddev(t *testing.T) {
 }
 
 func TestMaxMin(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Max(xs) != 7 || Min(xs) != -1 {
-		t.Errorf("Max/Min = %g/%g, want 7/-1", Max(xs), Min(xs))
+	if got := Max([]float64{3, -1, 7, 2}); got != 7 {
+		t.Errorf("Max = %g, want 7", got)
 	}
-	if !math.IsInf(Max(nil), -1) || !math.IsInf(Min(nil), 1) {
-		t.Error("empty Max/Min should be ∓Inf")
+	if !math.IsInf(Max(nil), -1) {
+		t.Error("empty Max should be −Inf")
 	}
 }
 
+// TestLinearFit fits a line through LeastSquares with the basis [1, x].
 func TestLinearFit(t *testing.T) {
+	line := func(xs []float64) [][]float64 {
+		rows := make([][]float64, len(xs))
+		for i, x := range xs {
+			rows[i] = []float64{1, x}
+		}
+		return rows
+	}
 	// y = 2 + 3x exactly.
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{2, 5, 8, 11}
-	a, b, err := LinearFit(xs, ys)
+	beta, err := LeastSquares(line([]float64{0, 1, 2, 3}), []float64{2, 5, 8, 11})
 	if err != nil {
-		t.Fatalf("LinearFit: %v", err)
+		t.Fatalf("line fit: %v", err)
 	}
-	if math.Abs(a-2) > 1e-12 || math.Abs(b-3) > 1e-12 {
-		t.Errorf("fit = (%g, %g), want (2, 3)", a, b)
+	if math.Abs(beta[0]-2) > 1e-12 || math.Abs(beta[1]-3) > 1e-12 {
+		t.Errorf("fit = %v, want [2 3]", beta)
 	}
-	if _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("LinearFit with one point succeeded, want error")
+	if _, err := LeastSquares(line([]float64{1}), []float64{1}); err == nil {
+		t.Error("line fit with one point succeeded, want error")
 	}
-	if _, _, err := LinearFit([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Error("LinearFit with degenerate x succeeded, want error")
+	if _, err := LeastSquares(line([]float64{1, 1}), []float64{1, 2}); err == nil {
+		t.Error("line fit with degenerate x succeeded, want error")
 	}
-	if _, _, err := LinearFit([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("LinearFit with mismatched lengths succeeded, want error")
+	if _, err := LeastSquares(line([]float64{1, 2}), []float64{1}); err == nil {
+		t.Error("line fit with mismatched lengths succeeded, want error")
 	}
 }
 
@@ -105,7 +111,7 @@ func TestRelErrorScaleInvariantProperty(t *testing.T) {
 	}
 }
 
-// Property: Mean is bounded by Min and Max.
+// Property: Mean is bounded by the minimum and Max.
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		clean := xs[:0:0]
@@ -118,7 +124,7 @@ func TestMeanBoundedProperty(t *testing.T) {
 			return true
 		}
 		m := Mean(clean)
-		return m >= Min(clean)-1e-6 && m <= Max(clean)+1e-6
+		return m >= slices.Min(clean)-1e-6 && m <= Max(clean)+1e-6
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -29,36 +29,6 @@ func (l *Log) TimelineCSV() string {
 // timelineHeader is the first row TimelineCSV emits.
 const timelineHeader = "rank,phase,kind,start,end,duration,watts"
 
-// PowerProfile integrates the per-event power draws into a cluster power
-// time series sampled at the given interval: sample k covers
-// [k·dt, (k+1)·dt) and holds the mean total watts across ranks. Events
-// with zero Watts (older traces) contribute nothing.
-func (l *Log) PowerProfile(dt float64, makespan float64) []float64 {
-	if dt <= 0 || makespan <= 0 {
-		return nil
-	}
-	n := int(makespan/dt) + 1
-	samples := make([]float64, n)
-	for _, e := range l.events {
-		if e.Watts == 0 || e.End <= e.Start {
-			continue
-		}
-		for k := int(e.Start / dt); k <= int(e.End/dt) && k < n; k++ {
-			lo, hi := float64(k)*dt, float64(k+1)*dt
-			if e.Start > lo {
-				lo = e.Start
-			}
-			if e.End < hi {
-				hi = e.End
-			}
-			if hi > lo {
-				samples[k] += e.Watts * (hi - lo) / dt
-			}
-		}
-	}
-	return samples
-}
-
 // CriticalPhase returns the phase with the largest summed duration and its
 // share of all recorded time.
 func (l *Log) CriticalPhase() (phase string, share float64) {

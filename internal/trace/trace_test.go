@@ -136,24 +136,3 @@ func TestCriticalPhase(t *testing.T) {
 		t.Error("empty log critical phase wrong")
 	}
 }
-
-func TestPowerProfile(t *testing.T) {
-	var l Log
-	// Rank 0: 100 W for [0,1), 40 W for [1,2). Rank 1: 60 W for [0,2).
-	l.Append(Event{Rank: 0, Kind: Compute, Start: 0, End: 1, Watts: 100})
-	l.Append(Event{Rank: 0, Kind: Comm, Start: 1, End: 2, Watts: 40})
-	l.Append(Event{Rank: 1, Kind: Compute, Start: 0, End: 2, Watts: 60})
-	p := l.PowerProfile(0.5, 2)
-	if len(p) < 4 {
-		t.Fatalf("got %d samples", len(p))
-	}
-	if p[0] != 160 || p[1] != 160 {
-		t.Errorf("first second = %g/%g W, want 160", p[0], p[1])
-	}
-	if p[2] != 100 || p[3] != 100 {
-		t.Errorf("second second = %g/%g W, want 100", p[2], p[3])
-	}
-	if l.PowerProfile(0, 2) != nil || l.PowerProfile(0.5, 0) != nil {
-		t.Error("degenerate arguments should yield nil")
-	}
-}
