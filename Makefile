@@ -12,7 +12,7 @@ GO ?= go
 # Fuzz budget per target; CI's fuzz smoke runs with FUZZTIME=10s.
 FUZZTIME ?= 30s
 
-.PHONY: all build test shuffle race lint fmt-check perfbench-check fuzz bench examples trace-smoke conformance-smoke serve-smoke verify loc
+.PHONY: all build test shuffle race lint fmt-check perfbench-check fuzz bench examples trace-smoke serve-smoke verify loc
 
 # trace-smoke output names; CI uploads both as artifacts.
 TRACEJSON ?= run.trace.json
@@ -93,34 +93,6 @@ trace-smoke:
 	$(GO) run ./cmd/patrace -kernel ft -n 4 -f 600 -suite quick \
 		-chaos "seed=7,jitter=0.5" -metrics \
 		-out $(TRACEJSON) -manifest $(MANIFESTJSON)
-
-# Trace conformance smoke: extract the module's communication skeleton with
-# palint, record the FT kernel's operation tape at N = 2, 4 and 8 (quick
-# suite) plus N = 64 (scale suite — the protocol contract past the
-# paper's grid), and replay each tape's comm log against the skeleton
-# with paverify. A non-zero exit means the run performed a phase
-# transition, collective or message endpoint the static extraction does not
-# predict — the commcheck passes and the runtime have drifted apart. CI
-# uploads $(SKELJSON) and the report.
-SKELJSON ?= skeleton.json
-CONFREPORT ?= conformance.txt
-
-conformance-smoke:
-	$(GO) run ./cmd/palint -skeleton $(SKELJSON) ./...
-	@: > $(CONFREPORT)
-	@for n in 2 4 8; do \
-		$(GO) run ./cmd/patrace -kernel ft -n $$n -f 600 -suite quick \
-			-out /dev/null -commlog comm_$$n.json >/dev/null || exit 1; \
-		$(GO) run ./cmd/paverify -skeleton $(SKELJSON) \
-			-commlog comm_$$n.json -kernel ft >> $(CONFREPORT) \
-			|| { cat $(CONFREPORT); exit 1; }; \
-	done
-	@$(GO) run ./cmd/patrace -kernel ft -n 64 -f 600 -suite scale \
-		-out /dev/null -commlog comm_64.json >/dev/null || exit 1; \
-	$(GO) run ./cmd/paverify -skeleton $(SKELJSON) \
-		-commlog comm_64.json -kernel ft >> $(CONFREPORT) \
-		|| { cat $(CONFREPORT); exit 1; }; \
-	cat $(CONFREPORT)
 
 # Short fuzz pass over the core model contract (finite, non-negative,
 # error-or-value), the chaos harness's injector/parser invariants and

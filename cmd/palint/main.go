@@ -4,23 +4,21 @@
 // dropped model-API errors), report determinism (map-ordered output), a
 // cheap static race heuristic for goroutine literals, dimensional
 // analysis over the typed units layer (cross-dimension conversions,
-// unlike-dimension arithmetic, bare scale literals), and the v3
+// unlike-dimension arithmetic, bare scale literals), the v3
 // interprocedural passes: nondeterminism-source tainting (detsource),
 // freelist payload ownership (ownfree), mixed synchronization disciplines
-// (atomicmix) and hot-path allocation budgets (hotalloc).
+// (atomicmix) and hot-path allocation budgets (hotalloc), and the v4
+// communication passes: rank-dependent collectives and phase transitions
+// (commshape), phase discipline (phasebal) and symbolic rendezvous
+// simulation at N ∈ {2, 4, 8} (deadlock).
 //
 // Usage:
 //
-//	palint [-json] [-v] [-artifact file] [-only a,b] [-skeleton file]
+//	palint [-json] [-v] [-artifact file] [-only a,b]
 //	       [-list] [-explain analyzer] [packages...]
 //
 // Packages follow the go tool's pattern shape ("./...", "./internal/core").
-// Exit status: 0 clean, 1 findings, 2 usage or load failure.
-//
-// -skeleton extracts the static communication skeleton (phases, collective
-// sites, point-to-point endpoints in the rank algebra of internal/commspec)
-// of the loaded packages instead of linting, writing canonical JSON for
-// cmd/paverify to replay recorded traces against.
+// Exit status: 0 clean, 1 findings, 2 usage, load or type-check failure.
 //
 // Findings are silenced only inline, with
 //
@@ -49,8 +47,6 @@ func main() {
 		list     = flag.Bool("list", false, "list analyzers and exit")
 		explain  = flag.String("explain", "", "print one analyzer's full rule and a representative example, then exit")
 		verbose  = flag.Bool("v", false, "also show suppressed findings and their reasons")
-
-		skeleton = flag.String("skeleton", "", "write the static communication skeleton as JSON to this file (\"-\" for stdout) and exit")
 	)
 	flag.Parse()
 
@@ -82,33 +78,10 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	root, err := moduleRoot()
+	root, pkgs, err := analysis.LoadModule(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "palint: %v\n", err)
 		os.Exit(2)
-	}
-	pkgs, err := analysis.Load(root, patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "palint: %v\n", err)
-		os.Exit(2)
-	}
-	typeErrs := 0
-	for _, p := range pkgs {
-		for _, e := range p.TypeErrors {
-			fmt.Fprintf(os.Stderr, "palint: type error: %v\n", e)
-			typeErrs++
-		}
-	}
-	if typeErrs > 0 {
-		os.Exit(2)
-	}
-
-	if *skeleton != "" {
-		if err := writeSkeleton(*skeleton, root, pkgs); err != nil {
-			fmt.Fprintf(os.Stderr, "palint: %v\n", err)
-			os.Exit(2)
-		}
-		return
 	}
 
 	diags := analysis.Run(pkgs, analyzers)
@@ -186,46 +159,6 @@ func writeArtifact(file string, diags []analysis.Diagnostic) error {
 		return err
 	}
 	return os.WriteFile(file, append(data, '\n'), 0o644)
-}
-
-// writeSkeleton extracts the loaded packages' communication skeleton and
-// writes its canonical JSON.
-func writeSkeleton(file, root string, pkgs []*analysis.Package) error {
-	module, err := analysis.ModulePath(root)
-	if err != nil {
-		return err
-	}
-	sk, err := analysis.BuildSkeleton(root, module, pkgs, analysis.NewProgram(pkgs))
-	if err != nil {
-		return err
-	}
-	data, err := sk.JSON()
-	if err != nil {
-		return err
-	}
-	if file == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(file, data, 0o644)
-}
-
-// moduleRoot walks up from the working directory to the nearest go.mod.
-func moduleRoot() (string, error) {
-	dir, err := os.Getwd()
-	if err != nil {
-		return "", err
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir, nil
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			return "", fmt.Errorf("no go.mod above %s", dir)
-		}
-		dir = parent
-	}
 }
 
 // rel shortens the diagnostic's file to a module-relative path for display.

@@ -237,30 +237,6 @@ func TestArtifactWritesFullSet(t *testing.T) {
 	}
 }
 
-// TestSkeletonFlag pins the -skeleton mode: canonical JSON that re-parses,
-// byte-identical across runs.
-func TestSkeletonFlag(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "skeleton.json")
-	stdout, stderr, code := runPalint(t, "-skeleton", file, "internal/analysis/testdata/src/skel")
-	if code != 0 {
-		t.Fatalf("-skeleton: exit %d\nstdout: %s\nstderr: %s", code, stdout, stderr)
-	}
-	data, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatalf("skeleton not written: %v", err)
-	}
-	if !strings.Contains(string(data), "\"ft\"") {
-		t.Errorf("skeleton missing the seeded kernel:\n%s", data)
-	}
-	stdoutDash, _, code := runPalint(t, "-skeleton", "-", "internal/analysis/testdata/src/skel")
-	if code != 0 {
-		t.Fatalf("-skeleton -: exit %d", code)
-	}
-	if stdoutDash != string(data) {
-		t.Errorf("-skeleton output differs between file and stdout modes")
-	}
-}
-
 // TestArtifactByteIdentical pins the artifact determinism the CI upload
 // relies on: two runs over the same tree write identical bytes.
 func TestArtifactByteIdentical(t *testing.T) {

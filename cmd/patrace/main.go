@@ -7,13 +7,7 @@
 // Usage:
 //
 //	patrace -kernel ft -n 16 -f 1.4ghz [-suite paper|quick|scale] [-chaos spec]
-//	        [-out run.trace.json] [-manifest run.json] [-metrics] [-commlog comm.json]
-//
-// With -commlog the run also records each rank's operation stream (the tape
-// mpi.Replay re-times) and writes its communication-protocol projection —
-// phase transitions, message endpoints, collective entries — as a
-// deterministic rank-major JSON log; cmd/paverify replays that log against
-// the skeleton palint -skeleton extracts.
+//	        [-out run.trace.json] [-manifest run.json] [-metrics]
 //
 // The -f flag accepts "1.4ghz", "1400mhz" or a plain megahertz count
 // (serve.ParseGear, the grammar paload and paserve share). The
@@ -32,7 +26,6 @@ import (
 
 	"pasp/internal/experiments"
 	"pasp/internal/faults"
-	"pasp/internal/mpi"
 	"pasp/internal/obs"
 	"pasp/internal/serve"
 	"pasp/internal/units"
@@ -51,7 +44,6 @@ func run(args []string, stdout io.Writer) error {
 	out := fs.String("out", "run.trace.json", "write the Chrome trace-event JSON here")
 	manifest := fs.String("manifest", "", "write the run manifest JSON here")
 	metrics := fs.Bool("metrics", false, "print the metric snapshot")
-	commlog := fs.String("commlog", "", "record communication-protocol events and write them here (for cmd/paverify)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -71,11 +63,7 @@ func run(args []string, stdout io.Writer) error {
 	s.Platform.Faults = cfg
 
 	reg := obs.NewRegistry()
-	var tape *mpi.Recording
-	if *commlog != "" {
-		tape = mpi.NewRecording()
-	}
-	res, err := s.RunKernelTraced(*kernel, *n, mhz, reg, tape)
+	res, err := s.RunKernelTraced(*kernel, *n, mhz, reg, nil)
 	if err != nil {
 		return err
 	}
@@ -113,19 +101,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "\ntrace OK (%d events) written to %s\n", nEvents, *out)
-
-	if tape != nil {
-		log := tape.CommLog()
-		cdata, err := log.JSON()
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*commlog, cdata, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "comm log (%d events over %d ranks) written to %s\n",
-			len(log.Events), log.N, *commlog)
-	}
 
 	if *manifest != "" {
 		m := obs.NewManifest("patrace")

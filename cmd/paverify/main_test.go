@@ -1,91 +1,65 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"pasp/internal/analysis"
 	"pasp/internal/commspec"
-	"pasp/internal/experiments"
-	"pasp/internal/mpi"
 	"pasp/internal/trace"
 )
 
-// ftSkeleton mirrors the pipeline-shift kernel the extractor tests use:
-// two phases, a guarded shift and one collective.
-func ftSkeleton() *commspec.Skeleton {
-	return &commspec.Skeleton{
-		Module: "pasp",
-		Kernels: []commspec.Kernel{{
-			Name:   "ft",
-			Func:   "skel.(FT).Run",
-			Phases: []string{"ft-setup", "ft-exchange"},
-			Collectives: []commspec.Collective{
-				{Op: "Allreduce", Phase: "ft-exchange", Pos: "skel.go:34"},
-			},
-			P2P: []commspec.P2P{
-				{Dir: "recv", Partner: "(rank-1)", Tag: "1", Phase: "ft-exchange", Guard: "(rank>0)", Pos: "skel.go:23"},
-				{Dir: "send", Partner: "(rank+1)", Tag: "1", Phase: "ft-exchange", Guard: "(rank<(N-1))", Pos: "skel.go:30"},
-			},
-		}},
+// ftKernel mirrors the pipeline-shift kernel the extractor tests use: two
+// phases, a guarded shift and one collective.
+func ftKernel() *commspec.Kernel {
+	return &commspec.Kernel{
+		Name:   "ft",
+		Phases: []string{"ft-setup", "ft-exchange"},
+		Collectives: []commspec.Collective{
+			{Op: "Allreduce", Phase: "ft-exchange", Pos: "skel.go:34"},
+		},
+		P2P: []commspec.P2P{
+			{Dir: "recv", Partner: "(rank-1)", Tag: "1", Phase: "ft-exchange", Guard: "(rank>0)", Pos: "skel.go:23"},
+			{Dir: "send", Partner: "(rank+1)", Tag: "1", Phase: "ft-exchange", Guard: "(rank<(N-1))", Pos: "skel.go:30"},
+		},
 	}
 }
 
-// ftLog builds the rank-major log a conformant n-rank run of the kernel
-// would record.
-func ftLog(n int) *trace.CommLog {
-	l := &trace.CommLog{N: n}
-	for r := 0; r < n; r++ {
-		l.Events = append(l.Events,
-			trace.CommEvent{Rank: r, Kind: trace.CommPhase, Name: "ft-setup"},
-			trace.CommEvent{Rank: r, Kind: trace.CommPhase, Name: "ft-exchange"},
-		)
+// ftLog builds the comm log a conformant n-rank run of the kernel would
+// record.
+func ftLog(n int) [][]trace.CommEvent {
+	log := make([][]trace.CommEvent, n)
+	for r := range log {
+		log[r] = []trace.CommEvent{
+			{Kind: trace.CommPhase, Name: "ft-setup"},
+			{Kind: trace.CommPhase, Name: "ft-exchange"},
+		}
 		if r > 0 {
-			l.Events = append(l.Events, trace.CommEvent{Rank: r, Kind: trace.CommRecv, Peer: r - 1, Tag: 1, Phase: "ft-exchange"})
+			log[r] = append(log[r], trace.CommEvent{Kind: trace.CommRecv, Peer: r - 1, Tag: 1, Phase: "ft-exchange"})
 		}
 		if r < n-1 {
-			l.Events = append(l.Events, trace.CommEvent{Rank: r, Kind: trace.CommSend, Peer: r + 1, Tag: 1, Phase: "ft-exchange"})
+			log[r] = append(log[r], trace.CommEvent{Kind: trace.CommSend, Peer: r + 1, Tag: 1, Phase: "ft-exchange"})
 		}
-		l.Events = append(l.Events, trace.CommEvent{Rank: r, Kind: trace.CommColl, Name: "Allreduce", Phase: "ft-exchange"})
+		log[r] = append(log[r], trace.CommEvent{Kind: trace.CommColl, Name: "Allreduce", Phase: "ft-exchange"})
 	}
-	return l
+	return log
 }
 
-// write writes the skeleton and log fixtures into dir and returns their
-// paths.
-func write(t *testing.T, dir string, sk *commspec.Skeleton, log *trace.CommLog) (string, string) {
-	t.Helper()
-	sdata, err := sk.JSON()
-	if err != nil {
-		t.Fatal(err)
+// retagSends gives every send in the log tag 99, one divergence per sending
+// rank.
+func retagSends(log [][]trace.CommEvent) {
+	for _, evs := range log {
+		for i := range evs {
+			if evs[i].Kind == trace.CommSend {
+				evs[i].Tag = 99
+			}
+		}
 	}
-	ldata, err := json.Marshal(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sfile := filepath.Join(dir, "skeleton.json")
-	lfile := filepath.Join(dir, "comm.json")
-	if err := os.WriteFile(sfile, sdata, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(lfile, ldata, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return sfile, lfile
 }
 
 func TestConformantRun(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
-		sfile, lfile := write(t, t.TempDir(), ftSkeleton(), ftLog(n))
 		var out strings.Builder
-		count, err := run([]string{"-skeleton", sfile, "-commlog", lfile, "-kernel", "ft"}, &out)
-		if err != nil {
-			t.Fatalf("N=%d: %v", n, err)
-		}
-		if count != 0 {
+		if count := verify(ftKernel(), "quick", ftLog(n), &out); count != 0 {
 			t.Errorf("N=%d: %d divergences on a conformant log:\n%s", n, count, out.String())
 		}
 		if !strings.Contains(out.String(), "conformance OK") {
@@ -97,61 +71,50 @@ func TestConformantRun(t *testing.T) {
 func TestDivergencesDetected(t *testing.T) {
 	cases := []struct {
 		name   string
-		mutate func(l *trace.CommLog)
+		mutate func(log [][]trace.CommEvent)
 		want   string
 	}{
 		{
-			name: "wrong tag",
-			mutate: func(l *trace.CommLog) {
-				for i := range l.Events {
-					if l.Events[i].Kind == trace.CommSend {
-						l.Events[i].Tag = 99
-					}
-				}
-			},
-			want: "tag 99",
+			name:   "wrong tag",
+			mutate: retagSends,
+			want:   "tag 99",
 		},
 		{
 			name: "unpredicted phase",
-			mutate: func(l *trace.CommLog) {
-				l.Events = append(l.Events, trace.CommEvent{Rank: 0, Kind: trace.CommPhase, Name: "cooldown"})
+			mutate: func(log [][]trace.CommEvent) {
+				log[0] = append(log[0], trace.CommEvent{Kind: trace.CommPhase, Name: "cooldown"})
 			},
 			want: `phase "cooldown" not predicted`,
 		},
 		{
 			name: "unpredicted collective",
-			mutate: func(l *trace.CommLog) {
-				l.Events = append(l.Events, trace.CommEvent{Rank: 0, Kind: trace.CommColl, Name: "Barrier", Phase: "ft-exchange"})
+			mutate: func(log [][]trace.CommEvent) {
+				log[0] = append(log[0], trace.CommEvent{Kind: trace.CommColl, Name: "Barrier", Phase: "ft-exchange"})
 			},
 			want: "collective Barrier",
 		},
 		{
 			name: "guard violated",
-			mutate: func(l *trace.CommLog) {
+			mutate: func(log [][]trace.CommEvent) {
 				// The last rank sends although its guard rank<N-1 is false.
-				l.Events = append(l.Events, trace.CommEvent{Rank: 3, Kind: trace.CommSend, Peer: 0, Tag: 1, Phase: "ft-exchange"})
+				log[3] = append(log[3], trace.CommEvent{Kind: trace.CommSend, Peer: 0, Tag: 1, Phase: "ft-exchange"})
 			},
 			want: "send rank 3",
 		},
 		{
 			name: "inconsistent recorded phase",
-			mutate: func(l *trace.CommLog) {
-				l.Events = append(l.Events, trace.CommEvent{Rank: 0, Kind: trace.CommColl, Name: "Allreduce", Phase: "ft-setup"})
+			mutate: func(log [][]trace.CommEvent) {
+				log[0] = append(log[0], trace.CommEvent{Kind: trace.CommColl, Name: "Allreduce", Phase: "ft-setup"})
 			},
 			want: "log records phase",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			l := ftLog(4)
-			tc.mutate(l)
-			sfile, lfile := write(t, t.TempDir(), ftSkeleton(), l)
+			log := ftLog(4)
+			tc.mutate(log)
 			var out strings.Builder
-			count, err := run([]string{"-skeleton", sfile, "-commlog", lfile, "-kernel", "ft"}, &out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if count == 0 {
+			if count := verify(ftKernel(), "quick", log, &out); count == 0 {
 				t.Fatalf("seeded divergence not detected:\n%s", out.String())
 			}
 			if !strings.Contains(out.String(), tc.want) {
@@ -165,108 +128,67 @@ func TestDivergencesDetected(t *testing.T) {
 }
 
 func TestMaxReportCapsOutput(t *testing.T) {
-	l := ftLog(4)
-	for i := range l.Events {
-		if l.Events[i].Kind == trace.CommSend {
-			l.Events[i].Tag = 99
-		}
-	}
-	sfile, lfile := write(t, t.TempDir(), ftSkeleton(), l)
+	const n = maxReport + 4
+	log := ftLog(n)
+	retagSends(log)
 	var out strings.Builder
-	count, err := run([]string{"-skeleton", sfile, "-commlog", lfile, "-kernel", "ft", "-max-report", "1"}, &out)
-	if err != nil {
-		t.Fatal(err)
+	if count := verify(ftKernel(), "quick", log, &out); count != n-1 {
+		t.Fatalf("count = %d, want %d (one per sending rank)", count, n-1)
 	}
-	if count != 3 {
-		t.Fatalf("count = %d, want 3 (one per sending rank)", count)
+	if got := strings.Count(out.String(), "divergence: "); got != maxReport {
+		t.Errorf("printed %d divergence lines, want %d:\n%s", got, maxReport, out.String())
 	}
-	if got := strings.Count(out.String(), "divergence: "); got != 1 {
-		t.Errorf("printed %d divergence lines, want 1:\n%s", got, out.String())
-	}
-	if !strings.Contains(out.String(), "and 2 more") {
+	if !strings.Contains(out.String(), "and 3 more") {
 		t.Errorf("missing overflow note:\n%s", out.String())
 	}
 }
 
-func TestUsageErrors(t *testing.T) {
-	sfile, lfile := write(t, t.TempDir(), ftSkeleton(), ftLog(2))
-	cases := []struct {
-		name string
-		args []string
-	}{
-		{"missing kernel flag", []string{"-skeleton", sfile, "-commlog", lfile}},
-		{"unknown kernel", []string{"-skeleton", sfile, "-commlog", lfile, "-kernel", "nope"}},
-		{"missing skeleton file", []string{"-skeleton", sfile + ".gone", "-commlog", lfile, "-kernel", "ft"}},
-		{"missing commlog file", []string{"-skeleton", sfile, "-commlog", lfile + ".gone", "-kernel", "ft"}},
-		{"negative max-report", []string{"-skeleton", sfile, "-commlog", lfile, "-kernel", "ft", "-max-report", "-1"}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var out strings.Builder
-			if _, err := run(tc.args, &out); err == nil {
-				t.Errorf("run(%v) succeeded, want usage error", tc.args)
-			}
-		})
-	}
-}
-
-func TestMalformedInputsAreUsageErrors(t *testing.T) {
-	dir := t.TempDir()
-	sfile, lfile := write(t, dir, ftSkeleton(), ftLog(2))
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	if _, err := run([]string{"-skeleton", bad, "-commlog", lfile, "-kernel", "ft"}, &out); err == nil {
-		t.Error("malformed skeleton accepted")
-	}
-	if _, err := run([]string{"-skeleton", sfile, "-commlog", bad, "-kernel", "ft"}, &out); err == nil {
-		t.Error("malformed comm log accepted")
-	}
-}
-
-// TestKernelsConform checks every NAS kernel's real runs against the real
-// skeleton: it extracts the module's communication skeleton in-process, as
-// `palint -skeleton` does, records each quick-suite kernel at N ∈ {2, 4, 8}
-// (MG at {2, 4}: its quick class needs two planes per rank) and requires
-// every event of the recording's comm log to be predicted.
+// TestKernelsConform runs paverify's whole matrix against the module's own
+// skeleton, as `go run ./cmd/paverify` does: 21 runs, each of which must
+// conform. First, every expression the extraction renders must compile in
+// the rank algebra: at check time a guard that does not compile passes as
+// a wildcard, which would weaken the check without a word.
 func TestKernelsConform(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
+	sk, err := skeleton()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := analysis.Load(root, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	module, err := analysis.ModulePath(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sk, err := analysis.BuildSkeleton(root, module, pkgs, analysis.NewProgram(pkgs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := experiments.Quick()
-	for _, name := range s.KernelNames() {
-		k := sk.Kernel(name)
-		if k == nil {
-			t.Fatalf("kernel %s missing from the skeleton", name)
-		}
-		ns := []int{2, 4, 8}
-		if name == "mg" {
-			ns = ns[:2]
-		}
-		for _, n := range ns {
-			tape := mpi.NewRecording()
-			if _, err := s.RunKernelTraced(name, n, s.Grid.MHz[0], nil, tape); err != nil {
-				t.Fatalf("%s at N=%d: %v", name, n, err)
+	exprs := 0
+	compiles := func(k, pos string, srcs ...string) {
+		for _, src := range srcs {
+			if src == "" { // an empty guard is unconditional
+				continue
 			}
-			var out strings.Builder
-			if count := verify(k, tape.CommLog(), &out, 0); count != 0 {
-				t.Errorf("%s at N=%d: %d divergence(s):\n%s", name, n, count, out.String())
+			exprs++
+			if _, err := commspec.Compile(src); err != nil {
+				t.Errorf("kernel %s site %s: expression %q does not compile: %v", k, pos, src, err)
 			}
 		}
+	}
+	for _, k := range sk.Kernels {
+		for _, c := range k.Collectives {
+			compiles(k.Name, c.Pos, c.Guard)
+		}
+		for _, p := range k.P2P {
+			compiles(k.Name, p.Pos, p.Partner, p.Tag, p.Guard)
+		}
+	}
+	if exprs == 0 {
+		t.Fatal("the skeleton renders no expression")
+	}
+	if t.Failed() {
+		return
+	}
+
+	var out strings.Builder
+	count, err := run(sk, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count != 0 {
+		t.Errorf("%d divergence(s):\n%s", count, out.String())
+	}
+	if got := strings.Count(out.String(), "conformance OK"); got != 21 {
+		t.Errorf("%d conformance OK line(s), want 21:\n%s", got, out.String())
 	}
 }

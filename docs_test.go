@@ -26,6 +26,7 @@ var (
 	citedName   = regexp.MustCompile(`\b(Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*`)
 	citedPath   = regexp.MustCompile(`[\w./*-]+\.(go|golden)\b`)
 	testFunc    = regexp.MustCompile(`(?m)^func ((Test|Benchmark|Fuzz|Example)\w*)\(`)
+	inventory   = regexp.MustCompile("(?m)^\\| `([^`]+)` \\|")
 )
 
 // TestDocsCiteExistingCode: every test, benchmark, fuzz target and example
@@ -80,6 +81,39 @@ func TestDocsCiteExistingCode(t *testing.T) {
 				if !anyFileMatches(files, p) {
 					t.Errorf("%s cites %s, which matches no file in the tree", doc, p)
 				}
+			}
+		}
+	}
+}
+
+// TestInventoryNamesEveryPackage: DESIGN §3's inventory has a row for
+// every directory under internal/, cmd/ and examples/, and every row names
+// one that exists.
+func TestInventoryNamesEveryPackage(t *testing.T) {
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(src), "\n## 3. System inventory\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no section 3. System inventory")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := map[string]bool{}
+	for _, m := range inventory.FindAllStringSubmatch(section, -1) {
+		rows[m[1]] = true
+		if info, err := os.Stat(m[1]); err != nil || !info.IsDir() {
+			t.Errorf("DESIGN §3 has a row for %s, which is not a directory", m[1])
+		}
+	}
+	for _, parent := range []string{"internal", "cmd", "examples"} {
+		entries, err := os.ReadDir(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if dir := parent + "/" + e.Name(); e.IsDir() && !rows[dir] {
+				t.Errorf("DESIGN §3 has no row for %s", dir)
 			}
 		}
 	}

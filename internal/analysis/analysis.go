@@ -155,7 +155,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // NewProgram builds the whole-program context (call graph plus memoized
 // interprocedural fact tables) once, for callers that run several analyzer
-// sets — or the skeleton emitter — over one load.
+// sets over one load.
 func NewProgram(pkgs []*Package) *Program {
 	return newProgram(pkgs)
 }
@@ -168,7 +168,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // RunWithProgram is Run against an existing Program, so one load and one
-// fact computation serve every pass and the -skeleton emitter alike.
+// fact computation serve every analyzer set run over it.
 func RunWithProgram(prog *Program, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {

@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the shared substrate of the commcheck passes (commshape,
-// phasebal, deadlock) and the -skeleton emitter. It classifies call sites
+// phasebal, deadlock) and the skeleton extractor. It classifies call sites
 // against the mpi runtime's API shape, tracks which values derive from the
 // executing rank's identity (rank taint), renders partner/tag/guard
 // expressions into the commspec algebra over {rank, N}, and builds one
@@ -447,59 +447,51 @@ func (prog *Program) exprRankTainted(info *FuncInfo, taint map[types.Object]bool
 // values derive from its rank identity — "g.west()" returning a neighbour
 // rank makes every caller's guard rank-derived.
 func (prog *Program) rankReturns(fn *types.Func) bool {
-	if v, ok := prog.commRankRet[fn]; ok {
-		return v
-	}
-	if prog.commRankRetBusy[fn] {
-		return false
-	}
-	info := prog.funcOf(fn)
-	if info == nil || isMPIRuntimePkg(info.Pkg) {
-		prog.commRankRet[fn] = false
-		return false
-	}
-	prog.commRankRetBusy[fn] = true
-	defer delete(prog.commRankRetBusy, fn)
-	taint := prog.localTaint(info)
-	tainted := false
-	namedResults := map[types.Object]bool{}
-	if info.Decl.Type.Results != nil {
-		for _, f := range info.Decl.Type.Results.List {
-			for _, name := range f.Names {
-				if obj := info.Pkg.Info.Defs[name]; obj != nil {
-					namedResults[obj] = true
+	return prog.commRankRet.get(fn, false, func() bool {
+		info := prog.funcOf(fn)
+		if info == nil || isMPIRuntimePkg(info.Pkg) {
+			return false
+		}
+		taint := prog.localTaint(info)
+		tainted := false
+		namedResults := map[types.Object]bool{}
+		if info.Decl.Type.Results != nil {
+			for _, f := range info.Decl.Type.Results.List {
+				for _, name := range f.Names {
+					if obj := info.Pkg.Info.Defs[name]; obj != nil {
+						namedResults[obj] = true
+					}
 				}
 			}
 		}
-	}
-	ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
-		if tainted {
-			return false
-		}
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false // closure returns are not the function's returns
-		}
-		ret, ok := n.(*ast.ReturnStmt)
-		if !ok {
-			return true
-		}
-		if len(ret.Results) == 0 {
-			for obj := range namedResults {
-				if taint[obj] {
+		ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
+			if tainted {
+				return false
+			}
+			if _, ok := n.(*ast.FuncLit); ok {
+				return false // closure returns are not the function's returns
+			}
+			ret, ok := n.(*ast.ReturnStmt)
+			if !ok {
+				return true
+			}
+			if len(ret.Results) == 0 {
+				for obj := range namedResults {
+					if taint[obj] {
+						tainted = true
+					}
+				}
+				return true
+			}
+			for _, r := range ret.Results {
+				if prog.exprRankTainted(info, taint, r) {
 					tainted = true
 				}
 			}
 			return true
-		}
-		for _, r := range ret.Results {
-			if prog.exprRankTainted(info, taint, r) {
-				tainted = true
-			}
-		}
-		return true
+		})
+		return tainted
 	})
-	prog.commRankRet[fn] = tainted
-	return tainted
 }
 
 // ---------------------------------------------------------------------------
@@ -725,71 +717,62 @@ const witnessCap = 8
 // commFactOf computes (memoized, cycle-safe) the function's transitive
 // communication fact. Bodies inside the mpi runtime are never entered.
 func (prog *Program) commFactOf(fn *types.Func) *commFact {
-	if f, ok := prog.commFacts[fn]; ok {
-		return f
-	}
-	if prog.commFactBusy[fn] {
-		return &commFact{}
-	}
-	info := prog.funcOf(fn)
-	if info == nil || isMPIRuntimePkg(info.Pkg) {
+	return prog.commFacts.get(fn, &commFact{}, func() *commFact {
+		info := prog.funcOf(fn)
+		if info == nil || isMPIRuntimePkg(info.Pkg) {
+			return &commFact{}
+		}
 		f := &commFact{}
-		prog.commFacts[fn] = f
+		addColl := func(w commWitness) {
+			if len(f.colls) < witnessCap {
+				f.colls = append(f.colls, w)
+			}
+		}
+		addPhase := func(w commWitness) {
+			if len(f.phases) < witnessCap {
+				f.phases = append(f.phases, w)
+			}
+		}
+		for _, cs := range info.calls {
+			kind, name := classifyComm(cs.callee)
+			switch kind {
+			case commColl:
+				addColl(commWitness{name: name, pos: cs.call.Pos()})
+				continue
+			case commPhase:
+				addPhase(commWitness{name: name, pos: cs.call.Pos()})
+				continue
+			case commSend, commRecv, commSendRecv:
+				f.hasP2P = true
+				continue
+			case commCompute:
+				f.hasCompute = true
+				continue
+			}
+			callee := prog.funcOf(cs.callee)
+			if callee == nil || isMPIRuntimePkg(callee.Pkg) {
+				continue
+			}
+			sub := prog.commFactOf(cs.callee)
+			if sub.hasCompute {
+				f.hasCompute = true
+			}
+			if !sub.hasComm() {
+				continue
+			}
+			step := shortFuncName(cs.callee)
+			for _, w := range sub.colls {
+				addColl(commWitness{name: w.name, via: joinVia(step, w.via), pos: w.pos})
+			}
+			for _, w := range sub.phases {
+				addPhase(commWitness{name: w.name, via: joinVia(step, w.via), pos: w.pos})
+			}
+			if sub.hasP2P {
+				f.hasP2P = true
+			}
+		}
 		return f
-	}
-	prog.commFactBusy[fn] = true
-	defer delete(prog.commFactBusy, fn)
-	f := &commFact{}
-	addColl := func(w commWitness) {
-		if len(f.colls) < witnessCap {
-			f.colls = append(f.colls, w)
-		}
-	}
-	addPhase := func(w commWitness) {
-		if len(f.phases) < witnessCap {
-			f.phases = append(f.phases, w)
-		}
-	}
-	for _, cs := range info.calls {
-		kind, name := classifyComm(cs.callee)
-		switch kind {
-		case commColl:
-			addColl(commWitness{name: name, pos: cs.call.Pos()})
-			continue
-		case commPhase:
-			addPhase(commWitness{name: name, pos: cs.call.Pos()})
-			continue
-		case commSend, commRecv, commSendRecv:
-			f.hasP2P = true
-			continue
-		case commCompute:
-			f.hasCompute = true
-			continue
-		}
-		callee := prog.funcOf(cs.callee)
-		if callee == nil || isMPIRuntimePkg(callee.Pkg) {
-			continue
-		}
-		sub := prog.commFactOf(cs.callee)
-		if sub.hasCompute {
-			f.hasCompute = true
-		}
-		if !sub.hasComm() {
-			continue
-		}
-		step := shortFuncName(cs.callee)
-		for _, w := range sub.colls {
-			addColl(commWitness{name: w.name, via: joinVia(step, w.via), pos: w.pos})
-		}
-		for _, w := range sub.phases {
-			addPhase(commWitness{name: w.name, via: joinVia(step, w.via), pos: w.pos})
-		}
-		if sub.hasP2P {
-			f.hasP2P = true
-		}
-	}
-	prog.commFacts[fn] = f
-	return f
+	})
 }
 
 func joinVia(step, rest string) string {

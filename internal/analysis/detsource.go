@@ -109,34 +109,30 @@ func isMethod(f *types.Func) bool {
 // line carries a detsource suppression are sanctioned and do not propagate.
 // Cycles in the call graph resolve to the facts discovered so far.
 func (prog *Program) nondetFacts(f *types.Func) map[taintKind]string {
-	if facts, ok := prog.nondet[f]; ok {
+	return prog.nondet.get(f, nil, func() map[taintKind]string {
+		info := prog.funcOf(f)
+		if info == nil {
+			return nil
+		}
+		facts := map[taintKind]string{}
+		for _, cs := range info.calls {
+			if prog.sanctioned("detsource", cs.call.Pos()) {
+				continue
+			}
+			if kind, witness, ok := directTaint(cs.callee); ok {
+				if _, have := facts[kind]; !have {
+					facts[kind] = witness
+				}
+				continue
+			}
+			for kind, chain := range prog.nondetFacts(cs.callee) {
+				if _, have := facts[kind]; !have {
+					facts[kind] = shortFuncName(cs.callee) + " → " + chain
+				}
+			}
+		}
 		return facts
-	}
-	info := prog.funcOf(f)
-	if info == nil || prog.nondetBusy[f] {
-		return nil
-	}
-	prog.nondetBusy[f] = true
-	facts := map[taintKind]string{}
-	for _, cs := range info.calls {
-		if prog.sanctioned("detsource", cs.call.Pos()) {
-			continue
-		}
-		if kind, witness, ok := directTaint(cs.callee); ok {
-			if _, have := facts[kind]; !have {
-				facts[kind] = witness
-			}
-			continue
-		}
-		for kind, chain := range prog.nondetFacts(cs.callee) {
-			if _, have := facts[kind]; !have {
-				facts[kind] = shortFuncName(cs.callee) + " → " + chain
-			}
-		}
-	}
-	delete(prog.nondetBusy, f)
-	prog.nondet[f] = facts
-	return facts
+	})
 }
 
 // fmtVerbFuncs maps fmt functions that render values through verbs to the
@@ -156,36 +152,32 @@ var fmtVerbFuncs = map[string]int{
 // parameters are only known at call sites, which is where runDetSource
 // checks them.
 func (prog *Program) fmtForwardFacts(f *types.Func) map[int]bool {
-	if facts, ok := prog.fmtParams[f]; ok {
-		return facts
-	}
-	info := prog.funcOf(f)
-	if info == nil || prog.fmtBusy[f] {
-		return nil
-	}
-	prog.fmtBusy[f] = true
-	facts := map[int]bool{}
-	record := func(arg ast.Expr) {
-		if idx, ok := paramIndexOf(info, arg); ok {
-			facts[idx] = true
+	return prog.fmtParams.get(f, nil, func() map[int]bool {
+		info := prog.funcOf(f)
+		if info == nil {
+			return nil
 		}
-	}
-	for _, cs := range info.calls {
-		if prog.sanctioned("detsource", cs.call.Pos()) {
-			continue
-		}
-		for _, arg := range verbArgs(info.Pkg, cs) {
-			record(arg)
-		}
-		for idx := range prog.fmtForwardFacts(cs.callee) {
-			if idx < len(cs.call.Args) {
-				record(cs.call.Args[idx])
+		facts := map[int]bool{}
+		record := func(arg ast.Expr) {
+			if idx, ok := paramIndexOf(info, arg); ok {
+				facts[idx] = true
 			}
 		}
-	}
-	delete(prog.fmtBusy, f)
-	prog.fmtParams[f] = facts
-	return facts
+		for _, cs := range info.calls {
+			if prog.sanctioned("detsource", cs.call.Pos()) {
+				continue
+			}
+			for _, arg := range verbArgs(info.Pkg, cs) {
+				record(arg)
+			}
+			for idx := range prog.fmtForwardFacts(cs.callee) {
+				if idx < len(cs.call.Args) {
+					record(cs.call.Args[idx])
+				}
+			}
+		}
+		return facts
+	})
 }
 
 // paramIndexOf reports which parameter of info's function the expression

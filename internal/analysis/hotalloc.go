@@ -169,48 +169,42 @@ func boxedArgs(pkg *Package, call *ast.CallExpr) []ast.Expr {
 // transitively through a module-internal callee. Memoized; cycles break
 // through the busy set (a recursive function is judged on its own body).
 func (prog *Program) allocFacts(f *types.Func) *allocFact {
-	if fact, ok := prog.allocs[f]; ok {
-		return fact
-	}
-	if key := stdFuncKey(f); !isMethod(f) {
-		if why, ok := allocatingStdFuncs[key]; ok {
-			fact := &allocFact{witness: key + " (" + why + ")"}
-			prog.allocs[f] = fact
-			return fact
+	return prog.allocs.get(f, nil, func() *allocFact {
+		if key := stdFuncKey(f); !isMethod(f) {
+			if why, ok := allocatingStdFuncs[key]; ok {
+				return &allocFact{witness: key + " (" + why + ")"}
+			}
 		}
-	}
-	info := prog.funcOf(f)
-	if info == nil || prog.allocBusy[f] {
-		return nil
-	}
-	prog.allocBusy[f] = true
-	var fact *allocFact
-	ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
-		if fact != nil {
-			return false
+		info := prog.funcOf(f)
+		if info == nil {
+			return nil
 		}
-		if pos, what, ok := directAllocSite(info.Pkg, n); ok {
-			if !prog.sanctioned("hotalloc", pos) {
-				fact = &allocFact{witness: shortFuncName(f) + ": " + what}
+		var fact *allocFact
+		ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
+			if fact != nil {
+				return false
+			}
+			if pos, what, ok := directAllocSite(info.Pkg, n); ok {
+				if !prog.sanctioned("hotalloc", pos) {
+					fact = &allocFact{witness: shortFuncName(f) + ": " + what}
+				}
+				return true
 			}
 			return true
+		})
+		if fact == nil {
+			for _, cs := range info.calls {
+				if prog.sanctioned("hotalloc", cs.call.Pos()) {
+					continue
+				}
+				if sub := prog.allocFacts(cs.callee); sub != nil {
+					fact = &allocFact{witness: shortFuncName(f) + " → " + sub.witness}
+					break
+				}
+			}
 		}
-		return true
+		return fact
 	})
-	if fact == nil {
-		for _, cs := range info.calls {
-			if prog.sanctioned("hotalloc", cs.call.Pos()) {
-				continue
-			}
-			if sub := prog.allocFacts(cs.callee); sub != nil {
-				fact = &allocFact{witness: shortFuncName(f) + " → " + sub.witness}
-				break
-			}
-		}
-	}
-	delete(prog.allocBusy, f)
-	prog.allocs[f] = fact
-	return fact
 }
 
 func runHotAlloc(pass *Pass) {

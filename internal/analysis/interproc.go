@@ -81,17 +81,12 @@ type Program struct {
 	// fact computation can honour suppressed-at-callee sanctions.
 	suppress map[string]map[int][]suppression
 
-	// Memoized fact tables, filled lazily by the passes.
-	nondet     map[*types.Func]map[taintKind]string
-	nondetBusy map[*types.Func]bool
-	fmtParams  map[*types.Func]map[int]bool
-	fmtBusy    map[*types.Func]bool
-	allocs     map[*types.Func]*allocFact
-	allocBusy  map[*types.Func]bool
-	frees      map[*types.Func]map[int]bool
-	freesBusy  map[*types.Func]bool
-	owned      map[*types.Func]*ownedFact
-	ownedBusy  map[*types.Func]bool
+	// Per-function facts, filled lazily by the passes.
+	nondet    factMemo[map[taintKind]string]
+	fmtParams factMemo[map[int]bool]
+	allocs    factMemo[*allocFact]
+	frees     factMemo[map[int]bool]
+	owned     factMemo[*ownedFact]
 
 	// atomicmix's program-wide gather (which fields are touched by
 	// sync/atomic calls, and which selector nodes ARE those calls), done
@@ -102,15 +97,13 @@ type Program struct {
 
 	// commcheck substrate (comm.go): rank taint, symbolic renderers,
 	// transitive communication facts and guarded operation trees, shared
-	// by commshape, phasebal, deadlock and the -skeleton emitter.
-	commTaints      map[*types.Func]map[types.Object]bool
-	commRankRet     map[*types.Func]bool
-	commRankRetBusy map[*types.Func]bool
-	commRenders     map[*types.Func]*renderEnv
-	commFacts       map[*types.Func]*commFact
-	commFactBusy    map[*types.Func]bool
-	commTrees       map[*types.Func][]*opNode
-	commCalled      map[*types.Func]bool
+	// by commshape, phasebal, deadlock and the skeleton extractor.
+	commTaints  map[*types.Func]map[types.Object]bool
+	commRankRet factMemo[bool]
+	commRenders map[*types.Func]*renderEnv
+	commFacts   factMemo[*commFact]
+	commTrees   map[*types.Func][]*opNode
+	commCalled  map[*types.Func]bool
 	// commDeadlockSeen deduplicates deadlock reports program-wide:
 	// multiple roots expand to the same underlying operations.
 	commDeadlockSeen map[string]bool
@@ -121,33 +114,49 @@ type Program struct {
 	rankFields         map[types.Object]bool
 }
 
+// factMemo memoizes one interprocedural fact per function. A fact is
+// computed from the function's body and its callees' facts, so computing
+// one recurses along call edges; a call that re-enters a function whose
+// fact is still in progress (a call-graph cycle) gets the fact's
+// in-progress value instead. The zero value is ready to use.
+type factMemo[T any] struct {
+	done map[*types.Func]T
+	busy map[*types.Func]bool
+}
+
+// get returns f's fact, running compute on first use. While compute runs,
+// a nested get for f returns inProgress.
+func (m *factMemo[T]) get(f *types.Func, inProgress T, compute func() T) T {
+	if v, ok := m.done[f]; ok {
+		return v
+	}
+	if m.busy[f] {
+		return inProgress
+	}
+	if m.done == nil {
+		m.done = map[*types.Func]T{}
+		m.busy = map[*types.Func]bool{}
+	}
+	m.busy[f] = true
+	v := compute()
+	delete(m.busy, f)
+	m.done[f] = v
+	return v
+}
+
 // newProgram indexes the packages (and their module-internal dependencies)
 // into a call graph. It is cheap relative to type checking: one AST walk per
 // function to resolve call edges and directives.
 func newProgram(pkgs []*Package) *Program {
 	prog := &Program{
-		pkgs:       pkgs,
-		inReport:   map[*Package]bool{},
-		funcs:      map[*types.Func]*FuncInfo{},
-		callMaps:   map[*types.Func]map[*ast.CallExpr]*types.Func{},
-		nondet:     map[*types.Func]map[taintKind]string{},
-		nondetBusy: map[*types.Func]bool{},
-		fmtParams:  map[*types.Func]map[int]bool{},
-		fmtBusy:    map[*types.Func]bool{},
-		allocs:     map[*types.Func]*allocFact{},
-		allocBusy:  map[*types.Func]bool{},
-		frees:      map[*types.Func]map[int]bool{},
-		freesBusy:  map[*types.Func]bool{},
-		owned:      map[*types.Func]*ownedFact{},
-		ownedBusy:  map[*types.Func]bool{},
+		pkgs:     pkgs,
+		inReport: map[*Package]bool{},
+		funcs:    map[*types.Func]*FuncInfo{},
+		callMaps: map[*types.Func]map[*ast.CallExpr]*types.Func{},
 
-		commTaints:      map[*types.Func]map[types.Object]bool{},
-		commRankRet:     map[*types.Func]bool{},
-		commRankRetBusy: map[*types.Func]bool{},
-		commRenders:     map[*types.Func]*renderEnv{},
-		commFacts:       map[*types.Func]*commFact{},
-		commFactBusy:    map[*types.Func]bool{},
-		commTrees:       map[*types.Func][]*opNode{},
+		commTaints:  map[*types.Func]map[types.Object]bool{},
+		commRenders: map[*types.Func]*renderEnv{},
+		commTrees:   map[*types.Func][]*opNode{},
 	}
 	seen := map[string]*Package{}
 	for _, p := range pkgs {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -103,6 +104,49 @@ func Load(root string, patterns []string) ([]*Package, error) {
 		p.deps = ld.pkgs
 	}
 	return out, nil
+}
+
+// LoadModule loads patterns in the module that holds the working directory
+// (the nearest go.mod above it) and returns the module root with the
+// packages. A type error in any loaded package fails the load: the commands
+// refuse to analyze a tree that does not compile.
+func LoadModule(patterns []string) (string, []*Package, error) {
+	root, err := moduleRoot()
+	if err != nil {
+		return "", nil, err
+	}
+	pkgs, err := Load(root, patterns)
+	if err != nil {
+		return "", nil, err
+	}
+	var typeErrs []error
+	for _, p := range pkgs {
+		for _, e := range p.TypeErrors {
+			typeErrs = append(typeErrs, fmt.Errorf("type error: %w", e))
+		}
+	}
+	if len(typeErrs) > 0 {
+		return "", nil, errors.Join(typeErrs...)
+	}
+	return root, pkgs, nil
+}
+
+// moduleRoot walks up from the working directory to the nearest go.mod.
+func moduleRoot() (string, error) {
+	dir, err := os.Getwd()
+	if err != nil {
+		return "", err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+			return dir, nil
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return "", fmt.Errorf("no go.mod above %s", dir)
+		}
+		dir = parent
+	}
 }
 
 // modulePath reads the module line of root/go.mod.

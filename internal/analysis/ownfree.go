@@ -107,101 +107,93 @@ type ownedFact struct{ kind producerKind }
 // caller: some return statement returns a producer call directly, or a
 // local bound to one that was never freed.
 func (prog *Program) ownedFacts(f *types.Func) *ownedFact {
-	if fact, ok := prog.owned[f]; ok {
-		return fact
-	}
-	info := prog.funcOf(f)
-	if info == nil || prog.ownedBusy[f] {
-		return nil
-	}
-	prog.ownedBusy[f] = true
-	var fact *ownedFact
-	// Variables bound to producer results, and whether they were freed.
-	bound := map[types.Object]producerKind{}
-	freed := map[types.Object]bool{}
-	calleeAt := prog.callMap(info)
-	ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.AssignStmt:
-			for i, rhs := range x.Rhs {
-				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok {
-					continue
-				}
-				kind := prog.producerOf(calleeAt[call])
-				if kind == notProducer || i >= len(x.Lhs) {
-					continue
-				}
-				if id, ok := x.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
-					if obj := objOf(info.Pkg, id); obj != nil {
-						bound[obj] = kind
+	return prog.owned.get(f, nil, func() *ownedFact {
+		info := prog.funcOf(f)
+		if info == nil {
+			return nil
+		}
+		var fact *ownedFact
+		// Variables bound to producer results, and whether they were freed.
+		bound := map[types.Object]producerKind{}
+		freed := map[types.Object]bool{}
+		calleeAt := prog.callMap(info)
+		ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				for i, rhs := range x.Rhs {
+					call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+					if !ok {
+						continue
 					}
-				}
-			}
-		case *ast.CallExpr:
-			if callee := calleeAt[x]; callee != nil {
-				if arg, ok := prog.isFreeCall(info.Pkg, callSite{call: x, callee: callee}); ok {
-					if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
+					kind := prog.producerOf(calleeAt[call])
+					if kind == notProducer || i >= len(x.Lhs) {
+						continue
+					}
+					if id, ok := x.Lhs[i].(*ast.Ident); ok && id.Name != "_" {
 						if obj := objOf(info.Pkg, id); obj != nil {
-							freed[obj] = true
+							bound[obj] = kind
 						}
 					}
 				}
-			}
-		case *ast.ReturnStmt:
-			for _, res := range x.Results {
-				if call, ok := ast.Unparen(res).(*ast.CallExpr); ok {
-					if kind := prog.producerOf(calleeAt[call]); kind != notProducer {
-						fact = &ownedFact{kind: kind}
+			case *ast.CallExpr:
+				if callee := calleeAt[x]; callee != nil {
+					if arg, ok := prog.isFreeCall(info.Pkg, callSite{call: x, callee: callee}); ok {
+						if id, ok := ast.Unparen(arg).(*ast.Ident); ok {
+							if obj := objOf(info.Pkg, id); obj != nil {
+								freed[obj] = true
+							}
+						}
 					}
 				}
-				if id, ok := ast.Unparen(res).(*ast.Ident); ok {
-					if obj := objOf(info.Pkg, id); obj != nil {
-						if kind, ok := bound[obj]; ok && !freed[obj] {
+			case *ast.ReturnStmt:
+				for _, res := range x.Results {
+					if call, ok := ast.Unparen(res).(*ast.CallExpr); ok {
+						if kind := prog.producerOf(calleeAt[call]); kind != notProducer {
 							fact = &ownedFact{kind: kind}
 						}
 					}
+					if id, ok := ast.Unparen(res).(*ast.Ident); ok {
+						if obj := objOf(info.Pkg, id); obj != nil {
+							if kind, ok := bound[obj]; ok && !freed[obj] {
+								fact = &ownedFact{kind: kind}
+							}
+						}
+					}
 				}
 			}
-		}
-		return true
+			return true
+		})
+		return fact
 	})
-	delete(prog.ownedBusy, f)
-	prog.owned[f] = fact
-	return fact
 }
 
 // freesParamFacts returns the parameter indices f passes to a Free call
 // (directly or through another helper with this fact).
 func (prog *Program) freesParamFacts(f *types.Func) map[int]bool {
-	if facts, ok := prog.frees[f]; ok {
-		return facts
-	}
-	info := prog.funcOf(f)
-	if info == nil || prog.freesBusy[f] {
-		return nil
-	}
-	prog.freesBusy[f] = true
-	facts := map[int]bool{}
-	record := func(e ast.Expr) {
-		if idx, ok := paramIndexOf(info, e); ok {
-			facts[idx] = true
+	return prog.frees.get(f, nil, func() map[int]bool {
+		info := prog.funcOf(f)
+		if info == nil {
+			return nil
 		}
-	}
-	for _, cs := range info.calls {
-		if arg, ok := prog.isFreeCall(info.Pkg, cs); ok {
-			record(arg)
-			continue
-		}
-		for idx := range prog.freesParamFacts(cs.callee) {
-			if idx < len(cs.call.Args) {
-				record(cs.call.Args[idx])
+		facts := map[int]bool{}
+		record := func(e ast.Expr) {
+			if idx, ok := paramIndexOf(info, e); ok {
+				facts[idx] = true
 			}
 		}
-	}
-	delete(prog.freesBusy, f)
-	prog.frees[f] = facts
-	return facts
+		for _, cs := range info.calls {
+			if arg, ok := prog.isFreeCall(info.Pkg, cs); ok {
+				record(arg)
+				continue
+			}
+			for idx := range prog.freesParamFacts(cs.callee) {
+				if idx < len(cs.call.Args) {
+					record(cs.call.Args[idx])
+				}
+			}
+		}
+		return facts
+	})
 }
 
 // objOf resolves an identifier to its object (definition or use).

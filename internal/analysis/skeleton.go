@@ -20,25 +20,16 @@ import (
 // missing prediction would be a false alarm while a loose one merely
 // weakens the check.
 
-// ModulePath exposes the loader's go.mod module reading for tools that
-// stamp the skeleton.
-func ModulePath(root string) (string, error) {
-	abs, err := filepath.Abs(root)
-	if err != nil {
-		return "", err
-	}
-	return modulePath(abs)
-}
-
 // BuildSkeleton extracts the communication skeleton of every kernel — a
-// function in the reporting set that launches an mpi job — from the shared
-// Program. root anchors the module-relative positions.
-func BuildSkeleton(root, module string, pkgs []*Package, prog *Program) (*commspec.Skeleton, error) {
+// function among pkgs that launches an mpi job — in declaration order. root
+// anchors the module-relative positions.
+func BuildSkeleton(root string, pkgs []*Package) (*commspec.Skeleton, error) {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
 		return nil, err
 	}
-	sk := &commspec.Skeleton{Module: module}
+	prog := newProgram(pkgs)
+	sk := &commspec.Skeleton{}
 	names := map[string]int{}
 	for _, pkg := range pkgs {
 		if isMPIRuntimePkg(pkg) {
@@ -65,12 +56,10 @@ func BuildSkeleton(root, module string, pkgs []*Package, prog *Program) (*commsp
 				names[kernelName(obj)]++
 				k := extractKernel(absRoot, prog, info)
 				k.Name = name
-				k.Func = shortFuncName(obj)
 				sk.Kernels = append(sk.Kernels, *k)
 			}
 		}
 	}
-	sk.Normalize()
 	return sk, nil
 }
 

@@ -1,10 +1,6 @@
 package commspec
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestEvalInt(t *testing.T) {
 	cases := []struct {
@@ -104,11 +100,9 @@ func TestEvalErrors(t *testing.T) {
 
 func testSkeleton() *Skeleton {
 	return &Skeleton{
-		Module: "pasp",
 		Kernels: []Kernel{
 			{
 				Name:   "ring",
-				Func:   "x.Ring",
 				Phases: []string{"halo", "norm"},
 				Collectives: []Collective{
 					{Op: "Allreduce", Phase: "norm", Pos: "x.go:30"},
@@ -119,61 +113,8 @@ func testSkeleton() *Skeleton {
 					{Dir: "send", Partner: "(rank-1)", Tag: "2", Phase: "halo", Guard: "(rank>0)", Pos: "x.go:12"},
 				},
 			},
-			{Name: "alone", Func: "x.Alone", Phases: []string{"p"}},
+			{Name: "alone", Phases: []string{"p"}},
 		},
-	}
-}
-
-func TestSkeletonRoundTrip(t *testing.T) {
-	s := testSkeleton()
-	data, err := s.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseSkeleton(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, err := got.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Errorf("round trip not byte-identical:\n%s\nvs\n%s", data, data2)
-	}
-}
-
-func TestSkeletonJSONDeterministic(t *testing.T) {
-	// Kernels and sites deliberately shuffled relative to testSkeleton.
-	a := testSkeleton()
-	b := testSkeleton()
-	b.Kernels[0], b.Kernels[1] = b.Kernels[1], b.Kernels[0]
-	k := &b.Kernels[1]
-	k.P2P[0], k.P2P[2] = k.P2P[2], k.P2P[0]
-	da, err := a.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := b.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(da, db) {
-		t.Errorf("JSON depends on input order:\n%s\nvs\n%s", da, db)
-	}
-}
-
-func TestParseSkeletonRejectsBadExpressions(t *testing.T) {
-	bad := []string{
-		`{"module":"m","kernels":[{"name":"k","func":"f","phases":[],"p2p":[{"dir":"send","partner":"x+","tag":"1","phase":"p","pos":"a:1"}]}]}`,
-		`{"module":"m","kernels":[{"name":"k","func":"f","phases":[],"p2p":[{"dir":"sideways","partner":"rank","tag":"1","phase":"p","pos":"a:1"}]}]}`,
-		`{"module":"m","kernels":[{"name":"k","func":"f","phases":[],"collectives":[{"op":"Barrier","phase":"p","guard":"bogus$","pos":"a:1"}]}]}`,
-		`not json`,
-	}
-	for _, src := range bad {
-		if _, err := ParseSkeleton([]byte(src)); err == nil {
-			t.Errorf("ParseSkeleton accepted %q", src)
-		}
 	}
 }
 
@@ -263,8 +204,5 @@ func TestKernelLookupMissing(t *testing.T) {
 	s := testSkeleton()
 	if s.Kernel("nosuch") != nil {
 		t.Error("missing kernel resolved")
-	}
-	if !strings.Contains(s.Kernels[0].Func, ".") {
-		t.Error("test skeleton shape changed")
 	}
 }

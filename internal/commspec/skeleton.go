@@ -1,153 +1,60 @@
 package commspec
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Skeleton is the statically extracted communication contract of a module:
 // one entry per kernel (a function that launches an mpi job), listing the
 // phases it may enter and the collective and point-to-point operations it
-// may perform, with partners/tags/guards in the rank algebra. palint
-// -skeleton emits it; cmd/paverify replays recorded traces against it.
+// may perform, with partners/tags/guards in the rank algebra.
+// analysis.BuildSkeleton extracts it; cmd/paverify checks recorded runs
+// against it.
 type Skeleton struct {
-	// Module is the Go module the skeleton was extracted from.
-	Module string `json:"module"`
-	// Kernels is sorted by name for byte-deterministic output.
-	Kernels []Kernel `json:"kernels"`
+	// Kernels are in declaration order: by package path, file and line.
+	Kernels []Kernel
 }
 
 // Kernel is one mpi entry point's communication shape.
 type Kernel struct {
 	// Name is the lowercased receiver (or function) name — "ft", "lu" —
 	// matching the -kernel flags of the simulation drivers.
-	Name string `json:"name"`
-	// Func is the declaring function, e.g. "npb.(FT).Run".
-	Func string `json:"func"`
+	Name string
 	// Phases are the SetPhase labels the kernel can enter, in static
 	// traversal order. The implicit initial phase "main" is always legal.
-	Phases []string `json:"phases"`
+	Phases []string
 	// Collectives are the collective call sites.
-	Collectives []Collective `json:"collectives,omitempty"`
+	Collectives []Collective
 	// P2P are the point-to-point endpoints; a SendRecv contributes one
 	// send and one recv entry.
-	P2P []P2P `json:"p2p,omitempty"`
+	P2P []P2P
 }
 
 // Collective is one collective call site.
 type Collective struct {
 	// Op is the mpi method name: "Allreduce", "Barrier", ...
-	Op string `json:"op"`
+	Op string
 	// Phase is the phase the call executes under, or "?" when ambiguous.
-	Phase string `json:"phase"`
+	Phase string
 	// Guard is the conjunction of enclosing conditions in the rank
 	// algebra; empty means unconditional, "?" unresolvable.
-	Guard string `json:"guard,omitempty"`
+	Guard string
 	// Pos is the module-relative file:line of the call.
-	Pos string `json:"pos"`
+	Pos string
 }
 
 // P2P is one point-to-point endpoint.
 type P2P struct {
 	// Dir is "send" or "recv".
-	Dir string `json:"dir"`
+	Dir string
 	// Partner is the peer rank expression over {rank, N}, or "?".
-	Partner string `json:"partner"`
+	Partner string
 	// Tag is the message tag expression, or "?".
-	Tag string `json:"tag"`
+	Tag string
 	// Phase is the phase the call executes under, or "?".
-	Phase string `json:"phase"`
+	Phase string
 	// Guard is as in Collective.
-	Guard string `json:"guard,omitempty"`
+	Guard string
 	// Pos is the module-relative file:line of the call.
-	Pos string `json:"pos"`
-}
-
-// Normalize sorts the skeleton into its canonical order: kernels by name,
-// collectives by (op, guard, pos), p2p by (dir, partner, tag, guard, pos).
-// Phases keep their traversal order (it is already deterministic).
-func (s *Skeleton) Normalize() {
-	sort.Slice(s.Kernels, func(i, j int) bool { return s.Kernels[i].Name < s.Kernels[j].Name })
-	for k := range s.Kernels {
-		ker := &s.Kernels[k]
-		sort.Slice(ker.Collectives, func(i, j int) bool {
-			a, b := ker.Collectives[i], ker.Collectives[j]
-			if a.Op != b.Op {
-				return a.Op < b.Op
-			}
-			if a.Guard != b.Guard {
-				return a.Guard < b.Guard
-			}
-			return a.Pos < b.Pos
-		})
-		sort.Slice(ker.P2P, func(i, j int) bool {
-			a, b := ker.P2P[i], ker.P2P[j]
-			if a.Dir != b.Dir {
-				return a.Dir < b.Dir
-			}
-			if a.Partner != b.Partner {
-				return a.Partner < b.Partner
-			}
-			if a.Tag != b.Tag {
-				return a.Tag < b.Tag
-			}
-			if a.Guard != b.Guard {
-				return a.Guard < b.Guard
-			}
-			return a.Pos < b.Pos
-		})
-	}
-}
-
-// JSON renders the skeleton as canonical indented JSON (Normalize first for
-// byte determinism).
-func (s *Skeleton) JSON() ([]byte, error) {
-	s.Normalize()
-	data, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// ParseSkeleton loads a skeleton written by JSON, validating every
-// expression so conformance checking cannot fail mid-replay.
-func ParseSkeleton(data []byte) (*Skeleton, error) {
-	var s Skeleton
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("commspec: bad skeleton: %w", err)
-	}
-	for _, k := range s.Kernels {
-		for _, c := range k.Collectives {
-			if err := checkGuard(c.Guard); err != nil {
-				return nil, fmt.Errorf("commspec: kernel %s collective %s: %w", k.Name, c.Op, err)
-			}
-		}
-		for _, p := range k.P2P {
-			if p.Dir != "send" && p.Dir != "recv" {
-				return nil, fmt.Errorf("commspec: kernel %s: bad p2p dir %q", k.Name, p.Dir)
-			}
-			if _, err := Compile(p.Partner); err != nil {
-				return nil, fmt.Errorf("commspec: kernel %s p2p partner: %w", k.Name, err)
-			}
-			if _, err := Compile(p.Tag); err != nil {
-				return nil, fmt.Errorf("commspec: kernel %s p2p tag: %w", k.Name, err)
-			}
-			if err := checkGuard(p.Guard); err != nil {
-				return nil, fmt.Errorf("commspec: kernel %s p2p guard: %w", k.Name, err)
-			}
-		}
-	}
-	return &s, nil
-}
-
-func checkGuard(g string) error {
-	if g == "" {
-		return nil
-	}
-	_, err := Compile(g)
-	return err
+	Pos string
 }
 
 // Kernel returns the named kernel, or nil.

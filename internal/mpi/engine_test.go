@@ -452,7 +452,8 @@ func TestRecordingSingleUse(t *testing.T) {
 // TestRecordingCommLog pins the tape's protocol projection: phases start
 // from "main", compute and P-state operations drop out, a SendRecv becomes
 // a send to its destination then a receive from its source, every
-// collective is named after its Ctx method, and the log is rank-major.
+// collective is named after its Ctx method, and each rank's events keep
+// program order.
 func TestRecordingCommLog(t *testing.T) {
 	const n = 3
 	fast, err := power.PentiumM().StateAt(units.MHz(1400))
@@ -504,31 +505,34 @@ func TestRecordingCommLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var want []trace.CommEvent
-	for r := 0; r < n; r++ {
-		want = append(want,
-			trace.CommEvent{Rank: r, Kind: trace.CommColl, Name: "Barrier", Phase: "main"},
-			trace.CommEvent{Rank: r, Kind: trace.CommPhase, Name: "ring"},
-			trace.CommEvent{Rank: r, Kind: trace.CommSend, Peer: (r + 1) % n, Tag: 5, Phase: "ring"},
-			trace.CommEvent{Rank: r, Kind: trace.CommRecv, Peer: (r + n - 1) % n, Tag: 5, Phase: "ring"})
+	log := tape.CommLog()
+	if len(log) != n {
+		t.Fatalf("log has %d ranks, want %d", len(log), n)
+	}
+	for r, got := range log {
+		want := []trace.CommEvent{
+			{Kind: trace.CommColl, Name: "Barrier", Phase: "main"},
+			{Kind: trace.CommPhase, Name: "ring"},
+			{Kind: trace.CommSend, Peer: (r + 1) % n, Tag: 5, Phase: "ring"},
+			{Kind: trace.CommRecv, Peer: (r + n - 1) % n, Tag: 5, Phase: "ring"},
+		}
 		switch r {
 		case 0:
-			want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommSend, Peer: 1, Tag: 6, Phase: "ring"})
+			want = append(want, trace.CommEvent{Kind: trace.CommSend, Peer: 1, Tag: 6, Phase: "ring"})
 		case 1:
-			want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommRecv, Peer: 0, Tag: 6, Phase: "ring"})
+			want = append(want, trace.CommEvent{Kind: trace.CommRecv, Peer: 0, Tag: 6, Phase: "ring"})
 		}
-		want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommPhase, Name: "coll"})
+		want = append(want, trace.CommEvent{Kind: trace.CommPhase, Name: "coll"})
 		for _, op := range []string{"Allreduce", "Alltoall", "Allgather"} {
-			want = append(want, trace.CommEvent{Rank: r, Kind: trace.CommColl, Name: op, Phase: "coll"})
+			want = append(want, trace.CommEvent{Kind: trace.CommColl, Name: op, Phase: "coll"})
 		}
-	}
-	log := tape.CommLog()
-	if log.N != n || len(log.Events) != len(want) {
-		t.Fatalf("log has N = %d and %d events, want %d and %d:\n%+v", log.N, len(log.Events), n, len(want), log.Events)
-	}
-	for i := range want {
-		if log.Events[i] != want[i] {
-			t.Errorf("event %d = %+v, want %+v", i, log.Events[i], want[i])
+		if len(got) != len(want) {
+			t.Fatalf("rank %d has %d events, want %d:\n%+v", r, len(got), len(want), got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("rank %d event %d = %+v, want %+v", r, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -198,25 +198,25 @@ var collNames = [...]string{
 }
 
 // CommLog projects the recorded streams onto the communication-protocol
-// events the static skeleton predicts, rank-major. Each tape is walked from
-// the implicit phase "main": a phase transition becomes a phase event, a
-// send or receive an endpoint event, a SendRecv a send to its destination
-// then a receive from its source, and a collective a coll event, each
-// stamped with the current phase. Compute and P-state operations are
-// timing, not protocol, and are skipped.
-func (r *Recording) CommLog() *trace.CommLog {
-	l := &trace.CommLog{N: r.n}
+// events the static skeleton predicts, one program-order list per rank.
+// Each tape is walked from the implicit phase "main": a phase transition
+// becomes a phase event, a send or receive an endpoint event, a SendRecv a
+// send to its destination then a receive from its source, and a collective
+// a coll event, each stamped with the current phase. Compute and P-state
+// operations are timing, not protocol, and are skipped.
+func (r *Recording) CommLog() [][]trace.CommEvent {
+	log := make([][]trace.CommEvent, len(r.tapes))
 	for rank, t := range r.tapes {
 		phase := "main"
 		add := func(kind, name string, peer, tag int) {
-			l.Events = append(l.Events, trace.CommEvent{Rank: rank, Kind: kind, Name: name, Peer: peer, Tag: tag, Phase: phase})
+			log[rank] = append(log[rank], trace.CommEvent{Kind: kind, Name: name, Peer: peer, Tag: tag, Phase: phase})
 		}
 		for i := range t.ops {
 			switch o := &t.ops[i]; o.kind {
 			case opPState, opCompute:
 			case opPhase:
 				phase = t.phases[o.ref]
-				l.Events = append(l.Events, trace.CommEvent{Rank: rank, Kind: trace.CommPhase, Name: phase})
+				log[rank] = append(log[rank], trace.CommEvent{Kind: trace.CommPhase, Name: phase})
 			case opSend:
 				add(trace.CommSend, "", o.peer, o.tag)
 			case opRecv:
@@ -229,7 +229,7 @@ func (r *Recording) CommLog() *trace.CommLog {
 			}
 		}
 	}
-	return l
+	return log
 }
 
 // Replay re-times a recorded run under w — typically the same world at a

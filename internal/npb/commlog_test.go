@@ -10,12 +10,15 @@ import (
 	"pasp/internal/trace"
 )
 
-// commLogDigest hashes a comm log's rank-major events rendered one per line
-// as "rank kind name peer tag phase" — every field paverify reads.
-func commLogDigest(l *trace.CommLog) string {
+// commLogDigest hashes a comm log's events rank by rank, in program order,
+// rendered one per line as "rank kind name peer tag phase" — every field
+// paverify reads.
+func commLogDigest(log [][]trace.CommEvent) string {
 	var b strings.Builder
-	for _, ev := range l.Events {
-		fmt.Fprintf(&b, "%d %s %s %d %d %s\n", ev.Rank, ev.Kind, ev.Name, ev.Peer, ev.Tag, ev.Phase)
+	for rank, evs := range log {
+		for _, ev := range evs {
+			fmt.Fprintf(&b, "%d %s %s %d %d %s\n", rank, ev.Kind, ev.Name, ev.Peer, ev.Tag, ev.Phase)
+		}
 	}
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }

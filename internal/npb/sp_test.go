@@ -179,7 +179,7 @@ func TestSPPhaseSequenceUniform(t *testing.T) {
 	if _, _, err := (SP{N: 16, Steps: 2}).Run(w); err != nil {
 		t.Fatal(err)
 	}
-	perRank := tape.CommLog().PerRank()
+	perRank := tape.CommLog()
 	seqs := make([][]string, len(perRank))
 	for i, evs := range perRank {
 		for _, ev := range evs {
