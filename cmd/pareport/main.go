@@ -1,11 +1,16 @@
-// Command pareport runs the complete reproduction — every paper table and
-// figure plus the extension experiments — and emits one self-contained
-// Markdown report with the measured values, suitable for diffing against
-// EXPERIMENTS.md.
+// Command pareport runs the complete reproduction and writes one Markdown
+// report with a section per entry of experiments.Artifacts — the paper's
+// tables and figures, its EDP claim, the ablations and the extensions — in
+// the list's order. An artifact the suite's grid cannot run reads as
+// skipped. The simulation runs in virtual time, so two reports are
+// byte-identical.
 //
 // Usage:
 //
 //	pareport [-suite paper|quick] [-o report.md]
+//
+// Exit status: 2 for an unknown suite, 1 when an artifact fails or the
+// report cannot be written.
 package main
 
 import (
@@ -15,9 +20,8 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"time"
+	"strings"
 
-	"pasp/internal/dvfs"
 	"pasp/internal/experiments"
 )
 
@@ -36,149 +40,49 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pareport: %v\n", err)
 		os.Exit(2)
 	}
-
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pareport: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	die := func(stage string, err error) {
-		fmt.Fprintf(os.Stderr, "pareport: %s: %v\n", stage, err)
+	if err := write(ctx, *out, *suite, s); err != nil {
+		fmt.Fprintf(os.Stderr, "pareport: %v\n", err)
 		os.Exit(1)
 	}
-	section := func(title string) { fmt.Fprintf(w, "\n## %s\n\n", title) }
-	block := func(v any) { fmt.Fprintf(w, "```\n%v\n```\n", v) }
+}
 
-	start := time.Now() //palint:ignore detsource -- CLI driver: wall clock only times report generation for the footer line
-	fmt.Fprintf(w, "# Power-Aware Speedup — reproduction report (%s suite)\n", *suite)
+// write renders the report to the file at path, or to stdout when path is
+// empty; a failed Close fails it, since the file may be truncated.
+func write(ctx context.Context, path, name string, s experiments.Suite) error {
+	if path == "" {
+		return report(ctx, os.Stdout, name, s)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = report(ctx, f, name, s)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
-	section("Platform (Table 2)")
-	block(s.Table2())
-
-	section("Figure 1 — EP")
-	fig1, err := s.Figure1(ctx)
-	if err != nil {
-		die("figure 1", err)
+// report renders every artifact on s to w, one section each, and returns
+// the first failed render or write.
+func report(ctx context.Context, w io.Writer, name string, s experiments.Suite) error {
+	if _, err := fmt.Fprintf(w, "# Power-Aware Speedup — reproduction report (%s suite)\n", name); err != nil {
+		return err
 	}
-	block(fig1)
-
-	section("Figure 2 — FT")
-	ftCamp, err := s.MeasureFT(ctx)
-	if err != nil {
-		die("ft campaign", err)
-	}
-	fig2, err := s.FigureFrom("Fig 2: FT", ftCamp)
-	if err != nil {
-		die("figure 2", err)
-	}
-	block(fig2)
-
-	section("Table 1 — generalized Amdahl on FT")
-	t1, err := s.Table1From(ftCamp)
-	if err != nil {
-		die("table 1", err)
-	}
-	block(t1)
-
-	section("Table 3 — SP parameterization on FT")
-	t3, err := s.Table3From(ftCamp)
-	if err != nil {
-		die("table 3", err)
-	}
-	block(t3)
-
-	section("Table 5 — LU workload decomposition")
-	t5, err := s.Table5()
-	if err != nil {
-		die("table 5", err)
-	}
-	block(t5)
-
-	section("Table 6 — measured model parameters")
-	t6, err := s.Table6()
-	if err != nil {
-		die("table 6", err)
-	}
-	block(t6)
-
-	section("Table 7 — FP vs SP on LU")
-	t7, err := s.Table7(ctx)
-	if err != nil {
-		die("table 7", err)
-	}
-	block(t7)
-
-	section("Energy-delay prediction (abstract claim)")
-	edp, err := s.EDPFrom("FT", ftCamp, s.Grid.Ns[1:], s.Grid.MHz)
-	if err != nil {
-		die("edp", err)
-	}
-	block(edp)
-	measured, predicted, err := s.SweetSpotFrom(ftCamp)
-	if err != nil {
-		die("sweet spot", err)
-	}
-	fmt.Fprintf(w, "measured EDP optimum: %v (%.2f s, %.0f J); model recommends %v\n",
-		measured.Config, measured.Seconds, measured.Joules, predicted.Config)
-
-	section("DVFS phase scheduling (intro motivation)")
-	wld, err := s.Platform.World(s.Grid.Ns[len(s.Grid.Ns)-1], s.Grid.MHz[len(s.Grid.MHz)-1])
-	if err != nil {
-		die("dvfs world", err)
-	}
-	cmp, err := dvfs.Compare(wld, dvfs.FTPolicy(s.Platform.Prof), s.RunFT)
-	if err != nil {
-		die("dvfs", err)
-	}
-	fmt.Fprintf(w, "static FT policy: %v\n", cmp)
-
-	section("Segment-granularity model (paper §7 future work)")
-	segRes, err := s.SegmentVsSP(ftCamp)
-	if err != nil {
-		die("segment", err)
-	}
-	block(segRes)
-	pol, phases, err := s.ModelDrivenDVFS(ftCamp)
-	if err != nil {
-		die("model dvfs", err)
-	}
-	mcmp, err := dvfs.Compare(wld, pol, s.RunFT)
-	if err != nil {
-		die("model dvfs compare", err)
-	}
-	fmt.Fprintf(w, "model-driven policy (auto low-gear phases %v): %v\n", phases, mcmp)
-	gearPol, err := s.EDPOptimalGears(ftCamp)
-	if err != nil {
-		die("edp gears", err)
-	}
-	gcmp, err := dvfs.CompareGears(wld, gearPol, s.RunFT)
-	if err != nil {
-		die("edp gears compare", err)
-	}
-	fmt.Fprintf(w, "EDP-optimal gear schedule (%v): %v\n", gearPol, gcmp)
-
-	section("Extension kernels — CG, MG, IS, SP speedup surfaces")
-	for _, k := range []struct {
-		name    string
-		measure func(context.Context) (*experiments.Campaign, error)
-	}{{"CG", s.MeasureCG}, {"MG", s.MeasureMG}, {"IS", s.MeasureIS}, {"SP", s.MeasureSP}} {
-		camp, err := k.measure(ctx)
-		if err != nil {
-			die(k.name, err)
+	for _, a := range experiments.Artifacts() {
+		var body string
+		if why := a.Skip(s); why != "" {
+			body = "skipped: " + why
+		} else {
+			r, err := a.Render(ctx, s)
+			if err != nil {
+				return fmt.Errorf("%s: %w", a.Name, err)
+			}
+			body = "```\n" + strings.TrimRight(r.Text, "\n") + "\n```"
 		}
-		fig, err := s.FigureFrom(k.name+" (extension)", camp)
-		if err != nil {
-			die(k.name, err)
+		if _, err := fmt.Fprintf(w, "\n## %s\n\n%s\n", a.Title, body); err != nil {
+			return err
 		}
-		block(fig.Speedup)
 	}
-
-	elapsed := time.Since(start).Seconds() //palint:ignore detsource -- CLI driver: elapsed wall time is a human-facing footer, outside every golden output
-	fmt.Fprintf(w, "\n---\ngenerated in %.1f s (virtual-time simulation; deterministic)\n", elapsed)
+	return nil
 }

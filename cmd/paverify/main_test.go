@@ -145,41 +145,13 @@ func TestMaxReportCapsOutput(t *testing.T) {
 
 // TestKernelsConform runs paverify's whole matrix against the module's own
 // skeleton, as `go run ./cmd/paverify` does: 21 runs, each of which must
-// conform. First, every expression the extraction renders must compile in
-// the rank algebra: at check time a guard that does not compile passes as
-// a wildcard, which would weaken the check without a word.
+// conform. The skeleton only loads when every expression it renders
+// compiles in the rank algebra.
 func TestKernelsConform(t *testing.T) {
 	sk, err := skeleton()
 	if err != nil {
 		t.Fatal(err)
 	}
-	exprs := 0
-	compiles := func(k, pos string, srcs ...string) {
-		for _, src := range srcs {
-			if src == "" { // an empty guard is unconditional
-				continue
-			}
-			exprs++
-			if _, err := commspec.Compile(src); err != nil {
-				t.Errorf("kernel %s site %s: expression %q does not compile: %v", k, pos, src, err)
-			}
-		}
-	}
-	for _, k := range sk.Kernels {
-		for _, c := range k.Collectives {
-			compiles(k.Name, c.Pos, c.Guard)
-		}
-		for _, p := range k.P2P {
-			compiles(k.Name, p.Pos, p.Partner, p.Tag, p.Guard)
-		}
-	}
-	if exprs == 0 {
-		t.Fatal("the skeleton renders no expression")
-	}
-	if t.Failed() {
-		return
-	}
-
 	var out strings.Builder
 	count, err := run(sk, &out)
 	if err != nil {

@@ -25,14 +25,16 @@ var (
 	wrappedName = regexp.MustCompile(`(\w)\n\s*([A-Z0-9_])`)
 	citedName   = regexp.MustCompile(`\b(Test|Benchmark|Fuzz|Example)[A-Z0-9_]\w*`)
 	citedPath   = regexp.MustCompile(`[\w./*-]+\.(go|golden)\b`)
+	citedDir    = regexp.MustCompile(`(?:^|[^\w./-])(?:\./)?((?:cmd|examples)/[\w-]+)`)
 	testFunc    = regexp.MustCompile(`(?m)^func ((Test|Benchmark|Fuzz|Example)\w*)\(`)
 	inventory   = regexp.MustCompile("(?m)^\\| `([^`]+)` \\|")
 )
 
 // TestDocsCiteExistingCode: every test, benchmark, fuzz target and example
 // a document names in backticks exists, and so does every .go and .golden
-// path it cites. A name wrapped across a line inside one code span is
-// joined first; a benchmark name may be a prefix, as a -bench pattern is.
+// path and every cmd/<name> or examples/<name> directory it cites, with or
+// without a leading ./. A name wrapped across a line inside one code span
+// is joined first; a benchmark name may be a prefix, as a -bench pattern is.
 func TestDocsCiteExistingCode(t *testing.T) {
 	var files []string
 	funcs := map[string]bool{}
@@ -80,6 +82,11 @@ func TestDocsCiteExistingCode(t *testing.T) {
 				}
 				if !anyFileMatches(files, p) {
 					t.Errorf("%s cites %s, which matches no file in the tree", doc, p)
+				}
+			}
+			for _, m := range citedDir.FindAllStringSubmatch(span, -1) {
+				if info, err := os.Stat(m[1]); err != nil || !info.IsDir() {
+					t.Errorf("%s cites %s, which is not a directory", doc, m[1])
 				}
 			}
 		}

@@ -153,23 +153,13 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// NewProgram builds the whole-program context (call graph plus memoized
-// interprocedural fact tables) once, for callers that run several analyzer
-// sets over one load.
-func NewProgram(pkgs []*Package) *Program {
-	return newProgram(pkgs)
-}
-
 // Run executes the analyzers over the packages and returns every diagnostic
 // — suppressed ones included, flagged as such — sorted by file, line,
-// column, analyzer. Callers filter on Suppressed for the exit status.
+// column, analyzer. Callers filter on Suppressed for the exit status. The
+// whole-program context (call graph plus memoized interprocedural fact
+// tables) is built once and shared by every analyzer.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunWithProgram(NewProgram(pkgs), pkgs, analyzers)
-}
-
-// RunWithProgram is Run against an existing Program, so one load and one
-// fact computation serve every analyzer set run over it.
-func RunWithProgram(prog *Program, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	prog := newProgram(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {

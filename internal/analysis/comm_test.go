@@ -1,10 +1,9 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/json"
 	"go/types"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pasp/internal/commspec"
@@ -136,35 +135,33 @@ func TestSkeletonJSONDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunWithProgramEquivalence pins the shared-Program contract: one
-// Program serving every analyzer produces byte-identical diagnostics to the
-// convenience Run wrapper.
-func TestRunWithProgramEquivalence(t *testing.T) {
-	root := repoRoot(t)
-	pkgs, err := Load(root, []string{
-		"internal/analysis/testdata/src/commshape",
-		"internal/analysis/testdata/src/phasebal",
-		"internal/analysis/testdata/src/deadlock",
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestCheckExprsNamesBrokenExpression: a site whose expression does not
+// compile fails the skeleton, and the error names the kernel, the site and
+// the expression.
+func TestCheckExprsNamesBrokenExpression(t *testing.T) {
+	sk := &commspec.Skeleton{Kernels: []commspec.Kernel{{
+		Name:        "ft",
+		Collectives: []commspec.Collective{{Op: "Barrier", Guard: "(rank==0)", Pos: "ft.go:10"}},
+		P2P:         []commspec.P2P{{Dir: "send", Partner: "(rank-1", Tag: "0", Guard: "", Pos: "ft.go:12"}},
+	}}}
+	err := checkExprs(sk)
+	if err == nil {
+		t.Fatal("checkExprs accepted the partner (rank-1")
 	}
-	a, err := json.Marshal(Run(pkgs, All()))
-	if err != nil {
-		t.Fatal(err)
+	for _, want := range []string{"kernel ft", "ft.go:12", `"(rank-1"`} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
 	}
-	b, err := json.Marshal(RunWithProgram(NewProgram(pkgs), pkgs, All()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("shared-Program run differs from Run:\n--- Run ---\n%s\n--- RunWithProgram ---\n%s", a, b)
+	sk.Kernels[0].P2P[0].Partner = "(rank-1)"
+	if err := checkExprs(sk); err != nil {
+		t.Errorf("checkExprs refused a skeleton whose expressions compile: %v", err)
 	}
 }
 
-// BenchmarkPalintTree measures the full 12-pass suite over the repository
-// with a shared interprocedural Program — the configuration `make lint`
-// runs. Loading is excluded: the benchmark isolates analysis cost.
+// BenchmarkPalintTree measures the full 12-pass suite over the repository,
+// the configuration `make lint` runs. Loading is excluded: the benchmark
+// isolates analysis cost.
 func BenchmarkPalintTree(b *testing.B) {
 	wd, err := Load("../..", []string{"./..."})
 	if err != nil {
@@ -172,8 +169,7 @@ func BenchmarkPalintTree(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog := NewProgram(wd)
-		if diags := RunWithProgram(prog, wd, All()); len(Active(diags)) != 0 {
+		if diags := Run(wd, All()); len(Active(diags)) != 0 {
 			b.Fatalf("tree not clean: %d active findings", len(Active(diags)))
 		}
 	}

@@ -60,7 +60,41 @@ func BuildSkeleton(root string, pkgs []*Package) (*commspec.Skeleton, error) {
 			}
 		}
 	}
+	if err := checkExprs(sk); err != nil {
+		return nil, err
+	}
 	return sk, nil
+}
+
+// checkExprs compiles every non-empty guard, partner and tag of sk in the
+// rank algebra. At check time a guard that does not compile passes as a
+// wildcard and a partner or tag that does not evaluate skips its site, so
+// an extraction that renders one would weaken conformance without a word.
+func checkExprs(sk *commspec.Skeleton) error {
+	for _, k := range sk.Kernels {
+		check := func(pos string, srcs ...string) error {
+			for _, src := range srcs {
+				if src == "" { // an empty guard is unconditional
+					continue
+				}
+				if _, err := commspec.Compile(src); err != nil {
+					return fmt.Errorf("kernel %s site %s: expression %q does not compile: %w", k.Name, pos, src, err)
+				}
+			}
+			return nil
+		}
+		for _, c := range k.Collectives {
+			if err := check(c.Pos, c.Guard); err != nil {
+				return err
+			}
+		}
+		for _, p := range k.P2P {
+			if err := check(p.Pos, p.Guard, p.Partner, p.Tag); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // kernelName derives the replay name: the lowercased receiver type

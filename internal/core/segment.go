@@ -112,7 +112,7 @@ func (m *SegModel) PredictPhase(phase string, n int, mhz float64) (float64, erro
 // segments (SPMD segments execute back to back on the critical path).
 func (m *SegModel) PredictTime(n int, mhz float64) (float64, error) {
 	total := 0.0
-	for phase := range m.terms {
+	for _, phase := range m.Phases() { // sorted: a float sum depends on its order
 		t, err := m.PredictPhase(phase, n, mhz)
 		if err != nil {
 			return 0, err

@@ -77,7 +77,8 @@ func (p GearPolicy) String() string {
 	return s
 }
 
-// CompareGears is another name for Compare, kept for its existing callers.
+// CompareGears is another name for Compare. perfbench/repro.go is its last
+// caller; the alias goes with the next change to that benchmark.
 func CompareGears(w mpi.World, p GearPolicy, run func(w mpi.World) (*mpi.Result, error)) (Comparison, error) {
 	return Compare(w, p, run)
 }

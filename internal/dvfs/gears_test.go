@@ -104,7 +104,7 @@ func TestCompareGearsImprovesEDP(t *testing.T) {
 		Phases:    map[string]power.PState{"ft-alltoall": p.Prof.BaseState(), "ft-checksum": p.Prof.BaseState()},
 		SwitchSec: 50e-6,
 	}
-	cmp, err := CompareGears(w, pol, func(w2 mpi.World) (*mpi.Result, error) {
+	cmp, err := Compare(w, pol, func(w2 mpi.World) (*mpi.Result, error) {
 		_, r, err := ft.Run(w2)
 		return r, err
 	})

@@ -523,7 +523,7 @@ func TestEDPOptimalGears(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := dvfs.CompareGears(w, pol, s.RunFT)
+	cmp, err := dvfs.Compare(w, pol, s.RunFT)
 	if err != nil {
 		t.Fatal(err)
 	}

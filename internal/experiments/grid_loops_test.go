@@ -74,40 +74,45 @@ func gridLoopDigests(t *testing.T) []string {
 // an oracle independent of how cluster.Sweep schedules, records and
 // replays them. The file is rewritten under -update.
 func TestGridLoopsGolden(t *testing.T) {
-	const name = "grid_loops.golden"
-	path := filepath.Join("testdata", name)
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
 	for _, procs := range []int{1, 8} {
 		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
-			got := gridLoopDigests(t)
-			if *update && procs == 1 {
-				header := "# Grid-experiment digests: <case> <component> <value>.\n" +
-					"# Regenerate: go test ./internal/experiments -run TestGridLoopsGolden -update\n"
-				if err := os.WriteFile(path, []byte(header+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create)", err)
-			}
-			var want []string
-			for _, l := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-				if !strings.HasPrefix(l, "#") {
-					want = append(want, l)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%d digest lines, %s has %d", len(got), name, len(want))
-			}
-			for i, w := range want {
-				if got[i] != w {
-					f := strings.SplitN(w, " ", 3)
-					t.Errorf("%s %s drifted from %s:\n got  %s\n want %s", f[0], f[1], name, got[i], w)
-				}
-			}
+			checkGoldenLines(t, "grid_loops.golden", gridLoopDigests(t), procs == 1,
+				"# Grid-experiment digests: <case> <component> <value>.\n"+
+					"# Regenerate: go test ./internal/experiments -run TestGridLoopsGolden -update\n")
 		})
+	}
+}
+
+// checkGoldenLines compares got, line by line, with testdata/<name>, whose
+// lines starting with # are comments. Under -update, when write is set, it
+// first rewrites the file as header plus got.
+func checkGoldenLines(t *testing.T, name string, got []string, write bool, header string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update && write {
+		if err := os.WriteFile(path, []byte(header+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	var want []string
+	for _, l := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		if !strings.HasPrefix(l, "#") {
+			want = append(want, l)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d lines, %s has %d", len(got), name, len(want))
+	}
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("%s drifted from %s:\n got  %s\n want %s", strings.Fields(w)[0], name, got[i], w)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package pasp
 import (
 	"testing"
 
+	"pasp/internal/experiments"
 	"pasp/internal/obs"
 )
 
@@ -16,7 +17,7 @@ import (
 // police.
 func BenchmarkObsDisabled(b *testing.B) {
 	s := benchSuite(b)
-	n, f := capN(s, 4), topF(s)
+	n, f := obsProbe(s)
 	for i := 0; i < b.N; i++ {
 		res, err := s.RunKernelOnce("ft", n, f)
 		if err != nil {
@@ -26,6 +27,12 @@ func BenchmarkObsDisabled(b *testing.B) {
 	}
 }
 
+// obsProbe is the pair's FT configuration: N = 4, capped to the grid, at
+// the top gear.
+func obsProbe(s experiments.Suite) (int, float64) {
+	return min(4, s.Grid.Ns[len(s.Grid.Ns)-1]), s.Grid.MHz[len(s.Grid.MHz)-1]
+}
+
 // BenchmarkObsEnabled additionally reports the run's metric snapshot as
 // benchmark metrics: message count and wire bytes come from the run's
 // registry, trace events from the exporter's input. A fresh registry per
@@ -33,7 +40,7 @@ func BenchmarkObsDisabled(b *testing.B) {
 // add to the same counters).
 func BenchmarkObsEnabled(b *testing.B) {
 	s := benchSuite(b)
-	n, f := capN(s, 4), topF(s)
+	n, f := obsProbe(s)
 	for i := 0; i < b.N; i++ {
 		reg := obs.NewRegistry()
 		res, err := s.RunKernelTraced("ft", n, f, reg, nil)
