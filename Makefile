@@ -95,14 +95,16 @@ trace-smoke:
 		-out $(TRACEJSON) -manifest $(MANIFESTJSON)
 
 # Short fuzz pass over the core model contract (finite, non-negative,
-# error-or-value), the chaos harness's injector/parser invariants and
-# paserve's request handlers (never a 5xx on client input).
+# error-or-value), the chaos harness's injector/parser invariants, the trace
+# merge (a stable sort by rank and start over chunked logs) and paserve's
+# request handlers (never a 5xx on client input).
 # CI-sized via FUZZTIME=10s; crank FUZZTIME locally for a deeper run.
 fuzz:
 	$(GO) test -fuzz=FuzzTermsTime -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzTermsSpeedup -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -fuzz=FuzzMessageFault -fuzztime=$(FUZZTIME) ./internal/faults/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults/
+	$(GO) test -fuzz=FuzzMerge -fuzztime=$(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz=FuzzPredictRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzSweepRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzRobustnessRequest -fuzztime=$(FUZZTIME) ./internal/serve/

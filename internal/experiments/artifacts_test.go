@@ -95,3 +95,30 @@ func TestArtifactsMatchReproPaperGolden(t *testing.T) {
 		t.Errorf("repro-paper.tsv records %s, which the list lacks", name)
 	}
 }
+
+// TestContentionAblationMechanism shows on the quick FT class what the
+// quick grid's `ablation-contention` line cannot: at N = 4 the fabric's
+// flow-concurrency limit does not bind, so the contended and ideal-switch
+// speedups are equal, while at N = 16 FT's alltoall crosses it and the
+// limit cuts the speedup (about 2.19 against 3.39 at 600 MHz).
+func TestContentionAblationMechanism(t *testing.T) {
+	s := Quick()
+	ideal := s.Platform
+	ideal.Net.FlowConcurrency = 0
+	limited, unlimited, err := ftSpeedups(s, s.Platform, ideal, 4, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	//palint:ignore floateq -- the limit not binding means the two runs are the same simulation
+	if limited != unlimited {
+		t.Errorf("N=4: contended speedup %.17g differs from ideal %.17g, but the flow limit should not bind", limited, unlimited)
+	}
+	limited, unlimited, err = ftSpeedups(s, s.Platform, ideal, 16, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("N=16: speedup %.4f contended, %.4f on an ideal switch", limited, unlimited)
+	if limited > 0.8*unlimited {
+		t.Errorf("N=16: contended speedup %.4f is not well below the ideal switch's %.4f", limited, unlimited)
+	}
+}

@@ -24,12 +24,14 @@ func (r *EDPResult) String() string {
 
 // EDPFrom predicts execution time with the SP parameterization and energy
 // as N·P(f)·T (busy-poll utilization 1.0), then scores both against the
-// simulator's measured time and integrated energy.
-func (s Suite) EDPFrom(name string, camp *Campaign, ns []int, mhz []float64) (*EDPResult, error) {
+// simulator's measured time and integrated energy at every cell of the
+// campaign's own grid past its first N (the N = 1 anchor of the fit).
+func (s Suite) EDPFrom(name string, camp *Campaign) (*EDPResult, error) {
 	sp, err := camp.SP()
 	if err != nil {
 		return nil, err
 	}
+	ns, mhz := camp.Meas.Ns()[1:], camp.Meas.Freqs()
 	timeGrid, err := errorGridFrom(name+" execution-time error (SP)",
 		ns, mhz, sp.PredictTime, timeOf(camp.Meas))
 	if err != nil {
@@ -64,7 +66,7 @@ func (s Suite) EDPForFT(ctx context.Context) (*EDPResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.EDPFrom("FT", camp, s.Grid.Ns[1:], s.Grid.MHz)
+	return s.EDPFrom("FT", camp)
 }
 
 // SweetSpotFrom computes the measured and model-recommended EDP optima

@@ -612,7 +612,7 @@ func TestEDPForEPNearExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.EDPFrom("EP", camp, s.Grid.Ns[1:], s.Grid.MHz)
+	r, err := s.EDPFrom("EP", camp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func TestPaperGolden(t *testing.T) {
 	check("Table 7 SP max error", t7.SP.Max(), 0.047, 0.10)
 
 	// EDP: the abstract's claim band.
-	edp, err := s.EDPFrom("FT", ftCamp, s.Grid.Ns[1:], s.Grid.MHz)
+	edp, err := s.EDPFrom("FT", ftCamp)
 	if err != nil {
 		t.Fatal(err)
 	}

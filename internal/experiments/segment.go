@@ -10,17 +10,16 @@ import (
 )
 
 // PhaseTimes extracts per-phase, per-configuration times from a campaign's
-// traces: each phase's summed duration divided by the rank count (the mean
-// rank's share — exact for the synchronized SPMD phases the NAS kernels
-// use).
+// per-cell phase sums (mpi.Result.Phases): each phase's summed duration
+// divided by the rank count (the mean rank's share — exact for the
+// synchronized SPMD phases the NAS kernels use).
 func PhaseTimes(camp *Campaign) map[string]map[core.Config]float64 {
 	out := map[string]map[core.Config]float64{}
 	for _, cell := range camp.Cells {
 		if cell.N < 1 {
 			continue // malformed cell: nothing to attribute a share to
 		}
-		by := cell.Res.Trace.ByPhase()
-		for phase, sec := range by {
+		for phase, sec := range cell.Res.Phases {
 			if out[phase] == nil {
 				out[phase] = map[core.Config]float64{}
 			}

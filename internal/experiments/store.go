@@ -21,9 +21,14 @@ import (
 // so everything a stored campaign holds is a pure function of its key.
 //
 // Cached campaigns are shared: every caller receives the same *Campaign and
-// must treat it — Meas, Cells and the per-cell Results and Traces — as
-// read-only. All in-tree consumers only read (grids, trace scans); the
-// fit memo is the campaign's own, synchronized.
+// must treat it — Meas, Cells and the per-cell Results — as read-only. All
+// in-tree consumers only read (grids, phase sums); the fit memo is the
+// campaign's own, synchronized.
+//
+// A stored cell keeps its Result without the merged trace: the paper's
+// models read one time and one energy per cell, and the segment model one
+// sum per phase (Result.Phases), never a timeline, which is most of what a
+// cell would otherwise hold for the life of the process.
 //
 // Variant platforms are naturally distinct keys: the ablations mutate a
 // copy of Suite.Platform (FlowConcurrency, MsgCPUIns, BusDrop, ...) and the
@@ -118,6 +123,9 @@ func (k Kernel) Measure(ctx context.Context) (*Campaign, error) {
 		cells, err := cluster.Sweep(mctx, k.platform, k.Grid, k.Run)
 		if err != nil {
 			return nil, err
+		}
+		for _, c := range cells {
+			c.Res.Trace = nil
 		}
 		camp := NewCampaign(cells)
 		recordCampaignSpan(mctx, strings.ToUpper(k.Name), camp)

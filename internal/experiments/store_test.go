@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -60,6 +61,46 @@ func TestStoreMatchesFreshMeasurement(t *testing.T) {
 		if c.Res.Seconds != f.Res.Seconds || c.Res.Joules != f.Res.Joules {
 			t.Errorf("cell N=%d f=%g: cached (%.17g s, %.17g J) differs from fresh (%.17g s, %.17g J)",
 				c.N, c.MHz, c.Res.Seconds, c.Res.Joules, f.Res.Seconds, f.Res.Joules)
+		}
+	}
+}
+
+// TestStoreKeepsSummaries: a stored campaign keeps each cell's Result
+// without its merged trace, and the per-phase sums the segment model reads
+// in its place are bit-identical to a fresh sweep's Trace.ByPhase, for
+// every kernel of the quick suite.
+func TestStoreKeepsSummaries(t *testing.T) {
+	s := Quick()
+	for _, name := range kernelNames {
+		k, err := s.Kernel(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		camp, err := k.Measure(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := cluster.Sweep(context.Background(), k.platform, k.Grid, k.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(camp.Cells) != len(fresh) {
+			t.Fatalf("%s: stored campaign has %d cells, a fresh sweep %d", name, len(camp.Cells), len(fresh))
+		}
+		for i, c := range camp.Cells {
+			label := fmt.Sprintf("%s N=%d f=%g", name, c.N, c.MHz)
+			if c.Res.Trace != nil {
+				t.Errorf("%s: stored cell keeps its trace", label)
+			}
+			want := fresh[i].Res.Trace.ByPhase()
+			if len(c.Res.Phases) != len(want) {
+				t.Errorf("%s: %d phases stored, want %d", label, len(c.Res.Phases), len(want))
+			}
+			for p, v := range want {
+				if got, ok := c.Res.Phases[p]; !ok || math.Float64bits(got) != math.Float64bits(v) {
+					t.Errorf("%s: phase %q stored as %.17g, want %.17g", label, p, got, v)
+				}
+			}
 		}
 	}
 }

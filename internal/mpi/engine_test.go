@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	stdruntime "runtime"
@@ -399,8 +400,10 @@ func TestReplayEveryOpKind(t *testing.T) {
 				if n > 1 {
 					var seen [opAllgather + 1]bool
 					for _, tape := range rec.tapes {
-						for _, o := range tape.ops {
-							seen[o.kind] = true
+						for _, chunk := range tape.ops {
+							for _, o := range chunk {
+								seen[o.kind] = true
+							}
 						}
 					}
 					for k, ok := range seen {
@@ -415,6 +418,52 @@ func TestReplayEveryOpKind(t *testing.T) {
 						t.Fatalf("n=%d replay at %g MHz: %v", n, mhz, err)
 					}
 					requireIdentical(t, fmt.Sprintf("n=%d chaos=%t recorded at %g, replayed at %g MHz", n, cfg.Enabled(), recMHz, mhz), direct[mhz], replayed)
+				}
+			}
+		}
+	}
+}
+
+// TestPhasesMatchTrace pins Result.Phases, the per-phase sums a campaign
+// keeps once it drops the trace, to the merged timeline bit for bit: each
+// phase's durations added one event at a time in (rank, start) order, as
+// Trace.ByPhase adds them, for direct and replayed runs of everyOpProgram
+// and chaosProgram, clean and under chaos. Per-rank partial sums added
+// together would round differently.
+func TestPhasesMatchTrace(t *testing.T) {
+	for _, prog := range []struct {
+		name string
+		fn   RankFunc
+	}{{"everyOpProgram", everyOpProgram}, {"chaosProgram", chaosProgram}} {
+		for _, cfg := range []faults.Config{{}, chaosCfg} {
+			w := chaosWorld(4, cfg)
+			w.State = testState(600)
+			rec := NewRecording()
+			w.Record = rec
+			recorded, err := Run(w, prog.fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := Replay(chaosWorld(4, cfg), rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, run := range []struct {
+				name string
+				res  *Result
+			}{{"recorded", recorded}, {"replayed", replayed}} {
+				want := map[string]float64{}
+				for _, e := range run.res.Trace.Events() {
+					want[e.Phase] += e.Duration()
+				}
+				label := fmt.Sprintf("%s chaos=%t %s", prog.name, cfg.Enabled(), run.name)
+				if len(run.res.Phases) != len(want) {
+					t.Errorf("%s: %d phases, want %d", label, len(run.res.Phases), len(want))
+				}
+				for p, v := range want {
+					if got, ok := run.res.Phases[p]; !ok || math.Float64bits(got) != math.Float64bits(v) {
+						t.Errorf("%s: phase %q sums to %.17g, want %.17g", label, p, got, v)
+					}
 				}
 			}
 		}

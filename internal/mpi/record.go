@@ -34,11 +34,15 @@ import (
 //
 // Tape layout. A tape costs memory and allocation in proportion to its op
 // count (2.8 million ops for LU at 1024 ranks), so each op is a 56-byte
-// recOp of int-width fields with no pointer: growing the op array zeroes
-// only its spare capacity, and the garbage collector never scans it. What
-// varies in size lives in per-rank side tables the op indexes: compute
-// mixes and P-states in the order recorded, phase labels interned once per
-// tape, and one arena of the Alltoall part lengths.
+// recOp of int-width fields with no pointer, which the garbage collector
+// never scans. Ops go into chunks that are each allocated once and never
+// copied (trace.AppendChunk), so a rank with a short tape allocates little
+// and a long tape about its own size. Recording the paper suite's
+// tapes allocates 89 B per op, side tables included; growing one op array
+// by append allocated 251 B. What varies in size lives in per-rank side
+// tables the op indexes: compute mixes and P-states in the order recorded,
+// phase labels interned once per tape, and one arena of the Alltoall part
+// lengths.
 //
 // What recording refuses: an OnPhase hook (a DVFS scheduler's decisions
 // need not be frequency-independent; Run rejects the combination). What it
@@ -89,10 +93,10 @@ type recOp struct {
 	ref int
 }
 
-// rankTape is one rank's recorded stream: the op array plus the side
+// rankTape is one rank's recorded stream: the op chunks plus the side
 // tables its ops index. Appended to only by the rank itself.
 type rankTape struct {
-	ops    []recOp
+	ops    [][]recOp
 	work   []machine.Work
 	states []power.PState
 	// lens is the arena of every Alltoall part length, in recording order.
@@ -104,9 +108,7 @@ type rankTape struct {
 	phaseRef map[string]int
 }
 
-func (t *rankTape) add(o recOp) {
-	t.ops = append(t.ops, o)
-}
+func (t *rankTape) add(o recOp) { t.ops = trace.AppendChunk(t.ops, o) }
 
 func (t *rankTape) addPhase(name string) {
 	i, ok := t.phaseRef[name]
@@ -152,8 +154,8 @@ type Recording struct {
 	tapes []rankTape
 	// events is each rank's trace-event count from the capture run. Event
 	// counts are frequency-independent (the same operation stream emits the
-	// same intervals at every operating point), so Replay uses them to
-	// presize the per-rank trace logs instead of growing them by doubling.
+	// same intervals at every operating point), so Replay uses them to give
+	// each per-rank trace log one chunk of the right size.
 	events []int
 }
 
@@ -186,7 +188,13 @@ func (r *Recording) Complete() bool { return r != nil && r.state == 2 }
 func (r *Recording) N() int { return r.n }
 
 // Ops returns the number of operations recorded for one rank.
-func (r *Recording) Ops(rank int) int { return len(r.tapes[rank].ops) }
+func (r *Recording) Ops(rank int) int {
+	n := 0
+	for _, c := range r.tapes[rank].ops {
+		n += len(c)
+	}
+	return n
+}
 
 // collNames maps each collective kind to its Ctx method name, the label the
 // comm log and the static skeleton share.
@@ -211,21 +219,23 @@ func (r *Recording) CommLog() [][]trace.CommEvent {
 		add := func(kind, name string, peer, tag int) {
 			log[rank] = append(log[rank], trace.CommEvent{Kind: kind, Name: name, Peer: peer, Tag: tag, Phase: phase})
 		}
-		for i := range t.ops {
-			switch o := &t.ops[i]; o.kind {
-			case opPState, opCompute:
-			case opPhase:
-				phase = t.phases[o.ref]
-				log[rank] = append(log[rank], trace.CommEvent{Kind: trace.CommPhase, Name: phase})
-			case opSend:
-				add(trace.CommSend, "", o.peer, o.tag)
-			case opRecv:
-				add(trace.CommRecv, "", o.peer, o.tag)
-			case opSendRecv:
-				add(trace.CommSend, "", o.peer, o.tag)
-				add(trace.CommRecv, "", o.peer2, o.tag)
-			default:
-				add(trace.CommColl, collNames[o.kind], 0, 0)
+		for _, chunk := range t.ops {
+			for i := range chunk {
+				switch o := &chunk[i]; o.kind {
+				case opPState, opCompute:
+				case opPhase:
+					phase = t.phases[o.ref]
+					log[rank] = append(log[rank], trace.CommEvent{Kind: trace.CommPhase, Name: phase})
+				case opSend:
+					add(trace.CommSend, "", o.peer, o.tag)
+				case opRecv:
+					add(trace.CommRecv, "", o.peer, o.tag)
+				case opSendRecv:
+					add(trace.CommSend, "", o.peer, o.tag)
+					add(trace.CommRecv, "", o.peer2, o.tag)
+				default:
+					add(trace.CommColl, collNames[o.kind], 0, 0)
+				}
 			}
 		}
 	}
@@ -261,9 +271,11 @@ func Replay(w World, rec *Recording) (*Result, error) {
 func (rec *Recording) replayRank(c *Ctx) error {
 	t := &rec.tapes[c.Rank()]
 	maxLen := 0
-	for i := range t.ops {
-		if o := &t.ops[i]; o.kind != opAlltoall {
-			maxLen = max(maxLen, o.nlen)
+	for _, chunk := range t.ops {
+		for i := range chunk {
+			if o := &chunk[i]; o.kind != opAlltoall {
+				maxLen = max(maxLen, o.nlen)
+			}
 		}
 	}
 	for _, l := range t.lens {
@@ -271,65 +283,67 @@ func (rec *Recording) replayRank(c *Ctx) error {
 	}
 	scratch := make([]float64, maxLen)
 	var parts [][]float64
-	for i := range t.ops {
-		o := &t.ops[i]
-		switch o.kind {
-		case opPhase:
-			c.SetPhase(t.phases[o.ref])
-		case opPState:
-			c.SetPState(t.states[o.ref])
-		case opCompute:
-			if err := c.Compute(t.work[o.ref]); err != nil {
-				return err
+	for _, chunk := range t.ops {
+		for i := range chunk {
+			o := &chunk[i]
+			switch o.kind {
+			case opPhase:
+				c.SetPhase(t.phases[o.ref])
+			case opPState:
+				c.SetPState(t.states[o.ref])
+			case opCompute:
+				if err := c.Compute(t.work[o.ref]); err != nil {
+					return err
+				}
+			case opSend:
+				if err := c.Send(o.peer, o.tag, scratch[:o.nlen], o.vbytes); err != nil {
+					return err
+				}
+			case opRecv:
+				got, err := c.Recv(o.peer, o.tag)
+				if err != nil {
+					return err
+				}
+				c.Free(got)
+			case opSendRecv:
+				got, err := c.SendRecv(o.peer, o.peer2, o.tag, scratch[:o.nlen], o.vbytes)
+				if err != nil {
+					return err
+				}
+				c.Free(got)
+			case opBarrier:
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+			case opAllreduce:
+				got, err := c.Allreduce(scratch[:o.nlen], Op(o.ref), o.vbytes)
+				if err != nil {
+					return err
+				}
+				c.Free(got)
+			case opAlltoall:
+				parts = parts[:0]
+				for _, l := range t.lens[o.ref : o.ref+o.nlen] {
+					parts = append(parts, scratch[:l])
+				}
+				outs, err := c.Alltoall(parts, o.vbytes)
+				if err != nil {
+					return err
+				}
+				for _, b := range outs {
+					c.Free(b)
+				}
+			case opAllgather:
+				outs, err := c.Allgather(scratch[:o.nlen], o.vbytes)
+				if err != nil {
+					return err
+				}
+				for _, b := range outs {
+					c.Free(b)
+				}
+			default:
+				return fmt.Errorf("mpi: replay: unknown operation kind %d", o.kind)
 			}
-		case opSend:
-			if err := c.Send(o.peer, o.tag, scratch[:o.nlen], o.vbytes); err != nil {
-				return err
-			}
-		case opRecv:
-			got, err := c.Recv(o.peer, o.tag)
-			if err != nil {
-				return err
-			}
-			c.Free(got)
-		case opSendRecv:
-			got, err := c.SendRecv(o.peer, o.peer2, o.tag, scratch[:o.nlen], o.vbytes)
-			if err != nil {
-				return err
-			}
-			c.Free(got)
-		case opBarrier:
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-		case opAllreduce:
-			got, err := c.Allreduce(scratch[:o.nlen], Op(o.ref), o.vbytes)
-			if err != nil {
-				return err
-			}
-			c.Free(got)
-		case opAlltoall:
-			parts = parts[:0]
-			for _, l := range t.lens[o.ref : o.ref+o.nlen] {
-				parts = append(parts, scratch[:l])
-			}
-			outs, err := c.Alltoall(parts, o.vbytes)
-			if err != nil {
-				return err
-			}
-			for _, b := range outs {
-				c.Free(b)
-			}
-		case opAllgather:
-			outs, err := c.Allgather(scratch[:o.nlen], o.vbytes)
-			if err != nil {
-				return err
-			}
-			for _, b := range outs {
-				c.Free(b)
-			}
-		default:
-			return fmt.Errorf("mpi: replay: unknown operation kind %d", o.kind)
 		}
 	}
 	return nil

@@ -86,9 +86,10 @@ type World struct {
 	Record *Recording
 
 	// traceHint carries the per-rank trace-event counts of a recorded run
-	// into its replays, so each rank's log is sized once instead of grown
-	// by doubling. Purely a capacity hint — an absent or stale value only
-	// costs allocations, never correctness. Set by Replay.
+	// into its replays, so each rank's log is one chunk of the right size
+	// instead of a series of growing ones. Purely a capacity hint — an
+	// absent or stale value only costs allocations, never correctness. Set
+	// by Replay.
 	traceHint []int
 }
 
@@ -160,6 +161,10 @@ type Result struct {
 	PerRank []RankStats
 	// Trace is the merged phase trace of all ranks.
 	Trace *trace.Log
+	// Phases is the summed duration per phase label across all ranks,
+	// Trace.ByPhase() bit for bit: the one summary of the timeline the
+	// paper's segment model reads, kept where the trace is not.
+	Phases map[string]float64
 }
 
 // AvgWatts returns the cluster's mean power draw over the run.
@@ -286,5 +291,6 @@ func aggregate(w World, ctxs []*Ctx) *Result {
 		res.Counters.Add(c.counters)
 	}
 	res.Trace = trace.Merge(logs...)
+	res.Phases = res.Trace.ByPhase()
 	return res
 }

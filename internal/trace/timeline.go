@@ -10,7 +10,7 @@ import (
 // (rank,phase,kind,start,end,duration), ordered by rank and start time —
 // loadable into any plotting tool to draw a Gantt chart of the run.
 func (l *Log) TimelineCSV() string {
-	events := append([]Event(nil), l.events...)
+	events := append([]Event(nil), l.Events()...)
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].Rank != events[j].Rank {
 			return events[i].Rank < events[j].Rank

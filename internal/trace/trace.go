@@ -67,73 +67,140 @@ type Event struct {
 // Duration returns End − Start.
 func (e Event) Duration() float64 { return e.End - e.Start }
 
-// Log is an append-only collection of events for one rank. Ranks each own a
-// Log (no locking needed); Merge combines them after the run.
+// Log is an append-only collection of events. Ranks each own a Log (no
+// locking needed); Merge combines them after the run. Events live in
+// chunks (see AppendChunk), so Merge can link the chunks of ordered input
+// instead of copying them.
 type Log struct {
-	events []Event
+	chunks [][]Event
+}
+
+const minChunk, maxChunk = 32, 8192
+
+// AppendChunk appends v to the last of chunks, or to a new chunk when that
+// one is full, and returns the chunks. A chunk is allocated once and never
+// copied: the first holds 32 entries, and each next one twice its
+// predecessor, up to 8,192. A short sequence (most ranks' at 1024 ranks)
+// thus allocates little and a long one about its own size, where a slice
+// grown by append allocates several times its final size and copies most
+// of it on the way. Trace logs and the mpi runtime's op tapes grow this way.
+func AppendChunk[T any](chunks [][]T, v T) [][]T {
+	n := len(chunks)
+	if n == 0 || len(chunks[n-1]) == cap(chunks[n-1]) {
+		next := minChunk
+		if n > 0 {
+			next = min(max(2*cap(chunks[n-1]), minChunk), maxChunk)
+		}
+		chunks = append(chunks, make([]T, 0, next))
+		n++
+	}
+	chunks[n-1] = append(chunks[n-1], v)
+	return chunks
 }
 
 // Append adds one event. Events with non-positive duration are kept: zero
 // intervals are legal (e.g. empty compute), negative ones indicate a
 // simulator bug and are surfaced by Validate.
-func (l *Log) Append(e Event) { l.events = append(l.events, e) }
+func (l *Log) Append(e Event) { l.chunks = AppendChunk(l.chunks, e) }
 
 // Grow reserves capacity for n further events, for callers that know the
 // final size in advance (e.g. a replayed run, whose event count matches the
-// recorded one).
+// recorded one): when the open chunk lacks room, the next chunk holds
+// exactly n.
 func (l *Log) Grow(n int) {
-	if free := cap(l.events) - len(l.events); free < n {
-		grown := make([]Event, len(l.events), len(l.events)+n)
-		copy(grown, l.events)
-		l.events = grown
+	free := 0
+	if k := len(l.chunks); k > 0 {
+		free = cap(l.chunks[k-1]) - len(l.chunks[k-1])
+	}
+	if n > free {
+		l.chunks = append(l.chunks, make([]Event, 0, n))
 	}
 }
 
-// Events returns the recorded events in insertion order.
-func (l *Log) Events() []Event { return l.events }
+// Events returns the recorded events in insertion order: a log's one chunk,
+// capped so that an append to the result cannot reach the log, or else a
+// fresh copy. The caller must not modify the events.
+func (l *Log) Events() []Event {
+	switch len(l.chunks) {
+	case 0:
+		return nil
+	case 1:
+		c := l.chunks[0]
+		return c[:len(c):len(c)]
+	}
+	out := make([]Event, 0, l.Len())
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
 
 // Len returns the number of recorded events.
-func (l *Log) Len() int { return len(l.events) }
+func (l *Log) Len() int {
+	n := 0
+	for _, c := range l.chunks {
+		n += len(c)
+	}
+	return n
+}
 
 // Validate reports an error when any event has negative duration or events
 // of the same rank overlap going backwards in time.
 func (l *Log) Validate() error {
 	lastEnd := map[int]float64{}
-	for i, e := range l.events {
-		if e.End < e.Start {
-			return fmt.Errorf("trace: event %d has negative duration: %+v", i, e)
+	i := 0
+	for _, c := range l.chunks {
+		for _, e := range c {
+			if e.End < e.Start {
+				return fmt.Errorf("trace: event %d has negative duration: %+v", i, e)
+			}
+			if e.Start < lastEnd[e.Rank]-1e-12 {
+				return fmt.Errorf("trace: event %d starts before rank %d's previous end", i, e.Rank)
+			}
+			lastEnd[e.Rank] = e.End
+			i++
 		}
-		if e.Start < lastEnd[e.Rank]-1e-12 {
-			return fmt.Errorf("trace: event %d starts before rank %d's previous end", i, e.Rank)
-		}
-		lastEnd[e.Rank] = e.End
 	}
 	return nil
 }
 
-// Merge returns a new log holding the events of all inputs, ordered by
-// (rank, start time); events with equal keys keep their input order.
-// Per-rank logs passed in rank order are usually ordered already, since a
-// rank appends at its own clock, which never goes backwards. So Merge sorts
-// only when some event comes before its predecessor: a stable sort leaves
-// ordered input unchanged, and the one-pass check costs far less.
+// Merge returns a log holding the events of all inputs, ordered by (rank,
+// start time); events with equal keys keep their input order. Per-rank logs
+// passed in rank order are usually ordered already, since a rank appends at
+// its own clock, which never goes backwards. Merge then links the inputs'
+// chunks into the new log without copying an event: each linked chunk is
+// capped at its length, so a later Append to an input or to the merged log
+// allocates a chunk of its own and neither sees the other's events. Input
+// out of order is copied into one new chunk and stable-sorted.
 func Merge(logs ...*Log) *Log {
-	total := 0
+	out := &Log{}
 	for _, l := range logs {
-		total += len(l.events)
-	}
-	out := &Log{events: make([]Event, 0, total)}
-	for _, l := range logs {
-		out.events = append(out.events, l.events...)
-	}
-	ev := out.events
-	for i := 1; i < len(ev); i++ {
-		if eventBefore(&ev[i], &ev[i-1]) {
-			sort.SliceStable(ev, func(a, b int) bool { return eventBefore(&ev[a], &ev[b]) })
-			break
+		for _, c := range l.chunks {
+			if len(c) > 0 {
+				out.chunks = append(out.chunks, c[:len(c):len(c)])
+			}
 		}
 	}
+	if !out.ordered() {
+		ev := append([]Event(nil), out.Events()...)
+		sort.SliceStable(ev, func(a, b int) bool { return eventBefore(&ev[a], &ev[b]) })
+		out.chunks = [][]Event{ev}
+	}
 	return out
+}
+
+// ordered reports whether no event comes before its predecessor.
+func (l *Log) ordered() bool {
+	var prev *Event
+	for _, c := range l.chunks {
+		for i := range c {
+			if prev != nil && eventBefore(&c[i], prev) {
+				return false
+			}
+			prev = &c[i]
+		}
+	}
+	return true
 }
 
 // eventBefore orders events by (rank, start time).
@@ -147,19 +214,24 @@ func eventBefore(a, b *Event) bool {
 // TotalByKind returns the summed duration of each kind across all ranks.
 func (l *Log) TotalByKind() [NumKinds]float64 {
 	var t [NumKinds]float64
-	for _, e := range l.events {
-		if e.Kind >= 0 && e.Kind < NumKinds {
-			t[e.Kind] += e.Duration()
+	for _, c := range l.chunks {
+		for _, e := range c {
+			if e.Kind >= 0 && e.Kind < NumKinds {
+				t[e.Kind] += e.Duration()
+			}
 		}
 	}
 	return t
 }
 
-// ByPhase returns the summed duration per phase label across all ranks.
+// ByPhase returns the summed duration per phase label across all ranks,
+// adding the events one at a time in log order.
 func (l *Log) ByPhase() map[string]float64 {
 	m := map[string]float64{}
-	for _, e := range l.events {
-		m[e.Phase] += e.Duration()
+	for _, c := range l.chunks {
+		for _, e := range c {
+			m[e.Phase] += e.Duration()
+		}
 	}
 	return m
 }
