@@ -121,7 +121,7 @@ fuzz:
 # mismatch. The two phases use distinct seeds so their deterministic
 # request IDs stay disjoint — pastat -strict treats a duplicate ID as a
 # finding. Then two /robustness requests: one on the warmed FT campaign,
-# whose SP and FP fits the traffic has already memoized, must get 200, and
+# whose SP and FP fits -warm has already memoized, must get 200, and
 # one whose magnitude pushes the jitter past its ceiling must get 400.
 # After the graceful drain, pastat closes the loop offline: the
 # wide-event log must satisfy a loose SLO, pass the telemetry-integrity

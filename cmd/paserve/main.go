@@ -22,8 +22,9 @@
 // The first request for a kernel measures its campaign (bounded by
 // -max-inflight; identical concurrent requests coalesce onto one sweep);
 // later requests answer from the memoized campaign without admission
-// control. -warm pre-measures kernels and fits their SP and FP models before
-// the listener opens, so a load test starts in the cache-hit regime. On
+// control, writing answers rendered once per campaign. -warm pre-measures
+// kernels and renders their answers, which fits their SP and FP models,
+// before the listener opens, so a load test starts in the cache-hit regime. On
 // SIGINT/SIGTERM the server stops accepting connections and drains
 // in-flight requests for up to -drain.
 //
@@ -53,28 +54,17 @@ import (
 	"pasp/internal/serve"
 )
 
-// warmKernels measures each comma-separated kernel's campaign and fits its
-// SP and FP models, so the first requests find both in the campaign's memo.
-// A fit error fails start-up, as a measurement error does.
-func warmKernels(ctx context.Context, s experiments.Suite, names string, stdout io.Writer) error {
+// warmKernels warms each comma-separated kernel (Server.Warm): it measures
+// the campaign and renders its answers, fitting the SP and FP models on the
+// way, so the first requests are memo hits. A failure fails start-up.
+func warmKernels(ctx context.Context, srv *serve.Server, names string, stdout io.Writer) error {
 	for _, name := range strings.Split(names, ",") {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
 		}
-		k, err := s.Kernel(name)
-		if err != nil {
+		if err := srv.Warm(ctx, name); err != nil {
 			return fmt.Errorf("warming %s: %w", name, err)
-		}
-		camp, err := k.Measure(ctx)
-		if err != nil {
-			return fmt.Errorf("warming %s: %w", name, err)
-		}
-		if _, err := camp.SP(); err != nil {
-			return fmt.Errorf("warming %s: SP fit: %w", name, err)
-		}
-		if _, err := k.FP(camp); err != nil {
-			return fmt.Errorf("warming %s: FP fit: %w", name, err)
 		}
 		fmt.Fprintf(stdout, "paserve: warmed %s\n", name)
 	}
@@ -127,10 +117,6 @@ func run(args []string, stdout io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if err := warmKernels(ctx, s, *warm, stdout); err != nil {
-		return err
-	}
-
 	srv := serve.New(serve.Config{
 		Suite:        s,
 		SuiteName:    *suite,
@@ -139,6 +125,9 @@ func run(args []string, stdout io.Writer) error {
 		Events:       eventLog,
 		Trace:        rec,
 	})
+	if err := warmKernels(ctx, srv, *warm, stdout); err != nil {
+		return err
+	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

@@ -106,19 +106,30 @@ func decode(r io.Reader, dst any) error {
 	return nil
 }
 
-// writeJSON marshals v followed by one newline. The response structs
-// contain only scalars and slices, so the bytes are a deterministic
-// function of the values — the property the contract goldens pin.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeJSON renders v as a response body: its JSON and one newline, or nil
+// when v does not marshal, which only a programming error causes. The
+// response structs contain only scalars and slices, so the bytes are a
+// deterministic function of the values — the property the contract
+// goldens pin.
+func encodeJSON(v any) []byte {
 	data, err := json.Marshal(v)
 	if err != nil {
-		// Only a programming error (unmarshalable type) lands here.
+		return nil
+	}
+	return append(data, '\n')
+}
+
+// writeJSON sends v with status; writeBody sends a body encodeJSON made.
+func writeJSON(w http.ResponseWriter, status int, v any) { writeBody(w, status, encodeJSON(v)) }
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	if body == nil {
 		http.Error(w, `{"error":"serve: encoding failed"}`, http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
+	w.Write(body)
 }
 
 // writeError renders err as the uniform JSON error payload. When w is the

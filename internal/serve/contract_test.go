@@ -126,7 +126,7 @@ func TestPredictBytesStableAcrossGOMAXPROCS(t *testing.T) {
 			t.Fatal(err)
 		}
 		camp := experiments.NewCampaign(cells)
-		row, err := srv.predictRow(k, camp, 4, 1400)
+		row, err := predictRow(k, camp, 4, 1400)
 		if err != nil {
 			t.Fatal(err)
 		}

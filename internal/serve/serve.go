@@ -16,10 +16,13 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -65,8 +68,10 @@ type Config struct {
 type Server struct {
 	suite     experiments.Suite
 	suiteName string
-	kernels   map[string]experiments.Kernel
+	kernels   map[string]*servedKernel
 	reg       *obs.Registry
+	// Peek-served /predict and /sweep requests.
+	predictHits, sweepHits *obs.Counter
 	// slots is the admission semaphore: held while a request is entitled to
 	// run (or wait on) a simulation, never by peek-served cache hits.
 	slots   chan struct{}
@@ -98,19 +103,25 @@ func New(cfg Config) *Server {
 	if cfg.SuiteName == "" {
 		cfg.SuiteName = "custom"
 	}
+	kernels := make(map[string]*servedKernel)
+	for name, k := range cfg.Suite.Kernels() {
+		kernels[name] = &servedKernel{Kernel: k}
+	}
 	epoch := time.Now() //palint:ignore detsource -- the server's epoch is host time by definition
 	return &Server{
-		suite:     cfg.Suite,
-		suiteName: cfg.SuiteName,
-		kernels:   cfg.Suite.Kernels(),
-		reg:       cfg.Registry,
-		slots:     make(chan struct{}, cfg.MaxInFlight),
-		maxBody:   cfg.MaxBodyBytes,
-		events:    cfg.Events,
-		trace:     cfg.Trace,
-		epoch:     epoch,
-		idSeed:    splitmix64(uint64(epoch.UnixNano())),
-		flights:   cfg.Registry.Histogram("serve.flight.seconds", flightBuckets),
+		suite:       cfg.Suite,
+		suiteName:   cfg.SuiteName,
+		kernels:     kernels,
+		reg:         cfg.Registry,
+		predictHits: cfg.Registry.Counter("serve.predict.cache_hits"),
+		sweepHits:   cfg.Registry.Counter("serve.sweep.cache_hits"),
+		slots:       make(chan struct{}, cfg.MaxInFlight),
+		maxBody:     cfg.MaxBodyBytes,
+		events:      cfg.Events,
+		trace:       cfg.Trace,
+		epoch:       epoch,
+		idSeed:      splitmix64(uint64(epoch.UnixNano())),
+		flights:     cfg.Registry.Histogram("serve.flight.seconds", flightBuckets),
 	}
 }
 
@@ -158,6 +169,15 @@ func (s *Server) instrument(name, method string, h http.HandlerFunc) http.Handle
 	requests := s.reg.Counter("serve." + name + ".requests")
 	inflight := s.reg.Gauge("serve." + name + ".inflight")
 	latency := s.reg.Histogram("serve."+name+".seconds", obs.SecondsBuckets)
+	var classes [10]atomic.Pointer[obs.Counter] // made on first use; net/http keeps codes in 100–999
+	countStatus := func(code int) {
+		c := classes[code/100].Load()
+		if c == nil {
+			c = s.reg.Counter(fmt.Sprintf("serve.%s.status.%dxx", name, code/100))
+			classes[code/100].Store(c)
+		}
+		c.Inc()
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		// Every response echoes the request's ID — the client's handle for
@@ -168,7 +188,7 @@ func (s *Server) instrument(name, method string, h http.HandlerFunc) http.Handle
 			w.Header().Set("Allow", method)
 			writeError(sw, http.StatusMethodNotAllowed,
 				fmt.Errorf("serve: %s %s (the endpoint takes %s)", r.Method, r.URL.Path, method))
-			s.reg.Counter(fmt.Sprintf("serve.%s.status.%dxx", name, sw.code/100)).Inc()
+			countStatus(sw.code)
 			return
 		}
 		requests.Inc()
@@ -201,7 +221,7 @@ func (s *Server) instrument(name, method string, h http.HandlerFunc) http.Handle
 		elapsed := time.Since(start) //palint:ignore detsource -- serving latency is host time, not virtual time
 		latency.Observe(elapsed.Seconds())
 		inflight.Add(-1)
-		s.reg.Counter(fmt.Sprintf("serve.%s.status.%dxx", name, sw.code/100)).Inc()
+		countStatus(sw.code)
 		s.finishRequest(t, sw, elapsed)
 	}
 }
@@ -242,7 +262,7 @@ func writeRunError(w http.ResponseWriter, err error) {
 }
 
 // kernel resolves the request's kernel name, answering 404 on miss.
-func (s *Server) kernel(w http.ResponseWriter, name string) (experiments.Kernel, bool) {
+func (s *Server) kernel(w http.ResponseWriter, name string) (*servedKernel, bool) {
 	k, ok := s.kernels[name]
 	if !ok {
 		writeError(w, http.StatusNotFound,
@@ -255,7 +275,7 @@ func (s *Server) kernel(w http.ResponseWriter, name string) (experiments.Kernel,
 // store when already measured (counted on hits, no admission slot), else
 // measured under an admission slot with the request's context. On failure
 // the response has been written and ok is false.
-func (s *Server) campaign(w http.ResponseWriter, r *http.Request, k experiments.Kernel, hits *obs.Counter) (*experiments.Campaign, bool) {
+func (s *Server) campaign(w http.ResponseWriter, r *http.Request, k *servedKernel, hits *obs.Counter) (*experiments.Campaign, bool) {
 	t := trackFrom(r.Context())
 	if camp, ok := k.Peek(); ok {
 		hits.Inc()
@@ -326,9 +346,9 @@ type PredictResponse struct {
 }
 
 // predictRow assembles one PredictResponse from a measured campaign and
-// the models the campaign memoizes: the first request for a kernel pays
-// for the SP and FP fits, every later one reuses them.
-func (s *Server) predictRow(k experiments.Kernel, camp *experiments.Campaign, n int, mhz float64) (PredictResponse, error) {
+// the models the campaign memoizes: the first row of a kernel pays for the
+// SP and FP fits, every later one reuses them.
+func predictRow(k experiments.Kernel, camp *experiments.Campaign, n int, mhz float64) (PredictResponse, error) {
 	res, err := camp.Cell(n, mhz)
 	if err != nil {
 		return PredictResponse{}, err
@@ -375,6 +395,72 @@ func (s *Server) predictRow(k experiments.Kernel, camp *experiments.Campaign, n 
 	return row, nil
 }
 
+// servedKernel is a kernel with its answer memo: every answer a hit can
+// give, a pure function of the campaign and its fits, rendered once. The
+// store never evicts the campaign, so the memo is bounded as the store is.
+type servedKernel struct {
+	experiments.Kernel
+	once    sync.Once
+	predict []answer // each grid cell's /predict answer, in sweep order
+	sweep   answer
+}
+
+// answer is a rendered 200 body, or a row error answered as writeError's 500.
+type answer struct {
+	body []byte
+	err  error
+}
+
+func (a answer) write(w http.ResponseWriter) {
+	if a.err != nil {
+		writeError(w, http.StatusInternalServerError, a.err)
+		return
+	}
+	writeBody(w, http.StatusOK, a.body)
+}
+
+// answers returns k with its answers, rendering them from camp on the first
+// call while concurrent callers wait. predictRow and encodeJSON derive and
+// encode them as a per-request render would: the /sweep rows are the grid
+// in sweep order, and the /sweep fails on its first failing row.
+func (s *Server) answers(k *servedKernel, camp *experiments.Campaign) *servedKernel {
+	k.once.Do(func() {
+		s.reg.Counter("serve.renders").Inc()
+		resp := SweepResponse{Kernel: k.Name}
+		for _, n := range k.Grid.Ns {
+			for _, mhz := range k.Grid.MHz {
+				row, err := predictRow(k.Kernel, camp, n, mhz)
+				if err != nil {
+					k.predict = append(k.predict, answer{err: err})
+					k.sweep.err = cmp.Or(k.sweep.err, err)
+					continue
+				}
+				k.predict = append(k.predict, answer{body: encodeJSON(row)})
+				resp.Rows = append(resp.Rows, row)
+			}
+		}
+		if k.sweep.err == nil {
+			k.sweep.body = encodeJSON(resp)
+		}
+	})
+	return k
+}
+
+// Warm measures the named kernel's campaign and renders its answers, which
+// fits its SP and FP models, so its first hits are memo hits. It fails
+// when the measurement does or the /sweep answer is an error.
+func (s *Server) Warm(ctx context.Context, kernel string) error {
+	k, ok := s.kernels[kernel]
+	if !ok {
+		return fmt.Errorf("serve: unknown kernel %q (have %v)", kernel, s.suite.KernelNames())
+	}
+	camp, err := k.Measure(ctx)
+	if err != nil {
+		return err
+	}
+	return s.answers(k, camp).sweep.err
+}
+
 // handlePredict answers POST /predict: one kernel configuration.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	t := trackFrom(r.Context())
@@ -391,7 +477,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if !k.Grid.Has(req.N, req.F.MHz) {
+	i, j := slices.Index(k.Grid.Ns, req.N), slices.Index(k.Grid.MHz, req.F.MHz)
+	if i < 0 || j < 0 {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("serve: (N=%d, f=%g MHz) is not on %s's campaign grid (Ns %v, MHz %v)",
 				req.N, req.F.MHz, k.Name, k.Grid.Ns, k.Grid.MHz))
@@ -399,17 +486,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	t.lap(stageDecode)
 	t.setConfig(k.Name, req.N, req.F.MHz)
-	camp, ok := s.campaign(w, r, k, s.reg.Counter("serve.predict.cache_hits"))
+	camp, ok := s.campaign(w, r, k, s.predictHits)
 	if !ok {
 		return
 	}
-	row, err := s.predictRow(k, camp, req.N, req.F.MHz)
+	a := s.answers(k, camp).predict[i*len(k.Grid.MHz)+j]
 	t.lap(stageFit)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, row)
+	a.write(w)
 	t.lap(stageEncode)
 }
 
@@ -439,21 +522,13 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	t.lap(stageDecode)
 	t.setConfig(k.Name, 0, 0)
-	camp, ok := s.campaign(w, r, k, s.reg.Counter("serve.sweep.cache_hits"))
+	camp, ok := s.campaign(w, r, k, s.sweepHits)
 	if !ok {
 		return
 	}
-	resp := SweepResponse{Kernel: k.Name, Rows: make([]PredictResponse, 0, len(camp.Cells))}
-	for _, cell := range camp.Cells {
-		row, err := s.predictRow(k, camp, cell.N, cell.MHz)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		resp.Rows = append(resp.Rows, row)
-	}
+	a := s.answers(k, camp).sweep
 	t.lap(stageFit)
-	writeJSON(w, http.StatusOK, resp)
+	a.write(w)
 	t.lap(stageEncode)
 }
 

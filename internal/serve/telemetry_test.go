@@ -202,28 +202,36 @@ func TestTelemetryDisabledBitIdentity(t *testing.T) {
 // TestDisabledTelemetryAllocs pins the cache-hit request cost with
 // telemetry disabled. The budget covers the whole net/http handler chain —
 // the point is that adding the events/trace plumbing did not grow the
-// disabled path beyond its historical envelope.
+// disabled path beyond its historical envelope. A hit writes an answer
+// rendered once per campaign, so a /sweep hit, whose request is the
+// smaller one, allocates no more than a /predict hit, whatever the grid.
 func TestDisabledTelemetryAllocs(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Suite: quickVariant()})
-	body := `{"kernel":"ft","n":4,"f":1400}`
-	if code, b := post(t, ts, "/predict", body); code != http.StatusOK {
+	if code, b := post(t, ts, "/predict", `{"kernel":"ft","n":4,"f":1400}`); code != http.StatusOK {
 		t.Fatalf("warm request: %d (%s)", code, b)
 	}
 
 	h := srv.Handler()
-	run := func() {
-		r := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body))
-		r.Header.Set("Content-Type", "application/json")
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, r)
-		if w.Code != http.StatusOK {
-			t.Fatalf("cache hit = %d", w.Code)
+	const budget = 60
+	allocs := map[string]float64{}
+	for _, req := range []struct{ path, body string }{
+		{"/predict", `{"kernel":"ft","n":4,"f":1400}`},
+		{"/sweep", `{"kernel":"ft"}`},
+	} {
+		run := func() {
+			if w := serveBody(h, req.path, req.body); w.Code != http.StatusOK {
+				t.Fatalf("%s cache hit = %d", req.path, w.Code)
+			}
+		}
+		run() // warm the instruments
+		allocs[req.path] = testing.AllocsPerRun(50, run)
+		if allocs[req.path] > budget {
+			t.Errorf("%s cache hit allocates %.1f times, budget %d", req.path, allocs[req.path], budget)
 		}
 	}
-	run() // warm the campaign's fits and the instruments
-	const budget = 120
-	if avg := testing.AllocsPerRun(50, run); avg > budget {
-		t.Errorf("cache-hit request allocates %.1f times, budget %d", avg, budget)
+	if allocs["/sweep"] > allocs["/predict"] {
+		t.Errorf("a /sweep hit allocates %.1f times, a /predict hit %.1f: the sweep is not served from the memo",
+			allocs["/sweep"], allocs["/predict"])
 	}
 }
 
