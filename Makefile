@@ -123,7 +123,9 @@ fuzz:
 # finding. Then two /robustness requests: one on the warmed FT campaign,
 # whose SP and FP fits -warm has already memoized, must get 200, and
 # one whose magnitude pushes the jitter past its ceiling must get 400.
-# After the graceful drain, pastat closes the loop offline: the
+# Then two /trace requests for FT at N=4 under chaos seeds 1 and 2 must
+# get 200, and the /metrics scrape must count one tape replay: the second
+# re-times the tape the first recorded. After the graceful drain, pastat closes the loop offline: the
 # wide-event log must satisfy a loose SLO, pass the telemetry-integrity
 # checks, and the Perfetto trace must validate. The /metrics and
 # /debug/requests scrapes, the paload JSON report, the event log, the trace
@@ -157,7 +159,12 @@ serve-smoke:
 	[ "$$code" = 200 ] || { echo "/robustness on warmed FT answered $$code, want 200"; exit 1; }; \
 	code=$$(curl -sS -o /dev/null -w '%{http_code}' -d '{"kernel":"is","ns":[4],"magnitudes":[0,1e308],"chaos":"seed=1,jitter=1.7"}' http://$(SERVEADDR)/robustness); \
 	[ "$$code" = 400 ] || { echo "/robustness past the jitter ceiling answered $$code, want 400"; exit 1; }; \
+	for seed in 1 2; do \
+		code=$$(curl -sS -o /dev/null -w '%{http_code}' -d "{\"kernel\":\"ft\",\"n\":4,\"f\":1400,\"chaos\":\"seed=$$seed,jitter=0.5\"}" http://$(SERVEADDR)/trace); \
+		[ "$$code" = 200 ] || { echo "/trace of FT at N=4 under seed $$seed answered $$code, want 200"; exit 1; }; \
+	done; \
 	curl -fsS http://$(SERVEADDR)/metrics > $(SERVEMETRICS) || exit 1; \
+	grep -qx 'counter serve.trace.replays 1' $(SERVEMETRICS) || { echo "the second /trace did not replay the first one's tape"; exit 1; }; \
 	curl -fsS http://$(SERVEADDR)/debug/requests > $(SERVEDEBUG) || exit 1; \
 	trap - EXIT; \
 	kill -TERM $$pid && wait $$pid || exit 1; \

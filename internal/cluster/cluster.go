@@ -136,10 +136,41 @@ type Cell struct {
 // RunFunc executes a kernel on a configured world.
 type RunFunc func(w mpi.World) (*mpi.Result, error)
 
-// Sweep measures run at every grid cell on a pool of up to GOMAXPROCS
-// workers; each cell's simulation is itself deterministic and the work
-// distribution never influences results, so the sweep's bytes are
-// identical at any GOMAXPROCS (pinned by TestSweepGOMAXPROCSDeterminism).
+// Sweep measures run at every grid cell of p: SweepPlatforms over the
+// one-platform list, returning that platform's cells, and a failing
+// platform's cause in place of its *PlatformError.
+func Sweep(ctx context.Context, p Platform, g Grid, run RunFunc) ([]Cell, error) {
+	rows, err := SweepPlatforms(ctx, []Platform{p}, g, run)
+	var pe *PlatformError
+	if errors.As(err, &pe) {
+		return nil, pe.Err
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rows[0], nil
+}
+
+// PlatformError reports the platform of a SweepPlatforms list that failed:
+// it does not validate, or some of its cells failed.
+type PlatformError struct {
+	// Index is the platform's position in the list.
+	Index int
+	// Err is the validation error, or the joined errors of every failing
+	// cell of the platform.
+	Err error
+}
+
+func (e *PlatformError) Error() string {
+	return fmt.Sprintf("cluster: platform %d: %v", e.Index, e.Err)
+}
+
+// SweepPlatforms measures run at every grid cell of every platform in ps,
+// and returns one row of cells per platform, each in grid order (N-major,
+// frequency-minor). The work runs on a pool of up to GOMAXPROCS workers;
+// each cell's simulation is itself deterministic and the work distribution
+// never influences results, so the sweep's bytes are identical at any
+// GOMAXPROCS (pinned by TestSweepGOMAXPROCSDeterminism).
 //
 // A cancelled ctx stops the sweep at cell granularity: no new cell starts
 // once ctx.Done() is closed, in-flight cells finish (one simulation is the
@@ -147,25 +178,39 @@ type RunFunc func(w mpi.World) (*mpi.Result, error)
 // caller that went away — an HTTP client that disconnected, a drained
 // server — stops paying for the rest of a campaign it no longer wants.
 //
-// A grid with more than one frequency is swept by record/replay: kernel
-// control flow, data movement and message shapes do not depend on the
-// operating frequency, so the kernel executes for real once per rank count
-// (at the grid's first frequency, recording every rank's operation stream)
-// and the remaining frequencies re-time the recorded stream through the
-// same mpi timing paths — bit-identical to direct runs (see mpi.Replay) at
-// a fifth of the work on the paper's five-frequency grid. A single-gear
-// grid records nothing: its one cell per rank count runs directly.
-func Sweep(ctx context.Context, p Platform, g Grid, run RunFunc) ([]Cell, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+// The sweep runs one unit per rank count, over every (platform, gear)
+// cell of that count, by record/replay: kernel control flow, data
+// movement and message shapes depend on neither the operating frequency
+// nor the platform's timing and fault models, so the kernel executes for
+// real once per rank count (at ps[0] and the grid's first frequency,
+// recording every rank's operation stream) and the unit's other cells
+// re-time the recorded stream through the same mpi timing paths —
+// bit-identical to direct runs (see mpi.Replay). On the paper's
+// five-frequency grid that is a fifth of the work; a robustness campaign,
+// one platform per fault magnitude, runs the kernel once per rank count
+// for all its magnitudes. A unit with one cell records nothing: it runs
+// directly.
+//
+// A platform that does not validate, or whose cells fail, is reported as a
+// *PlatformError: the first such platform of the list, with every broken
+// cell of it, so a parameter that breaks several (N, MHz) configurations
+// shows its whole footprint in one error.
+func SweepPlatforms(ctx context.Context, ps []Platform, g Grid, run RunFunc) ([][]Cell, error) {
+	for i, p := range ps {
+		if err := p.Validate(); err != nil {
+			return nil, &PlatformError{Index: i, Err: err}
+		}
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	cells := make([]Cell, 0, len(g.Ns)*len(g.MHz))
-	for _, n := range g.Ns {
-		for _, f := range g.MHz {
-			cells = append(cells, Cell{N: n, MHz: f})
+	perRow := len(g.Ns) * len(g.MHz)
+	cells := make([]Cell, 0, len(ps)*perRow)
+	for range ps {
+		for _, n := range g.Ns {
+			for _, f := range g.MHz {
+				cells = append(cells, Cell{N: n, MHz: f})
+			}
 		}
 	}
 	errs := make([]error, len(cells))
@@ -173,15 +218,18 @@ func Sweep(ctx context.Context, p Platform, g Grid, run RunFunc) ([]Cell, error)
 	// a worker while independent rank counts spread across the pool.
 	sweepUnits(ctx, len(g.Ns), func(u int) {
 		var rec *mpi.Recording
-		if len(g.MHz) > 1 {
+		if len(ps)*len(g.MHz) > 1 {
 			rec = mpi.NewRecording()
 		}
-		for j := range g.MHz {
-			if j > 0 && ctx.Err() != nil {
-				return
+		for i, p := range ps {
+			for j := range g.MHz {
+				replay := i > 0 || j > 0
+				if replay && ctx.Err() != nil {
+					return
+				}
+				c := i*perRow + u*len(g.MHz) + j
+				runCell(p, run, &cells[c], &errs[c], rec, replay)
 			}
-			i := u*len(g.MHz) + j
-			runCell(p, run, &cells[i], &errs[i], rec, j > 0)
 		}
 	})
 	// Cancellation trumps the per-cell surface: the cells a cancelled sweep
@@ -195,13 +243,15 @@ func Sweep(ctx context.Context, p Platform, g Grid, run RunFunc) ([]Cell, error)
 		}
 		return nil, fmt.Errorf("cluster: sweep cancelled: %w", err)
 	}
-	// A failing sweep reports every broken cell, not just the first: a
-	// parameter that breaks several (N, MHz) configurations shows its whole
-	// footprint in one error.
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
+	rows := make([][]Cell, len(ps))
+	for i := range ps {
+		lo, hi := i*perRow, (i+1)*perRow
+		if err := errors.Join(errs[lo:hi]...); err != nil {
+			return nil, &PlatformError{Index: i, Err: err}
+		}
+		rows[i] = cells[lo:hi:hi]
 	}
-	return cells, nil
+	return rows, nil
 }
 
 // sweepUnits runs do(0..units-1) on up to GOMAXPROCS workers. Units are
@@ -246,7 +296,7 @@ dispatch:
 	wg.Wait()
 }
 
-// runCell measures one grid cell. With a recording attached, the first
+// runCell measures one cell on p. With a recording attached, the first
 // cell of a unit captures the kernel's operation stream and later cells
 // replay it; a recording the first run did not complete (the RunFunc
 // failed, or never reached mpi.Run) falls back to direct execution so the

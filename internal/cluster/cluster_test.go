@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"pasp/internal/faults"
 	"pasp/internal/machine"
 	"pasp/internal/mpi"
+	"pasp/internal/npb"
 )
 
 func TestPentiumMValid(t *testing.T) {
@@ -273,5 +276,70 @@ func TestSweepGOMAXPROCSDeterminism(t *testing.T) {
 				t.Errorf("%d-gear grid: sweep bytes changed under GOMAXPROCS=%d", len(g.MHz), procs)
 			}
 		}
+	}
+}
+
+// TestSweepPlatformsRecordsOncePerRankCount sweeps the quick suite's FT
+// class over three fault-config platforms, the full chaos mix at
+// magnitudes 0, 1 and 2, at N ∈ {2, 4} and one gear: the kernel runs once
+// per rank count, and every cell equals the same cell of a one-platform
+// Sweep, whose single-gear units run directly, in every Result field and
+// in its TimelineCSV bytes. A platform whose cells fail is named by its
+// index in the list.
+func TestSweepPlatformsRecordsOncePerRankCount(t *testing.T) {
+	ft := npb.FT{Nx: 16, Ny: 16, Nz: 16, Iters: 2, Scale: 16}
+	var calls atomic.Int64
+	run := func(w mpi.World) (*mpi.Result, error) {
+		calls.Add(1)
+		_, res, err := ft.Run(w)
+		return res, err
+	}
+	mix := faults.Config{Seed: 11, LatencyJitterFrac: 1, DropProb: 0.01, DegradeProb: 0.05,
+		DegradeFactor: 2, StragglerFrac: 0.1, StragglerSlowdown: 1.5}
+	var ps []Platform
+	for _, m := range []float64{0, 1, 2} {
+		p := PentiumM()
+		p.Faults = mix.Scale(m)
+		ps = append(ps, p)
+	}
+	g := Grid{Ns: []int{2, 4}, MHz: []float64{600}}
+	ctx := context.Background()
+	rows, err := SweepPlatforms(ctx, ps, g, run)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := calls.Load(); n != int64(len(g.Ns)) {
+		t.Errorf("the kernel ran %d times for %d rank counts, want once per rank count", n, len(g.Ns))
+	}
+	for i, p := range ps {
+		want, err := Sweep(ctx, p, g, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows[i]) != len(want) {
+			t.Fatalf("platform %d: %d cells, a one-platform sweep %d", i, len(rows[i]), len(want))
+		}
+		for c, w := range want {
+			got := rows[i][c]
+			label := fmt.Sprintf("platform %d N=%d f=%g", i, w.N, w.MHz)
+			if got.N != w.N || got.MHz != w.MHz {
+				t.Fatalf("%s: cell is N=%d f=%g", label, got.N, got.MHz)
+			}
+			if got.Res.Trace.TimelineCSV() != w.Res.Trace.TimelineCSV() {
+				t.Errorf("%s: timelines differ", label)
+			}
+			a, b := *got.Res, *w.Res
+			a.Trace, b.Trace = nil, nil
+			if math.Float64bits(a.Seconds) != math.Float64bits(b.Seconds) || !reflect.DeepEqual(a, b) {
+				t.Errorf("%s: replayed %+v, direct %+v", label, a, b)
+			}
+		}
+	}
+	small := ps[2]
+	small.MaxNodes = 2
+	_, err = SweepPlatforms(ctx, []Platform{ps[0], ps[1], small}, g, run)
+	var pe *PlatformError
+	if !errors.As(err, &pe) || pe.Index != 2 || !strings.Contains(err.Error(), "N=4") {
+		t.Errorf("a platform too small for N=4 failed the sweep with %v, want a *PlatformError for platform 2 naming N=4", err)
 	}
 }

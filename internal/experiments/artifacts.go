@@ -120,10 +120,10 @@ func Artifacts() []Artifact {
 		}},
 		// FT's speedup with and without the fabric's flow-concurrency
 		// limit: the mechanism behind Figure 2's saturation.
-		{Name: "ablation-contention", Title: "Ablation — flow contention", Render: func(_ context.Context, s Suite) (Rendering, error) {
+		{Name: "ablation-contention", Title: "Ablation — flow contention", Render: func(ctx context.Context, s Suite) (Rendering, error) {
 			ideal := s.Platform
 			ideal.Net.FlowConcurrency = 0
-			limited, unlimited, err := ftSpeedups(s, s.Platform, ideal, maxN(s), baseF(s))
+			limited, unlimited, err := ftSpeedups(ctx, s, ideal, maxN(s), baseF(s))
 			return Rendering{fmt.Sprintf("Ablation, flow contention: FT speedup at (%d, %.0fMHz) = %.2f contended vs %.2f on an ideal switch",
 				maxN(s), baseF(s), limited, unlimited),
 				[]Metric{{"speedup_contended", limited}, {"speedup_ideal", unlimited}}}, err
@@ -148,10 +148,10 @@ func Artifacts() []Artifact {
 		}},
 		// FT's sequential frequency speedup without the low-gear bus-speed
 		// drop, which flattens Table 6's memory row to 110 ns.
-		{Name: "ablation-busdrop", Title: "Ablation — low-gear bus-speed drop", Render: func(_ context.Context, s Suite) (Rendering, error) {
+		{Name: "ablation-busdrop", Title: "Ablation — low-gear bus-speed drop", Render: func(ctx context.Context, s Suite) (Rendering, error) {
 			flat := s.Platform
 			flat.Mach.BusDrop = false
-			with, without, err := ftSpeedups(s, s.Platform, flat, 1, topF(s))
+			with, without, err := ftSpeedups(ctx, s, flat, 1, topF(s))
 			return Rendering{fmt.Sprintf("Ablation, bus-speed drop: FT sequential %.0f→%.0f speedup %.2f with the 140ns low-gear bus vs %.2f without",
 				baseF(s), topF(s), with, without),
 				[]Metric{{"fspeedup_busdrop", with}, {"fspeedup_flat", without}}}, err
@@ -358,23 +358,39 @@ func savings(c dvfs.Comparison) []Metric {
 }
 
 // ftSpeedups is FT's speedup from (1, base gear) to (n, f MHz) on the
-// platform variants a and b.
-func ftSpeedups(s Suite, a, b cluster.Platform, n int, f float64) (onA, onB float64, err error) {
-	var v [2]float64
-	for i, p := range []cluster.Platform{a, b} {
-		t1, err := seconds(p, s.RunFT, 1, baseF(s))
-		if err != nil {
-			return 0, 0, err
-		}
-		tn, err := seconds(p, s.RunFT, n, f)
-		if err != nil {
-			return 0, 0, err
-		}
-		if v[i], err = ratio(t1, tn); err != nil {
-			return 0, 0, err
-		}
+// suite's platform, read from its stored FT campaign, and on variant,
+// whose two cells one cluster.Sweep measures: the sweep records and
+// replays them when they share a rank count.
+func ftSpeedups(ctx context.Context, s Suite, variant cluster.Platform, n int, f float64) (stock, onVariant float64, err error) {
+	camp, err := s.MeasureFT(ctx)
+	if err != nil {
+		return 0, 0, err
 	}
-	return v[0], v[1], nil
+	t1, err := camp.Meas.Time(1, baseF(s))
+	if err != nil {
+		return 0, 0, err
+	}
+	tn, err := camp.Meas.Time(n, f)
+	if err != nil {
+		return 0, 0, err
+	}
+	if stock, err = ratio(t1, tn); err != nil {
+		return 0, 0, err
+	}
+	g := cluster.Grid{Ns: []int{1}, MHz: []float64{baseF(s)}}
+	if n > 1 {
+		g.Ns = append(g.Ns, n)
+	}
+	if f > baseF(s) {
+		g.MHz = append(g.MHz, f)
+	}
+	cells, err := cluster.Sweep(ctx, variant, g, s.RunFT)
+	if err != nil {
+		return 0, 0, err
+	}
+	// The first cell is (1, base gear) and the last (n, f).
+	onVariant, err = ratio(cells[0].Res.Seconds, cells[len(cells)-1].Res.Seconds)
+	return stock, onVariant, err
 }
 
 // seconds is the run time of run on p at (n, f MHz).

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"pasp/internal/cluster"
 )
 
 // digest is the SHA-256 of an artifact's text, in hex.
@@ -105,18 +107,26 @@ func TestContentionAblationMechanism(t *testing.T) {
 	s := Quick()
 	ideal := s.Platform
 	ideal.Net.FlowConcurrency = 0
-	limited, unlimited, err := ftSpeedups(s, s.Platform, ideal, 4, 600)
-	if err != nil {
-		t.Fatal(err)
+	// speedups is FT's speedup from N = 1 to n at 600 MHz, contended and on
+	// the ideal switch.
+	speedups := func(n int) (limited, unlimited float64) {
+		t.Helper()
+		var v [2]float64
+		for i, p := range []cluster.Platform{s.Platform, ideal} {
+			cells, err := cluster.Sweep(context.Background(), p, cluster.Grid{Ns: []int{1, n}, MHz: []float64{600}}, s.RunFT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v[i] = cells[0].Res.Seconds / cells[1].Res.Seconds
+		}
+		return v[0], v[1]
 	}
+	limited, unlimited := speedups(4)
 	//palint:ignore floateq -- the limit not binding means the two runs are the same simulation
 	if limited != unlimited {
 		t.Errorf("N=4: contended speedup %.17g differs from ideal %.17g, but the flow limit should not bind", limited, unlimited)
 	}
-	limited, unlimited, err = ftSpeedups(s, s.Platform, ideal, 16, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
+	limited, unlimited = speedups(16)
 	t.Logf("N=16: speedup %.4f contended, %.4f on an ideal switch", limited, unlimited)
 	if limited > 0.8*unlimited {
 		t.Errorf("N=16: contended speedup %.4f is not well below the ideal switch's %.4f", limited, unlimited)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -38,7 +39,7 @@ type RobustnessSpec struct {
 }
 
 // maxMagnitudes bounds a spec's magnitude list. Each magnitude costs one
-// sweep of Ns, so an unbounded list lets one paserve request hold an
+// replay per N, so an unbounded list lets one paserve request hold an
 // admission slot for as long as its body allows; pachaos sends 4 by
 // default.
 const maxMagnitudes = 16
@@ -127,14 +128,16 @@ type RobustnessResult struct {
 
 // Robustness runs the sweep: take SP and FP as fitted on the kernel's clean
 // memoized campaign (its fit memo, so a repeated sweep does not refit),
-// then, once per magnitude, cluster.Sweep the Ns at the base frequency on a
-// platform carrying the scaled fault config, the cells of one magnitude
-// spread over the sweep's worker pool. Perturbed cells are
-// fresh simulations that never enter the campaign store (each scaled
-// platform would be a distinct store identity), so repeated sweeps
-// re-derive — and therefore actually test — the harness's determinism. A
-// cancelled ctx stops the sweep at Sweep's next cell boundary with an
-// error wrapping ctx.Err().
+// then measure the Ns at the base frequency on one platform per magnitude,
+// each carrying the scaled fault config, in one cluster.SweepPlatforms
+// call: the kernel runs once per N, recorded at the first magnitude, and
+// every other magnitude replays the tape under its own fault config, bit
+// for bit a direct run. Perturbed cells never enter the campaign store
+// (each scaled platform would be a distinct store identity), so repeated
+// sweeps re-derive — and therefore actually test — the harness's
+// determinism. A failing cell's error names its magnitude. A cancelled ctx
+// stops the sweep at the next cell boundary with an error wrapping
+// ctx.Err().
 func (s Suite) Robustness(ctx context.Context, spec RobustnessSpec) (*RobustnessResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -170,13 +173,20 @@ func (s Suite) Robustness(ctx context.Context, spec RobustnessSpec) (*Robustness
 	}
 	out := &RobustnessResult{Spec: spec, BaseMHz: base}
 	g := cluster.Grid{Ns: spec.Ns, MHz: []float64{base}}
-	for _, m := range spec.Magnitudes {
-		pl := s.Platform
-		pl.Faults = spec.Faults.Scale(m)
-		cells, err := cluster.Sweep(ctx, pl, g, k.Run)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: robustness %s mag=%g: %w", spec.Kernel, m, err)
-		}
+	ps := make([]cluster.Platform, len(spec.Magnitudes))
+	for i, m := range spec.Magnitudes {
+		ps[i] = s.Platform
+		ps[i].Faults = spec.Faults.Scale(m)
+	}
+	rows, err := cluster.SweepPlatforms(ctx, ps, g, k.Run)
+	var pe *cluster.PlatformError
+	if errors.As(err, &pe) {
+		return nil, fmt.Errorf("experiments: robustness %s mag=%g: %w", spec.Kernel, spec.Magnitudes[pe.Index], pe.Err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("experiments: robustness %s: %w", spec.Kernel, err)
+	}
+	for _, cells := range rows {
 		var meas, spErr, fpErr, fsec []float64
 		var retries []int
 		for _, c := range cells {

@@ -9,24 +9,30 @@ import (
 	"pasp/internal/trace"
 )
 
-// Record/replay across the frequency axis.
+// Record/replay across gears, platforms and fault configs.
 //
 // A kernel's control flow, data movement and message sizes are functions of
-// the problem size and rank count only — never of the operating frequency.
-// Frequency enters the simulation purely through the timing arithmetic
-// inside Ctx (TimeFor, cpuOverhead, ReduceInsPerByte/hz). So a frequency
-// sweep does not need to execute the kernel's arithmetic once per
-// frequency: execute it once, record each rank's operation stream (phase
-// transitions, compute work, message and collective shapes), and re-time
-// the stream through the exact same public Ctx API at the other
-// frequencies with placeholder payloads. Replay runs the identical timing,
+// the problem size and rank count only — never of the operating frequency,
+// the platform's timing models or the chaos harness. Those enter the
+// simulation purely through the timing arithmetic inside Ctx (TimeFor,
+// cpuOverhead, ReduceInsPerByte/hz, the network model, the fault draws).
+// So a sweep over them does not need to execute the kernel's arithmetic
+// once per cell: execute it once, record each rank's operation stream
+// (phase transitions, compute work, message and collective shapes), and
+// re-time the stream through the exact same public Ctx API in the other
+// worlds with placeholder payloads. Replay runs the identical timing,
 // counter, energy, fault-injection and trace code, so its Result is
-// bit-identical to a direct run at that frequency — a property pinned by
-// TestReplayMatchesDirect and, for every operation kind,
-// TestReplayEveryOpKind. The chaos harness stays replayable because its
+// bit-identical to a direct run in that world — a property pinned by
+// TestReplayMatchesDirect, for every operation kind by
+// TestReplayEveryOpKind, and for the quick-suite kernels under other fault
+// magnitudes and chaos seeds by TestReplayAcrossFaultAxes
+// (internal/experiments). The chaos harness stays replayable because its
 // draws are a pure function of (seed, rank, draw index) and the per-rank
-// draw counts are frequency-independent: Message consumes a fixed number
-// of draws per received message, Collective a fixed number per collective.
+// draw counts depend on the program alone: Message consumes a fixed number
+// of draws per received message, plus one per retry, which the seed and
+// drop knobs decide, never the clock; Collective a fixed number per
+// collective. A tape recorded clean or under one seed therefore re-times
+// under any fault magnitude or seed.
 //
 // SetPState is recorded per call, not per switch: a call that leaves the
 // state unchanged at the recording gear can switch at another one, so
@@ -48,8 +54,9 @@ import (
 // need not be frequency-independent; Run rejects the combination). What it
 // cannot see: a RankFunc that branches on Ctx.Now, Ctx.Freq or received
 // payload values. No NPB kernel does — their iteration structure is fixed
-// by the class parameters — and cluster.Sweep, the only in-tree replayer,
-// records those kernels exclusively.
+// by the class parameters — and the two in-tree replayers record those
+// kernels exclusively: cluster.SweepPlatforms, across gears and platforms,
+// and paserve's /trace tape cache, across gears and chaos specs.
 //
 // The tape is also the run's communication-protocol record: cmd/paverify
 // checks its CommLog projection, so conformance covers exactly the stream
@@ -242,12 +249,14 @@ func (r *Recording) CommLog() [][]trace.CommEvent {
 	return log
 }
 
-// Replay re-times a recorded run under w — typically the same world at a
-// different P-state — without executing any kernel code. It returns the
-// same Result a direct run of the original RankFunc under w would: the
-// replayed stream passes through the identical timing, energy, fault and
-// trace paths, with placeholder payloads standing in for the data (payload
-// values never influence timing).
+// Replay re-times a recorded run under w — the recording's world at
+// another P-state, on another platform's timing models or under another
+// fault config (magnitude or seed) — without executing any kernel code. It
+// returns the same Result a direct run of the original RankFunc under w
+// would: the replayed stream passes through the identical timing, energy,
+// fault and trace paths, with placeholder payloads standing in for the
+// data (payload values never influence timing). Replay only reads rec, so
+// concurrent replays of one recording are safe.
 func Replay(w World, rec *Recording) (*Result, error) {
 	if !rec.Complete() {
 		return nil, errors.New("mpi: Replay needs a Recording completed by a successful run")

@@ -229,7 +229,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			defer func() { <-sem }()
 			req, err := http.NewRequestWithContext(ctx, t.Method, cfg.BaseURL+t.Path, bytes.NewReader(t.Body))
 			if err == nil {
-				req.Header.Set("X-Request-ID", id)
+				req.Header.Set(requestIDHeader, id)
 				if t.Body != nil {
 					req.Header.Set("Content-Type", "application/json")
 				}
@@ -254,7 +254,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 			// The server must echo the ID it was handed, exactly once: a
 			// mismatch means attribution is broken, a duplicate means two
 			// responses claim the same request.
-			echo := resp.Header.Get("X-Request-ID")
+			echo := resp.Header.Get(requestIDHeader)
 			if echo != id {
 				mismatches++
 			}

@@ -28,6 +28,7 @@ import (
 
 	"pasp/internal/experiments"
 	"pasp/internal/faults"
+	"pasp/internal/mpi"
 	"pasp/internal/obs"
 	"pasp/internal/stats"
 )
@@ -72,6 +73,10 @@ type Server struct {
 	reg       *obs.Registry
 	// Peek-served /predict and /sweep requests.
 	predictHits, sweepHits *obs.Counter
+	// tapes keeps /trace recordings; traceReplays counts the /trace
+	// requests answered by replaying one.
+	tapes        *tapeCache
+	traceReplays *obs.Counter
 	// slots is the admission semaphore: held while a request is entitled to
 	// run (or wait on) a simulation, never by peek-served cache hits.
 	slots   chan struct{}
@@ -109,19 +114,21 @@ func New(cfg Config) *Server {
 	}
 	epoch := time.Now() //palint:ignore detsource -- the server's epoch is host time by definition
 	return &Server{
-		suite:       cfg.Suite,
-		suiteName:   cfg.SuiteName,
-		kernels:     kernels,
-		reg:         cfg.Registry,
-		predictHits: cfg.Registry.Counter("serve.predict.cache_hits"),
-		sweepHits:   cfg.Registry.Counter("serve.sweep.cache_hits"),
-		slots:       make(chan struct{}, cfg.MaxInFlight),
-		maxBody:     cfg.MaxBodyBytes,
-		events:      cfg.Events,
-		trace:       cfg.Trace,
-		epoch:       epoch,
-		idSeed:      splitmix64(uint64(epoch.UnixNano())),
-		flights:     cfg.Registry.Histogram("serve.flight.seconds", flightBuckets),
+		suite:        cfg.Suite,
+		suiteName:    cfg.SuiteName,
+		kernels:      kernels,
+		reg:          cfg.Registry,
+		predictHits:  cfg.Registry.Counter("serve.predict.cache_hits"),
+		sweepHits:    cfg.Registry.Counter("serve.sweep.cache_hits"),
+		tapes:        newTapeCache(cfg.Registry),
+		traceReplays: cfg.Registry.Counter("serve.trace.replays"),
+		slots:        make(chan struct{}, cfg.MaxInFlight),
+		maxBody:      cfg.MaxBodyBytes,
+		events:       cfg.Events,
+		trace:        cfg.Trace,
+		epoch:        epoch,
+		idSeed:       splitmix64(uint64(epoch.UnixNano())),
+		flights:      cfg.Registry.Histogram("serve.flight.seconds", flightBuckets),
 	}
 }
 
@@ -183,7 +190,7 @@ func (s *Server) instrument(name, method string, h http.HandlerFunc) http.Handle
 		// Every response echoes the request's ID — the client's handle for
 		// correlating its own logs with the server's wide events.
 		id := s.requestID(r)
-		sw.Header().Set("X-Request-ID", id)
+		sw.Header().Set(requestIDHeader, id)
 		if r.Method != method {
 			w.Header().Set("Allow", method)
 			writeError(sw, http.StatusMethodNotAllowed,
@@ -547,9 +554,11 @@ type RobustnessResponse struct {
 }
 
 // handleRobustness answers POST /robustness: fit on the clean campaign,
-// score against perturbed measurements. The perturbed cells are fresh
-// simulations, so the request always holds an admission slot; a client
-// that goes away stops the sweep at cluster.Sweep's next cell boundary.
+// score against perturbed measurements. The perturbed cells are simulated
+// (one record run per N, replayed under every other magnitude; see
+// Suite.Robustness) and never stored, so the request always holds an
+// admission slot; a client that goes away stops the sweep at the next
+// cell boundary.
 func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 	var req RobustnessRequest
 	if err := decode(r.Body, &req); err != nil {
@@ -615,9 +624,12 @@ func (s *Server) handleRobustness(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace answers POST /trace: one observed run exported as validated
-// Chrome trace-event JSON (open the body in ui.perfetto.dev). The run is a
-// fresh simulation at any (n, f) the platform supports — not limited to
-// the campaign grid — so it always holds an admission slot.
+// Chrome trace-event JSON (open the body in ui.perfetto.dev), at any (n, f)
+// the platform supports — not limited to the campaign grid — under the
+// request's chaos spec. The run is a replay of the kept tape of (kernel,
+// n) when the tape cache holds one, and otherwise the kernel itself,
+// recorded for the next request (see traceRun). Either way it simulates,
+// so it holds an admission slot.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	var req TraceRequest
 	if err := decode(r.Body, &req); err != nil {
@@ -646,7 +658,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	defer s.release()
 	st := s.suite
 	st.Platform.Faults = cfg
-	res, err := st.RunKernelOnce(req.Kernel, req.N, req.F.MHz)
+	res, err := s.traceRun(st, req)
 	t.lap(stageSweep)
 	if err != nil {
 		// The platform rejecting the configuration (too many nodes, no such
@@ -664,6 +676,32 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	w.Write(data)
 	t.lap(stageEncode)
+}
+
+// traceRun simulates req on st's platform, which carries the request's
+// chaos spec. With a tape of (kernel, n) kept, it replays the tape under
+// the request's gear and spec, bit for bit the direct run (mpi.Replay);
+// otherwise it runs the kernel with a recording attached and offers the
+// tape to the cache.
+func (s *Server) traceRun(st experiments.Suite, req TraceRequest) (*mpi.Result, error) {
+	key := tapeKey{kernel: req.Kernel, n: req.N}
+	if tape := s.tapes.get(key); tape != nil {
+		w, err := st.Platform.World(req.N, req.F.MHz)
+		if err != nil {
+			return nil, err
+		}
+		res, err := mpi.Replay(w, tape)
+		if err == nil {
+			s.traceReplays.Inc()
+		}
+		return res, err
+	}
+	tape := mpi.NewRecording()
+	res, err := st.RunKernelTraced(req.Kernel, req.N, req.F.MHz, nil, tape)
+	if err == nil {
+		s.tapes.put(key, tape)
+	}
+	return res, err
 }
 
 // healthBody is the /healthz payload.

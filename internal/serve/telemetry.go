@@ -124,6 +124,11 @@ func trackFrom(ctx context.Context) *reqTrack {
 	return t
 }
 
+// requestIDHeader carries the request ID both ways, in the canonical form
+// net/http writes any spelling of it in, so setting and reading it never
+// builds the canonical key again.
+const requestIDHeader = "X-Request-Id"
+
 // hexID renders v as the 16-hex-digit request ID format.
 func hexID(v uint64) string {
 	const digits = "0123456789abcdef"
@@ -154,7 +159,7 @@ func validRequestID(id string) bool {
 // well-formed, else a fresh splitmix64-derived one. IDs from the counter
 // stream are unique per server and cheap (no entropy syscall per request).
 func (s *Server) requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-ID"); validRequestID(id) {
+	if id := r.Header.Get(requestIDHeader); validRequestID(id) {
 		return id
 	}
 	return hexID(splitmix64(s.idSeed ^ s.idSeq.Add(1)))
