@@ -96,7 +96,8 @@ trace-smoke:
 
 # Short fuzz pass over the core model contract (finite, non-negative,
 # error-or-value), the chaos harness's injector/parser invariants, the trace
-# merge (a stable sort by rank and start over chunked logs) and paserve's
+# merge (a stable sort by rank and start over chunked logs), replay of
+# generated rank programs (bit-identical to their direct runs) and paserve's
 # request handlers (never a 5xx on client input).
 # CI-sized via FUZZTIME=10s; crank FUZZTIME locally for a deeper run.
 fuzz:
@@ -105,6 +106,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMessageFault -fuzztime=$(FUZZTIME) ./internal/faults/
 	$(GO) test -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faults/
 	$(GO) test -fuzz=FuzzMerge -fuzztime=$(FUZZTIME) ./internal/trace/
+	$(GO) test -fuzz=FuzzReplay -fuzztime=$(FUZZTIME) ./internal/mpi/
 	$(GO) test -fuzz=FuzzPredictRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzSweepRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz=FuzzRobustnessRequest -fuzztime=$(FUZZTIME) ./internal/serve/

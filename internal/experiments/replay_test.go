@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pasp/internal/cluster"
 	"pasp/internal/faults"
 	"pasp/internal/mpi"
 )
@@ -94,6 +95,59 @@ func TestReplayAcrossFaultAxes(t *testing.T) {
 			tape := record(n, base, seeded(1))
 			for seed := 2; seed <= 4; seed++ {
 				check(fmt.Sprintf("%s N=%d seed %d at %g MHz", name, n, seed, top), tape, n, top, seeded(seed))
+			}
+		}
+	}
+}
+
+// TestReplayAcrossPlatforms is the oracle for re-timing a tape on a
+// platform it was not recorded on. A platform enters a run only through
+// the timing models, so each quick-suite kernel at N ∈ {2, 4} is recorded
+// once on the stock platform at the base gear and replayed, at the base
+// and the top gear, on each ablation platform: no flow-concurrency limit,
+// no endpoint CPU cost per message or byte, and no low-gear bus-speed
+// drop. Every replay must equal a direct run on its own platform.
+func TestReplayAcrossPlatforms(t *testing.T) {
+	s := Quick()
+	ideal, noCPU, flat := s.Platform, s.Platform, s.Platform
+	ideal.Net.FlowConcurrency = 0
+	noCPU.Net.MsgCPUIns, noCPU.Net.ByteCPUIns = 0, 0
+	flat.Mach.BusDrop = false
+	platforms := []struct {
+		name string
+		p    cluster.Platform
+	}{{"contention", ideal}, {"commcpu", noCPU}, {"busdrop", flat}}
+	ks := s.Kernels()
+	for _, name := range s.KernelNames() {
+		k := ks[name]
+		base, top := k.Grid.MHz[0], k.Grid.MHz[len(k.Grid.MHz)-1]
+		world := func(p cluster.Platform, n int, mhz float64) mpi.World {
+			t.Helper()
+			w, err := p.World(n, mhz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}
+		for _, n := range []int{2, 4} {
+			w := world(s.Platform, n, base)
+			w.Record = mpi.NewRecording()
+			if _, err := k.Run(w); err != nil {
+				t.Fatalf("%s N=%d: record: %v", name, n, err)
+			}
+			for _, pl := range platforms {
+				for _, mhz := range []float64{base, top} {
+					label := fmt.Sprintf("%s N=%d on %s at %g MHz", name, n, pl.name, mhz)
+					direct, err := k.Run(world(pl.p, n, mhz))
+					if err != nil {
+						t.Fatalf("%s: direct: %v", label, err)
+					}
+					replayed, err := mpi.Replay(world(pl.p, n, mhz), w.Record)
+					if err != nil {
+						t.Fatalf("%s: replay: %v", label, err)
+					}
+					requireSameResult(t, label, direct, replayed)
+				}
 			}
 		}
 	}

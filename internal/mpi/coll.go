@@ -65,20 +65,27 @@ func (c *Ctx) collective(payload any, cost float64) (*collSnapshot, error) {
 	case [][]float64:
 		c.collFreeParts = p
 	}
-	if err := c.advanceComm(snap.entry + cost); err != nil {
+	if err := c.collDone(snap.entry, cost); err != nil {
 		return nil, err
+	}
+	return snap, nil
+}
+
+// collDone finishes a collective once its epoch has completed: the clock
+// moves to entry, the epoch's latest entry clock, plus the rank's cost.
+func (c *Ctx) collDone(entry, cost float64) error {
+	if err := c.advanceComm(entry + cost); err != nil {
+		return err
 	}
 	// Each rank draws its own collective perturbation, so jitter desyncs
 	// the ranks exactly as a noisy fabric would; the next collective's
 	// entry max re-synchronizes on the slowest (most-jittered) rank.
 	if c.faults != nil {
 		if extra := c.faults.Collective(cost); extra > 0 {
-			if err := c.advanceFault(extra, trace.Fault, pollUtil); err != nil {
-				return nil, err
-			}
+			return c.advanceFault(extra, trace.Fault, pollUtil)
 		}
 	}
-	return snap, nil
+	return nil
 }
 
 // Barrier blocks until every rank arrives; it costs a recursive-doubling
@@ -87,25 +94,19 @@ func (c *Ctx) Barrier() error {
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opBarrier})
 	}
-	n := c.Size()
-	if n == 1 {
+	if c.Size() == 1 {
 		return nil
 	}
-	net := &c.eng.w.Net
-	rounds := log2ceil(n)
-	c.noteMsgs(rounds, 0)
-	cost := float64(rounds) * (2*c.cpuOverhead(0) + net.LatencySec)
-	_, err := c.collective(nil, cost)
+	_, err := c.collective(nil, c.barrierCost())
 	return err
 }
 
-// collBytes returns the timed size of a payload with an optional virtual
-// override.
-func collBytes(data []float64, vbytes int) int {
-	if vbytes > 0 {
-		return vbytes
-	}
-	return 8 * len(data)
+// barrierCost notes a barrier's messages on the rank's profile and returns
+// its cost.
+func (c *Ctx) barrierCost() float64 {
+	rounds := log2ceil(c.Size())
+	c.noteMsgs(rounds, 0)
+	return float64(rounds) * (2*c.cpuOverhead(0) + c.eng.w.Net.LatencySec)
 }
 
 // reduce returns the epoch's reduction of every rank's deposit with op,
@@ -162,8 +163,9 @@ func reduceInto(out []float64, payloads []any, op Op) ([]float64, error) {
 	return out, nil
 }
 
-// reduceCost is the recursive-doubling reduction cost: log₂n rounds, all n
-// ranks exchanging and combining b bytes per round.
+// reduceCost notes a reduction's messages on the rank's profile and returns
+// its recursive-doubling cost: log₂n rounds, all n ranks exchanging and
+// combining b bytes per round.
 func (c *Ctx) reduceCost(b int) float64 {
 	n := c.Size()
 	net := &c.eng.w.Net
@@ -186,7 +188,7 @@ func (c *Ctx) Allreduce(data []float64, op Op, vbytes int) ([]float64, error) {
 	if c.Size() == 1 {
 		return append([]float64(nil), data...), nil
 	}
-	snap, err := c.collective(c.snapshotPayload(data), c.reduceCost(collBytes(data, vbytes)))
+	snap, err := c.collective(c.snapshotPayload(data), c.reduceCost(timedBytes(len(data), vbytes)))
 	if err != nil {
 		return nil, err
 	}
@@ -211,14 +213,9 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 	if len(parts) != n {
 		return nil, fmt.Errorf("mpi: alltoall needs %d parts, got %d", n, len(parts))
 	}
-	if c.rec != nil {
-		c.rec.addAlltoall(parts, vbytesPerPair)
-	}
-	if n == 1 {
-		return [][]float64{c.snapshotPayload(parts[0])}, nil
-	}
 	// Time the exchange by its largest pairwise block (the round that
 	// limits the pairwise-exchange algorithm); an explicit override wins.
+	// The tape keeps this block size, not the parts.
 	b := vbytesPerPair
 	if b <= 0 {
 		for d, p := range parts {
@@ -227,10 +224,13 @@ func (c *Ctx) Alltoall(parts [][]float64, vbytesPerPair int) ([][]float64, error
 			}
 		}
 	}
-	c.noteMsgs(n-1, b)
-	net := &c.eng.w.Net
-	perRound := 2*c.cpuOverhead(b) + net.LatencySec + net.ContendedWireTime(b, n)
-	cost := float64(n-1) * perRound
+	if c.rec != nil {
+		c.rec.add(recOp{kind: opAlltoall, vbytes: b})
+	}
+	if n == 1 {
+		return [][]float64{c.snapshotPayload(parts[0])}, nil
+	}
+	cost := c.allPortsCost(b)
 	// Deposit copies are private to the snapshot while the epoch is live;
 	// collective() parks them and returns them to this rank's buffer cache
 	// once the next epoch proves all readers are gone. Their header comes
@@ -275,12 +275,7 @@ func (c *Ctx) Allgather(data []float64, vbytes int) ([][]float64, error) {
 	if n == 1 {
 		return [][]float64{c.snapshotPayload(data)}, nil
 	}
-	b := collBytes(data, vbytes)
-	c.noteMsgs(n-1, b)
-	net := &c.eng.w.Net
-	perRound := 2*c.cpuOverhead(b) + net.LatencySec + net.ContendedWireTime(b, n)
-	cost := float64(n-1) * perRound
-	snap, err := c.collective(c.snapshotPayload(data), cost)
+	snap, err := c.collective(c.snapshotPayload(data), c.allPortsCost(timedBytes(len(data), vbytes)))
 	if err != nil {
 		return nil, err
 	}
@@ -293,4 +288,15 @@ func (c *Ctx) Allgather(data []float64, vbytes int) ([][]float64, error) {
 		out[s] = c.snapshotPayload(v)
 	}
 	return out, nil
+}
+
+// allPortsCost notes the messages of an exchange in n−1 rounds of b bytes
+// with all n ports active, Alltoall's pairwise exchange and Allgather's
+// ring, on the rank's profile and returns its cost.
+func (c *Ctx) allPortsCost(b int) float64 {
+	n := c.Size()
+	c.noteMsgs(n-1, b)
+	net := &c.eng.w.Net
+	perRound := 2*c.cpuOverhead(b) + net.LatencySec + net.ContendedWireTime(b, n)
+	return float64(n-1) * perRound
 }

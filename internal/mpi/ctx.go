@@ -20,8 +20,8 @@ type Ctx struct {
 	rank int
 
 	// resume carries the execution token to this rank. The flags below are
-	// the rank's scheduling state, touched only by the token holder (see
-	// engine.go): queued marks the rank as present in the run heap, blocked
+	// the rank's scheduling state, touched only by the token holder, or by
+	// Replay's one goroutine (see engine.go): queued marks the rank as present in the run heap, blocked
 	// as parked inside a communication primitive, exited as having returned
 	// from its body, inSync as parked inside a collective epoch, and
 	// rdvWaiting/rdvDone carry a rendezvous sender's completion time from
@@ -172,12 +172,11 @@ func (c *Ctx) snapshotPayload(data []float64) []float64 {
 func newCtx(e *engine, rank int) *Ctx {
 	w := &e.w
 	c := &Ctx{
-		eng:    e,
-		rank:   rank,
-		resume: make(chan struct{}, 1),
-		state:  w.State,
-		meter:  power.NewMeter(w.Prof),
-		phase:  "main",
+		eng:   e,
+		rank:  rank,
+		state: w.State,
+		meter: power.NewMeter(w.Prof),
+		phase: "main",
 	}
 	if w.Faults.Enabled() {
 		c.faults = faults.NewRank(w.Faults, rank)

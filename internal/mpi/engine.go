@@ -24,6 +24,11 @@ import (
 // per-pair FIFO message order and collective epoch semantics must keep
 // TimelineCSV, energy totals, metric snapshots and fault-injection draw
 // sequences byte-identical to them.
+//
+// Replay (record.go) drives the same queues, heap and epochs from one
+// goroutine, without the token: a rank that would park is set aside on
+// the same condition (hasRoom, hasMail, a rendezvous or an epoch in
+// progress) and resumed from the heap when the event makes it runnable.
 
 // ErrDeadlock is returned by every parked rank when the engine finds all
 // live ranks blocked with no runnable work: a genuine communication
@@ -130,7 +135,6 @@ func newEngine(w World) *engine {
 		heap:   make([]evItem, 0, n),
 		queues: make(map[int]*evQueue),
 		live:   n,
-		finish: make(chan struct{}),
 	}
 	for i := range e.snaps {
 		e.snaps[i] = collSnapshot{payloads: make([]any, n)}
@@ -148,7 +152,9 @@ func newEngine(w World) *engine {
 // token to the first, and waits for the last to leave.
 func (e *engine) run(fn RankFunc) []error {
 	errs := make([]error, len(e.ctxs))
+	e.finish = make(chan struct{})
 	for rank, c := range e.ctxs {
+		c.resume = make(chan struct{}, 1)
 		//palint:ignore nakedgo -- coroutine fan-out: each goroutine writes only its own errs slot and all engine state is serialized by the execution token; the finish channel publishes the writes to Run
 		go func(rank int, c *Ctx) {
 			<-c.resume
@@ -324,20 +330,50 @@ func (e *engine) exit(c *Ctx) {
 //palint:hotpath
 func (e *engine) send(c *Ctx, dst int, m message) error {
 	q := e.queue(c.rank, dst)
-	for q.n == mailboxDepth {
-		q.sendWaiter = c.rank
+	for !e.hasRoom(c, q) {
 		if err := e.park(c); err != nil {
 			q.sendWaiter = -1
 			return err
 		}
 	}
+	e.put(q, m)
+	return nil
+}
+
+// hasRoom reports whether c may queue another message on q. When q holds
+// mailboxDepth messages, c becomes q's waiting sender instead.
+//
+//palint:hotpath
+func (e *engine) hasRoom(c *Ctx, q *evQueue) bool {
+	if q.n < mailboxDepth {
+		return true
+	}
+	q.sendWaiter = c.rank
+	return false
+}
+
+// hasMail reports whether q holds a message for c. When it is empty, c
+// becomes q's waiting receiver instead.
+//
+//palint:hotpath
+func (e *engine) hasMail(c *Ctx, q *evQueue) bool {
+	if q.n > 0 {
+		return true
+	}
+	q.waiter = c.rank
+	return false
+}
+
+// put enqueues m on q and makes the receiver waiting on q runnable.
+//
+//palint:hotpath
+func (e *engine) put(q *evQueue, m message) {
 	q.push(m)
 	if q.waiter >= 0 {
 		w := q.waiter
 		q.waiter = -1
 		e.makeRunnable(w)
 	}
-	return nil
 }
 
 // recv dequeues the next message from src, parking until one arrives.
@@ -345,20 +381,27 @@ func (e *engine) send(c *Ctx, dst int, m message) error {
 //palint:hotpath
 func (e *engine) recv(c *Ctx, src int) (message, error) {
 	q := e.queue(src, c.rank)
-	for q.n == 0 {
-		q.waiter = c.rank
+	for !e.hasMail(c, q) {
 		if err := e.park(c); err != nil {
 			q.waiter = -1
 			return message{}, err
 		}
 	}
+	return e.take(q), nil
+}
+
+// take dequeues q's next message and makes the sender waiting for room on
+// q runnable.
+//
+//palint:hotpath
+func (e *engine) take(q *evQueue) message {
 	m := q.pop()
 	if q.sendWaiter >= 0 {
 		s := q.sendWaiter
 		q.sendWaiter = -1
 		e.makeRunnable(s)
 	}
-	return m, nil
+	return m
 }
 
 // waitRendezvous parks the sender of a rendezvous message until the
@@ -413,6 +456,23 @@ func (e *engine) completeRendezvous(src int, doneAt float64) {
 //
 //palint:hotpath
 func (e *engine) deposit(c *Ctx, payload any) (*collSnapshot, error) {
+	snap := e.arrive(c, payload)
+	for c.inSync {
+		if err := e.park(c); err != nil {
+			c.inSync = false
+			return nil, err
+		}
+	}
+	return snap, nil
+}
+
+// arrive is deposit's arrival: it folds c into the epoch in progress and
+// returns the epoch's container. The last arrival completes the epoch and
+// makes every waiting participant runnable; an earlier one is left inSync
+// and must wait until then.
+//
+//palint:hotpath
+func (e *engine) arrive(c *Ctx, payload any) *collSnapshot {
 	snap := &e.snaps[e.epoch&1]
 	if e.arrived == 0 {
 		snap.entry, snap.reduced = 0, false
@@ -422,23 +482,17 @@ func (e *engine) deposit(c *Ctx, payload any) (*collSnapshot, error) {
 	}
 	snap.payloads[c.rank] = payload
 	e.arrived++
-	if e.arrived == e.w.N {
-		e.arrived = 0
-		e.epoch++
-		for rank, p := range e.ctxs {
-			if p.inSync {
-				p.inSync = false
-				e.makeRunnable(rank)
-			}
-		}
-		return snap, nil
+	if e.arrived < e.w.N {
+		c.inSync = true
+		return snap
 	}
-	c.inSync = true
-	for c.inSync {
-		if err := e.park(c); err != nil {
-			c.inSync = false
-			return nil, err
+	e.arrived = 0
+	e.epoch++
+	for rank, p := range e.ctxs {
+		if p.inSync {
+			p.inSync = false
+			e.makeRunnable(rank)
 		}
 	}
-	return snap, nil
+	return snap
 }

@@ -316,9 +316,9 @@ func TestReplayReissuesNoOpSetPState(t *testing.T) {
 // neither the kernels nor chaosProgram reach: Max reductions, Alltoall and
 // Allgather with uneven lengths, gear switches and vbytes overrides. It
 // never branches on the frequency, and each SetPState switches the gear
-// whether the run started at 600 or 1400 MHz. The second Alltoall's part
-// lengths follow the first's on the tape and set its timed block size, so a
-// replay that misreads where they start times it differently.
+// whether the run started at 600 or 1400 MHz. The second Alltoall has no
+// override, so its uneven part lengths set its timed block size, which the
+// tape must carry.
 func everyOpProgram(c *Ctx) error {
 	n, r := c.Size(), c.Rank()
 	buf := make([]float64, 8)

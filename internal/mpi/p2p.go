@@ -6,11 +6,13 @@ import (
 	"pasp/internal/trace"
 )
 
-// message is one point-to-point transfer in flight.
+// message is one point-to-point transfer in flight. Replay queues
+// messages without data: their timing fields are all a receiver reads.
 type message struct {
-	tag    int
-	data   []float64
-	vbytes int
+	tag  int
+	data []float64
+	// bytes is the size used for timing (see timedBytes).
+	bytes int
 	// arrival is when the last byte reaches the receiver's port (eager
 	// protocol), already including the sender's egress serialization and
 	// the wire latency.
@@ -27,13 +29,13 @@ type message struct {
 	exchange bool
 }
 
-// Bytes returns the size used for timing: the virtual byte count when set,
-// otherwise 8 bytes per float64 of payload.
-func (m message) Bytes() int {
-	if m.vbytes > 0 {
-		return m.vbytes
+// timedBytes returns the size a payload of n float64s is timed at: the
+// virtual byte count when positive, otherwise 8 bytes per element.
+func timedBytes(n, vbytes int) int {
+	if vbytes > 0 {
+		return vbytes
 	}
-	return 8 * len(m.data)
+	return 8 * n
 }
 
 // msgFaultDelays draws the chaos perturbation of one received message and
@@ -77,33 +79,39 @@ func (c *Ctx) Send(dst, tag int, data []float64, vbytes int) error {
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opSend, peer: dst, tag: tag, nlen: len(data), vbytes: vbytes})
 	}
+	m := c.post(tag, timedBytes(len(data), vbytes))
 	// MPI semantics: the send buffer is the caller's again as soon as Send
 	// returns, so the payload must be snapshotted here — senders routinely
 	// reuse (and mutate) their buffers immediately.
-	m := message{tag: tag, data: c.snapshotPayload(data), vbytes: vbytes}
-	b := m.Bytes()
+	m.data = c.snapshotPayload(data)
+	if err := c.eng.send(c, dst, m); err != nil {
+		return err
+	}
+	if !m.rendezvous {
+		return c.advanceComm(m.ready)
+	}
+	// Park until the receiver reports the sender-side completion time.
+	doneAt, err := c.eng.waitRendezvous(c)
+	if err != nil {
+		return err
+	}
+	return c.rendezvousDone(doneAt)
+}
+
+// post prices an outgoing point-to-point message of b timed bytes and
+// notes it on the rank's profile; the caller queues it. The message is
+// ready once the sender's stack work is done. A rendezvous message moves
+// only when its receiver arrives. An eager one is injected as soon as the
+// stack work is done and the egress port is free, and it arrives a wire
+// time and a latency later; its sender returns at ready.
+func (c *Ctx) post(tag, b int) message {
 	c.noteMsgs(1, b)
 	net := &c.eng.w.Net
-	o := c.cpuOverhead(b)
-	m.ready = c.clock + o
-
+	m := message{tag: tag, bytes: b, ready: c.clock + c.cpuOverhead(b)}
 	if net.Rendezvous(b) {
 		m.rendezvous = true
-		// Enqueue, then park until the receiver reports the sender-side
-		// completion time.
-		if err := c.eng.send(c, dst, m); err != nil {
-			return err
-		}
-		doneAt, err := c.eng.waitRendezvous(c)
-		if err != nil {
-			return err
-		}
-		c.egressFree = doneAt
-		return c.advanceComm(doneAt)
+		return m
 	}
-
-	// Eager: inject as soon as both the stack work is done and the port is
-	// free; the sender returns after its CPU overhead.
 	injectStart := m.ready
 	if c.egressFree > injectStart {
 		injectStart = c.egressFree
@@ -111,10 +119,15 @@ func (c *Ctx) Send(dst, tag int, data []float64, vbytes int) error {
 	injectEnd := injectStart + net.WireTime(b)
 	c.egressFree = injectEnd
 	m.arrival = injectEnd + net.LatencySec
-	if err := c.eng.send(c, dst, m); err != nil {
-		return err
-	}
-	return c.advanceComm(m.ready)
+	return m
+}
+
+// rendezvousDone finishes a rendezvous send at doneAt, the sender-side
+// completion time its receiver reported: the sender streamed the data
+// until then, so its port and clock both move there.
+func (c *Ctx) rendezvousDone(doneAt float64) error {
+	c.egressFree = doneAt
+	return c.advanceComm(doneAt)
 }
 
 // Recv receives the next message from rank src, which must carry the given
@@ -140,10 +153,20 @@ func (c *Ctx) recvTimed(src, tag int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.tag != tag {
-		return nil, fmt.Errorf("mpi: rank %d expected tag %d from rank %d, got %d", c.rank, tag, src, m.tag)
+	if err := c.deliver(src, tag, &m); err != nil {
+		return nil, err
 	}
-	b := m.Bytes()
+	return m.data, nil
+}
+
+// deliver times the receipt of m, the next message dequeued from src,
+// which must carry tag. A rendezvous sender learns its completion time
+// from here.
+func (c *Ctx) deliver(src, tag int, m *message) error {
+	if m.tag != tag {
+		return fmt.Errorf("mpi: rank %d expected tag %d from rank %d, got %d", c.rank, tag, src, m.tag)
+	}
+	b := m.bytes
 	net := &c.eng.w.Net
 	or := c.cpuOverhead(b)
 	wire := net.WireTime(b)
@@ -179,12 +202,9 @@ func (c *Ctx) recvTimed(src, tag int) ([]float64, error) {
 	}
 	c.ingressBusy = end + backoff + stretch
 	if err := c.advanceComm(end + or); err != nil {
-		return nil, err
+		return err
 	}
-	if err := c.chargeMsgFaults(backoff, stretch); err != nil {
-		return nil, err
-	}
-	return m.data, nil
+	return c.chargeMsgFaults(backoff, stretch)
 }
 
 // SendRecv exchanges messages with two (possibly equal) peers: data goes to
@@ -198,11 +218,8 @@ func (c *Ctx) SendRecv(dst, src, tag int, data []float64, vbytes int) ([]float64
 	if c.rec != nil {
 		c.rec.add(recOp{kind: opSendRecv, peer: dst, peer2: src, tag: tag, nlen: len(data), vbytes: vbytes})
 	}
-	net := &c.eng.w.Net
-	out := message{tag: tag, data: c.snapshotPayload(data), vbytes: vbytes, exchange: true}
-	c.noteMsgs(1, out.Bytes())
-	out.ready = c.clock + c.cpuOverhead(out.Bytes())
-	c.egressFree = out.ready + net.WireTime(out.Bytes())
+	out := c.exchangeOut(tag, timedBytes(len(data), vbytes))
+	out.data = c.snapshotPayload(data)
 	if err := c.eng.send(c, dst, out); err != nil {
 		return nil, err
 	}
@@ -215,4 +232,14 @@ func (c *Ctx) SendRecv(dst, src, tag int, data []float64, vbytes int) ([]float64
 	// CPU overhead already folded into out.ready (covered because the
 	// exchange completion takes the max of both ready times at the peer).
 	return got, nil
+}
+
+// exchangeOut prices SendRecv's outgoing message of b timed bytes and
+// notes it on the rank's profile; the caller queues it. It is ready after
+// the sender's stack work and holds the egress port for its wire time.
+func (c *Ctx) exchangeOut(tag, b int) message {
+	c.noteMsgs(1, b)
+	m := message{tag: tag, bytes: b, exchange: true, ready: c.clock + c.cpuOverhead(b)}
+	c.egressFree = m.ready + c.eng.w.Net.WireTime(b)
+	return m
 }

@@ -19,20 +19,22 @@ import (
 // So a sweep over them does not need to execute the kernel's arithmetic
 // once per cell: execute it once, record each rank's operation stream
 // (phase transitions, compute work, message and collective shapes), and
-// re-time the stream through the exact same public Ctx API in the other
-// worlds with placeholder payloads. Replay runs the identical timing,
-// counter, energy, fault-injection and trace code, so its Result is
-// bit-identical to a direct run in that world — a property pinned by
-// TestReplayMatchesDirect, for every operation kind by
-// TestReplayEveryOpKind, and for the quick-suite kernels under other fault
-// magnitudes and chaos seeds by TestReplayAcrossFaultAxes
-// (internal/experiments). The chaos harness stays replayable because its
-// draws are a pure function of (seed, rank, draw index) and the per-rank
-// draw counts depend on the program alone: Message consumes a fixed number
-// of draws per received message, plus one per retry, which the seed and
-// drop knobs decide, never the clock; Collective a fixed number per
-// collective. A tape recorded clean or under one seed therefore re-times
-// under any fault magnitude or seed.
+// re-time the streams in the other worlds. Replay walks the N tapes on one
+// goroutine and moves no payloads, but it times every operation with the
+// Ctx code a direct run uses: SetPhase, SetPState and Compute as they are,
+// and each blocking call's halves on either side of its wait. So its
+// Result is bit-identical to a direct run in that world, a property pinned
+// by TestReplayMatchesDirect, for every operation kind by
+// TestReplayEveryOpKind, for generated programs by FuzzReplay, and for the
+// quick-suite kernels under other fault magnitudes and chaos seeds and on
+// other platforms by TestReplayAcrossFaultAxes and
+// TestReplayAcrossPlatforms (internal/experiments). The chaos harness
+// stays replayable because its draws are a pure function of (seed, rank,
+// draw index) and the per-rank draw counts depend on the program alone:
+// Message consumes a fixed number of draws per received message, plus one
+// per retry, which the seed and drop knobs decide, never the clock;
+// Collective a fixed number per collective. A tape recorded clean or under
+// one seed therefore re-times under any fault magnitude or seed.
 //
 // SetPState is recorded per call, not per switch: a call that leaves the
 // state unchanged at the recording gear can switch at another one, so
@@ -47,8 +49,8 @@ import (
 // tapes allocates 89 B per op, side tables included; growing one op array
 // by append allocated 251 B. What varies in size lives in per-rank side
 // tables the op indexes: compute mixes and P-states in the order recorded,
-// phase labels interned once per tape, and one arena of the Alltoall part
-// lengths.
+// and phase labels interned once per tape. An Alltoall keeps the block
+// size it is timed by, not its N part lengths.
 //
 // What recording refuses: an OnPhase hook (a DVFS scheduler's decisions
 // need not be frequency-independent; Run rejects the combination). What it
@@ -88,15 +90,15 @@ type recOp struct {
 	// SendRecv's source.
 	peer, peer2 int
 	tag         int
-	// nlen is the payload length in float64s, or for opAlltoall the number
-	// of part lengths recorded at lens[ref:]; vbytes is the virtual-size
-	// override passed through unchanged.
+	// nlen is the payload length in float64s and vbytes the virtual-size
+	// override passed through unchanged; together they give the timed size
+	// (timedBytes). An opAlltoall keeps its resolved block size in vbytes
+	// and a zero nlen.
 	nlen   int
 	vbytes int
 	// ref is kind-dependent: the index of the label in phases (opPhase),
 	// of the operating point in states (opPState) or of the mix in work
-	// (opCompute), the offset of the first part length in lens
-	// (opAlltoall), or the reduction Op (opAllreduce).
+	// (opCompute), or the reduction Op (opAllreduce).
 	ref int
 }
 
@@ -106,8 +108,6 @@ type rankTape struct {
 	ops    [][]recOp
 	work   []machine.Work
 	states []power.PState
-	// lens is the arena of every Alltoall part length, in recording order.
-	lens []int
 	// phases holds each distinct phase label once, in first-use order, and
 	// phaseRef maps a label to its index: a kernel cycles through a few
 	// labels thousands of times.
@@ -138,15 +138,6 @@ func (t *rankTape) addPState(st power.PState) {
 func (t *rankTape) addCompute(w machine.Work) {
 	t.add(recOp{kind: opCompute, ref: len(t.work)})
 	t.work = append(t.work, w)
-}
-
-// addAlltoall records an Alltoall: the per-destination part lengths go to
-// the lens arena, where the op's ref and nlen find them.
-func (t *rankTape) addAlltoall(parts [][]float64, vbytes int) {
-	t.add(recOp{kind: opAlltoall, nlen: len(parts), vbytes: vbytes, ref: len(t.lens)})
-	for _, p := range parts {
-		t.lens = append(t.lens, len(p))
-	}
 }
 
 // Recording captures the operation streams of exactly one run (attach via
@@ -252,11 +243,12 @@ func (r *Recording) CommLog() [][]trace.CommEvent {
 // Replay re-times a recorded run under w — the recording's world at
 // another P-state, on another platform's timing models or under another
 // fault config (magnitude or seed) — without executing any kernel code. It
-// returns the same Result a direct run of the original RankFunc under w
-// would: the replayed stream passes through the identical timing, energy,
-// fault and trace paths, with placeholder payloads standing in for the
-// data (payload values never influence timing). Replay only reads rec, so
-// concurrent replays of one recording are safe.
+// returns the same Result, and leaves the same contents in w.Metrics, as a
+// direct run of the original RankFunc under w would: it walks the tapes on
+// the calling goroutine, times each op with the Ctx code a direct run
+// uses, and carries byte counts instead of payloads (payload values never
+// influence timing). Replay only reads rec, so concurrent replays of one
+// recording are safe.
 func Replay(w World, rec *Recording) (*Result, error) {
 	if !rec.Complete() {
 		return nil, errors.New("mpi: Replay needs a Recording completed by a successful run")
@@ -267,93 +259,142 @@ func Replay(w World, rec *Recording) (*Result, error) {
 	if w.OnPhase != nil {
 		return nil, errors.New("mpi: cannot replay into a world with an OnPhase hook")
 	}
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
 	w.Record = nil
 	w.traceHint = rec.events
-	return Run(w, rec.replayRank)
+	e := newEngine(w)
+	if err := e.replay(rec.tapes); err != nil {
+		return nil, err
+	}
+	return e.result(), nil
 }
 
-// replayRank is the RankFunc that re-issues one rank's tape. One scratch
-// buffer stands in for every payload: collectives and sends snapshot their
-// inputs, so sharing it between operations is safe, and the buffers the
-// kernels' loop collectives return are recycled so replay's allocation
-// profile stays flat like the kernels'.
-func (rec *Recording) replayRank(c *Ctx) error {
-	t := &rec.tapes[c.Rank()]
-	maxLen := 0
-	for _, chunk := range t.ops {
-		for i := range chunk {
-			if o := &chunk[i]; o.kind != opAlltoall {
-				maxLen = max(maxLen, o.nlen)
-			}
+// replayPos is one rank's place in its tape: the op it runs next, and
+// whether that op's first half is done — its message queued or its
+// collective epoch joined at cost, in container snap.
+type replayPos struct {
+	chunk, i int
+	half     bool
+	cost     float64
+	snap     *collSnapshot
+}
+
+// replay runs the tapes to their ends on the calling goroutine. A rank
+// runs until an op must wait — for a message on an empty queue, for room
+// on a full one (mailboxDepth), for a rendezvous receiver to take its
+// message, or for the rest of a collective epoch — and is then set aside
+// on that event, exactly where the engine would park it. The event makes
+// it runnable again, and it retries the same op. Runnable ranks resume in
+// the engine's (clock, rank) order, though any order gives the same bits:
+// a rank's timing depends only on its own program order, per-pair FIFO
+// order and the membership of each collective epoch. When no rank is
+// runnable but some have not finished, the tapes deadlock.
+func (e *engine) replay(tapes []rankTape) error {
+	pos := make([]replayPos, len(tapes))
+	for rank := range e.ctxs {
+		e.makeRunnable(rank)
+	}
+	for len(e.heap) > 0 {
+		rank := int(e.heapPop().rank)
+		c := e.ctxs[rank]
+		c.queued = false
+		if err := e.resume(c, &tapes[rank], &pos[rank]); err != nil {
+			return fmt.Errorf("rank %d: %w", rank, err)
 		}
 	}
-	for _, l := range t.lens {
-		maxLen = max(maxLen, l)
-	}
-	scratch := make([]float64, maxLen)
-	var parts [][]float64
-	for _, chunk := range t.ops {
-		for i := range chunk {
-			o := &chunk[i]
-			switch o.kind {
-			case opPhase:
-				c.SetPhase(t.phases[o.ref])
-			case opPState:
-				c.SetPState(t.states[o.ref])
-			case opCompute:
-				if err := c.Compute(t.work[o.ref]); err != nil {
-					return err
-				}
-			case opSend:
-				if err := c.Send(o.peer, o.tag, scratch[:o.nlen], o.vbytes); err != nil {
-					return err
-				}
-			case opRecv:
-				got, err := c.Recv(o.peer, o.tag)
-				if err != nil {
-					return err
-				}
-				c.Free(got)
-			case opSendRecv:
-				got, err := c.SendRecv(o.peer, o.peer2, o.tag, scratch[:o.nlen], o.vbytes)
-				if err != nil {
-					return err
-				}
-				c.Free(got)
-			case opBarrier:
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-			case opAllreduce:
-				got, err := c.Allreduce(scratch[:o.nlen], Op(o.ref), o.vbytes)
-				if err != nil {
-					return err
-				}
-				c.Free(got)
-			case opAlltoall:
-				parts = parts[:0]
-				for _, l := range t.lens[o.ref : o.ref+o.nlen] {
-					parts = append(parts, scratch[:l])
-				}
-				outs, err := c.Alltoall(parts, o.vbytes)
-				if err != nil {
-					return err
-				}
-				for _, b := range outs {
-					c.Free(b)
-				}
-			case opAllgather:
-				outs, err := c.Allgather(scratch[:o.nlen], o.vbytes)
-				if err != nil {
-					return err
-				}
-				for _, b := range outs {
-					c.Free(b)
-				}
-			default:
-				return fmt.Errorf("mpi: replay: unknown operation kind %d", o.kind)
-			}
+	for rank, c := range e.ctxs {
+		if !c.exited {
+			return fmt.Errorf("rank %d: %w", rank, ErrDeadlock)
 		}
 	}
 	return nil
+}
+
+// resume runs c's tape from p until an op must wait or the tape ends.
+func (e *engine) resume(c *Ctx, t *rankTape, p *replayPos) error {
+	for ; p.chunk < len(t.ops); p.chunk, p.i = p.chunk+1, 0 {
+		for ops := t.ops[p.chunk]; p.i < len(ops); p.i++ {
+			if wait, err := e.replayOp(c, t, &ops[p.i], p); wait || err != nil {
+				return err
+			}
+		}
+	}
+	c.exited = true
+	return nil
+}
+
+// replayOp runs op o of c's tape, resuming after its first half when
+// p.half is set, and reports whether c must wait for an event first.
+func (e *engine) replayOp(c *Ctx, t *rankTape, o *recOp, p *replayPos) (wait bool, err error) {
+	switch o.kind {
+	case opPhase:
+		c.SetPhase(t.phases[o.ref])
+	case opPState:
+		c.SetPState(t.states[o.ref])
+	case opCompute:
+		err = c.Compute(t.work[o.ref])
+	case opSend:
+		if !p.half {
+			q := e.queue(c.rank, o.peer)
+			if !e.hasRoom(c, q) {
+				return true, nil
+			}
+			m := c.post(o.tag, timedBytes(o.nlen, o.vbytes))
+			e.put(q, m)
+			if !m.rendezvous {
+				return false, c.advanceComm(m.ready)
+			}
+			c.rdvWaiting, p.half = true, true
+		}
+		if c.rdvWaiting {
+			return true, nil
+		}
+		p.half = false
+		err = c.rendezvousDone(c.rdvDone)
+	case opRecv, opSendRecv:
+		src := o.peer
+		if o.kind == opSendRecv {
+			src = o.peer2
+			if !p.half {
+				q := e.queue(c.rank, o.peer)
+				if !e.hasRoom(c, q) {
+					return true, nil
+				}
+				e.put(q, c.exchangeOut(o.tag, timedBytes(o.nlen, o.vbytes)))
+				p.half = true
+			}
+		}
+		q := e.queue(src, c.rank)
+		if !e.hasMail(c, q) {
+			return true, nil
+		}
+		p.half = false
+		m := e.take(q)
+		err = c.deliver(src, o.tag, &m)
+	case opBarrier, opAllreduce, opAlltoall, opAllgather:
+		if e.w.N == 1 {
+			return false, nil // a one-rank collective costs nothing
+		}
+		if !p.half {
+			switch o.kind {
+			case opBarrier:
+				p.cost = c.barrierCost()
+			case opAllreduce:
+				p.cost = c.reduceCost(timedBytes(o.nlen, o.vbytes))
+			default:
+				p.cost = c.allPortsCost(timedBytes(o.nlen, o.vbytes))
+			}
+			p.snap, p.half = e.arrive(c, nil), true
+		}
+		if c.inSync {
+			return true, nil
+		}
+		p.half = false
+		err = c.collDone(p.snap.entry, p.cost)
+	default:
+		err = fmt.Errorf("mpi: replay: unknown operation kind %d", o.kind)
+	}
+	return false, err
 }

@@ -254,11 +254,17 @@ func Run(w World, fn RankFunc) (*Result, error) {
 	if w.Record != nil {
 		w.Record.finish(e.ctxs)
 	}
-	res := aggregate(w, e.ctxs)
-	if w.Metrics != nil {
-		observeRun(w, e.ctxs, res)
+	return e.result(), nil
+}
+
+// result aggregates the finished ranks and fills the world's metrics
+// registry, if it has one.
+func (e *engine) result() *Result {
+	res := aggregate(e.w, e.ctxs)
+	if e.w.Metrics != nil {
+		observeRun(e.w, e.ctxs, res)
 	}
-	return res, nil
+	return res
 }
 
 func aggregate(w World, ctxs []*Ctx) *Result {
@@ -290,7 +296,6 @@ func aggregate(w World, ctxs []*Ctx) *Result {
 		res.RankCounters[i] = c.counters
 		res.Counters.Add(c.counters)
 	}
-	res.Trace = trace.Merge(logs...)
-	res.Phases = res.Trace.ByPhase()
+	res.Trace, res.Phases = trace.MergeByPhase(logs...)
 	return res
 }

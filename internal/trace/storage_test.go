@@ -204,8 +204,9 @@ func TestLogBytesPerEvent(t *testing.T) {
 // FuzzMerge decodes its input into up to eight per-rank logs whose events
 // may be out of order and span chunk boundaries, and checks that Merge
 // returns their stable sort by (rank, start), that Len counts every event,
-// that ByPhase adds each event's duration in merged order, bit for bit, and
-// that a later Append to an input leaves the merged log as it was.
+// that ByPhase adds each event's duration in merged order, bit for bit,
+// that MergeByPhase returns the same log and sums, and that a later Append
+// to an input leaves the merged log as it was.
 // Each four-byte record appends a run of up to 63 events to one log, so a
 // short input crosses chunks; records past the 32nd are ignored, which
 // bounds a run at about 2,000 events.
@@ -245,6 +246,11 @@ func FuzzMerge(f *testing.F) {
 			t.Fatal("merged events are not the stable sort by (rank, start)")
 		}
 		requireBitEqual(t, "merged ByPhase", m.ByPhase(), flatByPhase(want))
+		mp, phases := MergeByPhase(logs...)
+		if !slices.Equal(mp.Events(), want) {
+			t.Fatal("MergeByPhase's events are not the stable sort by (rank, start)")
+		}
+		requireBitEqual(t, "MergeByPhase", phases, flatByPhase(want))
 		logs[0].Append(Event{Rank: 7, Phase: "late", Start: 1e9, End: 1e9})
 		if !slices.Equal(m.Events(), want) {
 			t.Fatal("an Append to an input after Merge changed the merged log")

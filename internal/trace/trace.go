@@ -173,6 +173,29 @@ func (l *Log) Validate() error {
 // allocates a chunk of its own and neither sees the other's events. Input
 // out of order is copied into one new chunk and stable-sorted.
 func Merge(logs ...*Log) *Log {
+	out := link(logs)
+	if !out.ordered() {
+		out.sortEvents()
+	}
+	return out
+}
+
+// MergeByPhase returns Merge(logs...) and its ByPhase, bit for bit. When
+// the inputs are in order it reads each event once, checking the order
+// and adding the event to its phase's sum in the same walk; only input out
+// of order is sorted and then read again.
+func MergeByPhase(logs ...*Log) (*Log, map[string]float64) {
+	out := link(logs)
+	phases, ok := out.orderedByPhase()
+	if !ok {
+		out.sortEvents()
+		phases = out.ByPhase()
+	}
+	return out, phases
+}
+
+// link returns a log of the inputs' chunks, each capped at its length.
+func link(logs []*Log) *Log {
 	out := &Log{}
 	for _, l := range logs {
 		for _, c := range l.chunks {
@@ -181,12 +204,15 @@ func Merge(logs ...*Log) *Log {
 			}
 		}
 	}
-	if !out.ordered() {
-		ev := append([]Event(nil), out.Events()...)
-		sort.SliceStable(ev, func(a, b int) bool { return eventBefore(&ev[a], &ev[b]) })
-		out.chunks = [][]Event{ev}
-	}
 	return out
+}
+
+// sortEvents replaces the log's chunks with one chunk of its events, stably
+// sorted by (rank, start time).
+func (l *Log) sortEvents() {
+	ev := append([]Event(nil), l.Events()...)
+	sort.SliceStable(ev, func(a, b int) bool { return eventBefore(&ev[a], &ev[b]) })
+	l.chunks = [][]Event{ev}
 }
 
 // ordered reports whether no event comes before its predecessor.
@@ -201,6 +227,42 @@ func (l *Log) ordered() bool {
 		}
 	}
 	return true
+}
+
+// orderedByPhase is ordered and ByPhase in one walk: it returns the
+// summed duration per phase, added in log order, or false at the first
+// event that comes before its predecessor. Each phase sums in a slot of
+// its own, found by map lookup only when the label changes from the
+// previous event's: every slot receives its events in log order, as
+// ByPhase's map entries do, so the sums are the same bits.
+func (l *Log) orderedByPhase() (map[string]float64, bool) {
+	slot := map[string]int{}
+	var sums []float64
+	var prev *Event
+	cur := -1
+	for _, c := range l.chunks {
+		for i := range c {
+			e := &c[i]
+			if prev != nil && eventBefore(e, prev) {
+				return nil, false
+			}
+			if cur < 0 || e.Phase != prev.Phase {
+				var ok bool
+				if cur, ok = slot[e.Phase]; !ok {
+					cur = len(sums)
+					slot[e.Phase] = cur
+					sums = append(sums, 0)
+				}
+			}
+			sums[cur] += e.Duration()
+			prev = e
+		}
+	}
+	m := make(map[string]float64, len(slot))
+	for p, i := range slot {
+		m[p] = sums[i]
+	}
+	return m, true
 }
 
 // eventBefore orders events by (rank, start time).

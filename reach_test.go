@@ -27,6 +27,7 @@ var keptUnreached = map[string]string{
 	"pasp/internal/core.KarpFlatt":         "Karp–Flatt, held against SP's Eq. 17 overhead by TestKarpFlattTwinEq17",
 
 	"pasp/internal/experiments.Suite.ScaledEP": "the scaled twin of Eq. 12; grid_loops.golden pins it",
+	"pasp/internal/mpi.Ctx.Barrier":            "the runtime's barrier primitive, which no NPB kernel calls; TestReplayEveryOpKind and FuzzReplay hold its direct runs to replay",
 	"pasp/internal/simnet.Config.PointToPoint": "the network's closed form, which TestPingPongMatchesModel holds the simulated ping-pong against",
 	"pasp/internal/trace.Log.Validate":         "the trace tests' ordering check",
 	"pasp/internal/obs.EventLog.SetClock":      "the seam tests use to substitute a clock",
