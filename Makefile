@@ -6,6 +6,7 @@
 #                                packages, go vet, the domain linter palint,
 #                                and gofmt cleanliness) plus perfbench-check
 #                                (vet and unit tests of the benchmark module)
+#                                and examples (each example run end to end)
 
 GO ?= go
 
@@ -40,12 +41,10 @@ race:
 # go vet plus palint, the repo's domain-aware analyzer: the v1 per-file
 # checks (unguarded float division, exact float comparison, dropped
 # model-API errors, unsynchronized goroutine writes, unitcheck's
-# dimensional analysis), the v3 interprocedural passes (detsource
-# nondeterminism tainting and map-order output, ownfree payload ownership,
-# atomicmix synchronization discipline, hotalloc hot-path allocation
-# budgets) and the v4 communication passes (commshape rank-dependent
-# collectives, phasebal phase discipline, deadlock symbolic rendezvous
-# simulation).
+# dimensional analysis) and the v3 interprocedural passes (detsource
+# nondeterminism tainting, map-order output and map-order float sums,
+# ownfree payload ownership, atomicmix synchronization discipline,
+# hotalloc hot-path allocation budgets).
 # Suppressions live in the source as //palint:ignore comments with
 # mandatory reasons; the full finding set — suppressed entries and their
 # reasons included — lands in $(LINTJSON), which CI uploads per run.
@@ -176,7 +175,7 @@ serve-smoke:
 	[ $$status -eq 0 ] || exit 1; \
 	echo "serve-smoke OK"
 
-verify: build test lint fmt-check race perfbench-check
+verify: build test lint fmt-check race perfbench-check examples
 
 # Non-test Go lines: the size figure ROADMAP.md and CHANGES.md track.
 # Benchmark build output, the perfbench module and test fixtures are not

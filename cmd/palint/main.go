@@ -7,10 +7,9 @@
 // unlike-dimension arithmetic, bare scale literals), the v3
 // interprocedural passes: nondeterminism-source tainting (detsource),
 // freelist payload ownership (ownfree), mixed synchronization disciplines
-// (atomicmix) and hot-path allocation budgets (hotalloc), and the v4
-// communication passes: rank-dependent collectives and phase transitions
-// (commshape), phase discipline (phasebal) and symbolic rendezvous
-// simulation at N ∈ {2, 4, 8} (deadlock).
+// (atomicmix) and hot-path allocation budgets (hotalloc). The message
+// protocol of the rank programs is checked at run time, not here: the
+// engine's ErrDeadlock and the recorded comm-log goldens catch it.
 //
 // Usage:
 //

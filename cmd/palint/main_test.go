@@ -172,15 +172,14 @@ func TestJSONEmptyArrayOnCleanRun(t *testing.T) {
 
 // TestTreeClean is the acceptance gate for the interprocedural passes: the
 // repository itself must carry zero active findings from the v3 passes
-// (detsource, ownfree, atomicmix, hotalloc) and the communication passes
-// (commshape, phasebal, deadlock) — every remaining hit is suppressed with
-// a reason.
+// (detsource, ownfree, atomicmix, hotalloc) — every remaining hit is
+// suppressed with a reason.
 func TestTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide type-check is slow; run without -short")
 	}
 	stdout, stderr, code := runPalint(t,
-		"-only", "detsource,ownfree,atomicmix,hotalloc,commshape,phasebal,deadlock", "./...")
+		"-only", "detsource,ownfree,atomicmix,hotalloc", "./...")
 	if code != 0 {
 		t.Errorf("interprocedural passes over ./...: exit %d, want 0\nstdout: %s\nstderr: %s", code, stdout, stderr)
 	}
@@ -266,14 +265,11 @@ func TestOutputDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		t.Skip("runs the binary repeatedly; skip under -short")
 	}
 	run := func(procs string) string {
-		cmd := exec.Command(palintBin, "-only", "detsource,ownfree,atomicmix,hotalloc,commshape,phasebal,deadlock",
+		cmd := exec.Command(palintBin, "-only", "detsource,ownfree,atomicmix,hotalloc",
 			"internal/analysis/testdata/src/detsource",
 			"internal/analysis/testdata/src/ownfree",
 			"internal/analysis/testdata/src/atomicmix",
-			"internal/analysis/testdata/src/hotalloc",
-			"internal/analysis/testdata/src/commshape",
-			"internal/analysis/testdata/src/phasebal",
-			"internal/analysis/testdata/src/deadlock")
+			"internal/analysis/testdata/src/hotalloc")
 		cmd.Dir = filepath.Join("..", "..")
 		cmd.Env = append(os.Environ(), "GOMAXPROCS="+procs)
 		var out strings.Builder

@@ -43,8 +43,6 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		AtomicMix,
-		CommShape,
-		Deadlock,
 		DetSource,
 		DroppedErr,
 		FloatDiv,
@@ -52,7 +50,6 @@ func All() []*Analyzer {
 		HotAlloc,
 		NakedGo,
 		OwnFree,
-		PhaseBal,
 		UnitCheck,
 	}
 }

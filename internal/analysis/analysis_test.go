@@ -3,6 +3,7 @@ package analysis
 import (
 	"flag"
 	"fmt"
+	"go/types"
 	"os"
 	"path/filepath"
 	"strings"
@@ -251,5 +252,66 @@ func TestRepoClean(t *testing.T) {
 	active := Active(Run(pkgs, All()))
 	for _, d := range active {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestMPIVocabularyMatchesRuntime: palint names mpi calls by method name,
+// so every name ownfree's producerMethods classifies, and every method of
+// the testdata stub the ownfreempi fixture calls through, must be a method
+// of the real runtime's *mpi.Ctx. An entry that outlives the call it names
+// fails here.
+func TestMPIVocabularyMatchesRuntime(t *testing.T) {
+	const runtimePath, stubPath = "pasp/internal/mpi", "pasp/internal/analysis/testdata/src/mpistub"
+	pkgs, err := Load(repoRoot(t), []string{"internal/mpi", "internal/analysis/testdata/src/mpistub"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	methods := map[string]map[string]bool{}
+	for _, p := range pkgs {
+		for _, e := range p.TypeErrors {
+			t.Errorf("%s: type error: %v", p.Path, e)
+		}
+		ctx, ok := p.Types.Scope().Lookup("Ctx").(*types.TypeName)
+		if !ok {
+			t.Fatalf("%s declares no Ctx type", p.Path)
+		}
+		names := map[string]bool{}
+		ms := types.NewMethodSet(types.NewPointer(ctx.Type()))
+		for i := 0; i < ms.Len(); i++ {
+			if m := ms.At(i).Obj(); m.Exported() {
+				names[m.Name()] = true
+			}
+		}
+		methods[p.Path] = names
+	}
+	runtime, stub := methods[runtimePath], methods[stubPath]
+	if len(runtime) == 0 || len(stub) == 0 {
+		t.Fatalf("no exported Ctx methods loaded for %s or %s", runtimePath, stubPath)
+	}
+	for name := range producerMethods {
+		if !runtime[name] {
+			t.Errorf("producerMethods names %s, which *mpi.Ctx does not have", name)
+		}
+	}
+	for name := range stub {
+		if !runtime[name] {
+			t.Errorf("the mpistub Ctx has %s, which *mpi.Ctx does not have", name)
+		}
+	}
+}
+
+// BenchmarkPalintTree measures the full suite over the repository, the
+// configuration `make lint` runs. Loading is excluded: the benchmark
+// isolates analysis cost.
+func BenchmarkPalintTree(b *testing.B) {
+	wd, err := Load("../..", []string{"./..."})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if diags := Run(wd, All()); len(Active(diags)) != 0 {
+			b.Fatalf("tree not clean: %d active findings", len(Active(diags)))
+		}
 	}
 }

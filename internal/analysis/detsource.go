@@ -37,6 +37,10 @@ through any chain of module-internal calls:
   - map iteration whose body feeds formatted output (any fmt call but
     Errorf, or a table row / strings.Builder / io writer method), which
     emits report rows in randomized order; range over sorted keys instead
+  - a float +=, -= or *= inside map iteration: float arithmetic is not
+    associative, so the result's last bits follow the randomized order;
+    sum over sorted keys or an already sorted slice instead (integer sums
+    are fine)
   - %v / %+v / %#v rendering of a type that transitively contains a
     pointer, func or chan (fmt prints their addresses, which differ every
     run — the store-fingerprint leak), checked through helpers that
@@ -57,6 +61,12 @@ func report(w io.Writer, m map[string]float64) {
 	for name, v := range m { // flagged: random row order
 		fmt.Fprintf(w, "%s: %g\n", name, v)
 	}
+}
+func total(m map[string]float64) (sum float64) {
+	for _, v := range m {
+		sum += v // flagged: last bits follow the iteration order
+	}
+	return sum
 }`,
 }
 
@@ -384,8 +394,10 @@ func reportNondetRender(pass *Pass, info *FuncInfo, arg ast.Expr, via string) {
 // iteration order Go randomizes. A loop whose body feeds formatted output
 // reports at its for: the rows come out in a different order every run. A
 // loop that appends into a slice reports at the append when no sort call
-// follows in the same function: the element order is run-dependent.
-// Order-insensitive accumulation (sums, map-to-map copies) is fine.
+// follows in the same function: the element order is run-dependent. A
+// float +=, -= or *= in the body reports at the assignment: float
+// arithmetic is not associative, so the result's last bits depend on the
+// order too. Integer sums and map-to-map copies are fine.
 func checkMapRange(pass *Pass, info *FuncInfo) {
 	type loopAppend struct {
 		rng *ast.RangeStmt
@@ -393,6 +405,8 @@ func checkMapRange(pass *Pass, info *FuncInfo) {
 	}
 	var appends []loopAppend
 	var sortCalls []token.Pos
+	// floatOps dedupes an assignment that nested map ranges both reach.
+	floatOps := map[*ast.AssignStmt]bool{}
 	ast.Inspect(info.Decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.CallExpr:
@@ -413,6 +427,11 @@ func checkMapRange(pass *Pass, info *FuncInfo) {
 					sinkLabel(pass, sink))
 			}
 			ast.Inspect(x.Body, func(m ast.Node) bool {
+				if as, ok := m.(*ast.AssignStmt); ok && !floatOps[as] &&
+					(as.Tok == token.ADD_ASSIGN || as.Tok == token.SUB_ASSIGN || as.Tok == token.MUL_ASSIGN) && pass.IsFloat(as.Lhs[0]) {
+					floatOps[as] = true
+					pass.Reportf(as.TokPos, "float %s inside map iteration: the result's last bits follow the randomized order; accumulate over sorted keys", as.Tok)
+				}
 				call, ok := m.(*ast.CallExpr)
 				if !ok {
 					return true

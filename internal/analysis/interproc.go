@@ -94,24 +94,6 @@ type Program struct {
 	atomicGathered bool
 	atomicFields   map[types.Object]bool
 	atomicAllowed  map[ast.Node]bool
-
-	// commcheck substrate (comm.go): rank taint, symbolic renderers,
-	// transitive communication facts and guarded operation trees, shared
-	// by commshape, phasebal, deadlock and the skeleton extractor.
-	commTaints  map[*types.Func]map[types.Object]bool
-	commRankRet factMemo[bool]
-	commRenders map[*types.Func]*renderEnv
-	commFacts   factMemo[*commFact]
-	commTrees   map[*types.Func][]*opNode
-	commCalled  map[*types.Func]bool
-	// commDeadlockSeen deduplicates deadlock reports program-wide:
-	// multiple roots expand to the same underlying operations.
-	commDeadlockSeen map[string]bool
-
-	// rank-identity field gather: struct fields assigned rank-derived
-	// values anywhere in the program, done once like atomicFields.
-	rankFieldsGathered bool
-	rankFields         map[types.Object]bool
 }
 
 // factMemo memoizes one interprocedural fact per function. A fact is
@@ -153,10 +135,6 @@ func newProgram(pkgs []*Package) *Program {
 		inReport: map[*Package]bool{},
 		funcs:    map[*types.Func]*FuncInfo{},
 		callMaps: map[*types.Func]map[*ast.CallExpr]*types.Func{},
-
-		commTaints:  map[*types.Func]map[types.Object]bool{},
-		commRenders: map[*types.Func]*renderEnv{},
-		commTrees:   map[*types.Func][]*opNode{},
 	}
 	seen := map[string]*Package{}
 	for _, p := range pkgs {

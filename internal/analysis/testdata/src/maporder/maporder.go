@@ -1,5 +1,5 @@
 // Package maporder seeds violations and non-violations for the golden test
-// of detsource's map-iteration-output rule.
+// of detsource's map-iteration rules: output and float sums.
 package maporder
 
 import (
@@ -45,9 +45,32 @@ func GoodSorted(byPhase map[string]float64) {
 	}
 }
 
-// GoodAccumulate aggregates order-insensitively.
-func GoodAccumulate(m map[string]float64) float64 {
+// BadAccumulate sums floats in map-iteration order: the total's last bits
+// differ run to run.
+func BadAccumulate(m map[string]float64) float64 {
 	total := 0.0
+	for _, v := range m {
+		total += v // seeded violation 4
+	}
+	return total
+}
+
+// BadNested sums floats under two map ranges: one finding, not one per
+// range.
+func BadNested(m map[string]map[string]float64) float64 {
+	total := 0.0
+	for _, inner := range m {
+		for _, v := range inner {
+			total -= v // seeded violation 5
+		}
+	}
+	return total
+}
+
+// GoodIntSum aggregates order-insensitively: integer addition is
+// associative.
+func GoodIntSum(m map[string]int) int {
+	total := 0
 	for _, v := range m {
 		total += v
 	}

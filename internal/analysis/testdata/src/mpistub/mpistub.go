@@ -1,8 +1,8 @@
-// Package mpi stubs the simulator runtime for the communication-pass
-// testdata. The analyzers classify calls duck-typed — package named "mpi",
-// receiver type Ctx, MPI-shaped method names — so the seeded packages import
-// this stub instead of the real runtime and stay self-contained. The method
-// bodies are irrelevant: the passes never descend into an mpi package.
+// Package mpi stubs the simulator runtime for the ownfreempi testdata.
+// ownfree classifies calls duck-typed — package named "mpi", receiver type
+// Ctx, MPI-shaped method names — so the seeded package imports this stub
+// instead of the real runtime and stays self-contained. The method bodies
+// are irrelevant: the pass never descends into an mpi package.
 package mpi
 
 // World configures a stub job; N is the rank count.

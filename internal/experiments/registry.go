@@ -125,10 +125,9 @@ func (s Suite) RunKernelOnce(name string, n int, mhz float64) (*mpi.Result, erro
 // RunKernelTraced executes the named kernel at one configuration with a
 // metrics registry and an operation-stream recording attached; either may
 // be nil to disable that side. The run's metrics land on reg; tape captures
-// each rank's operation stream, whose CommLog cmd/paverify checks against
-// the static skeleton. Both are injected on the World rather than the
-// Platform so the campaign store's content fingerprint of Platform never
-// sees a pointer.
+// each rank's operation stream for Replay. Both are injected on the World
+// rather than the Platform so the campaign store's content fingerprint of
+// Platform never sees a pointer.
 func (s Suite) RunKernelTraced(name string, n int, mhz float64, reg *obs.Registry, tape *mpi.Recording) (*mpi.Result, error) {
 	k, err := s.Kernel(name)
 	if err != nil {

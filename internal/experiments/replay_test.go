@@ -106,7 +106,10 @@ func TestReplayAcrossFaultAxes(t *testing.T) {
 // once on the stock platform at the base gear and replayed, at the base
 // and the top gear, on each ablation platform: no flow-concurrency limit,
 // no endpoint CPU cost per message or byte, and no low-gear bus-speed
-// drop. Every replay must equal a direct run on its own platform.
+// drop. One more case is Tier-1's only kernel run past 16 ranks: FT at
+// N = 64 on the scale suite, recorded at 600 MHz and replayed at 1400 MHz
+// on the stock platform. Every replay must equal a direct run on its own
+// platform.
 func TestReplayAcrossPlatforms(t *testing.T) {
 	s := Quick()
 	ideal, noCPU, flat := s.Platform, s.Platform, s.Platform
@@ -117,18 +120,18 @@ func TestReplayAcrossPlatforms(t *testing.T) {
 		name string
 		p    cluster.Platform
 	}{{"contention", ideal}, {"commcpu", noCPU}, {"busdrop", flat}}
+	world := func(p cluster.Platform, n int, mhz float64) mpi.World {
+		t.Helper()
+		w, err := p.World(n, mhz)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
 	ks := s.Kernels()
 	for _, name := range s.KernelNames() {
 		k := ks[name]
 		base, top := k.Grid.MHz[0], k.Grid.MHz[len(k.Grid.MHz)-1]
-		world := func(p cluster.Platform, n int, mhz float64) mpi.World {
-			t.Helper()
-			w, err := p.World(n, mhz)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return w
-		}
 		for _, n := range []int{2, 4} {
 			w := world(s.Platform, n, base)
 			w.Record = mpi.NewRecording()
@@ -151,4 +154,24 @@ func TestReplayAcrossPlatforms(t *testing.T) {
 			}
 		}
 	}
+
+	sc := Scale()
+	ft, err := sc.Kernel("ft")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := world(sc.Platform, 64, 600)
+	w.Record = mpi.NewRecording()
+	if _, err := ft.Run(w); err != nil {
+		t.Fatalf("ft N=64 on the scale suite: record: %v", err)
+	}
+	direct, err := ft.Run(world(sc.Platform, 64, 1400))
+	if err != nil {
+		t.Fatalf("ft N=64 on the scale suite: direct: %v", err)
+	}
+	replayed, err := mpi.Replay(world(sc.Platform, 64, 1400), w.Record)
+	if err != nil {
+		t.Fatalf("ft N=64 on the scale suite: replay: %v", err)
+	}
+	requireSameResult(t, "ft N=64 on the scale suite at 1400 MHz", direct, replayed)
 }

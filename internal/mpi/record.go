@@ -60,9 +60,9 @@ import (
 // kernels exclusively: cluster.SweepPlatforms, across gears and platforms,
 // and paserve's /trace tape cache, across gears and chaos specs.
 //
-// The tape is also the run's communication-protocol record: cmd/paverify
-// checks its CommLog projection, so conformance covers exactly the stream
-// that replay re-times.
+// The tape is also the run's communication-protocol record: its CommLog
+// projection is what comm_log.golden pins, so the protocol check covers
+// exactly the stream that replay re-times.
 
 // opKind discriminates the recorded operations.
 type opKind uint8
@@ -195,7 +195,7 @@ func (r *Recording) Ops(rank int) int {
 }
 
 // collNames maps each collective kind to its Ctx method name, the label the
-// comm log and the static skeleton share.
+// comm log gives it.
 var collNames = [...]string{
 	opBarrier:   "Barrier",
 	opAllreduce: "Allreduce",
@@ -203,8 +203,8 @@ var collNames = [...]string{
 	opAllgather: "Allgather",
 }
 
-// CommLog projects the recorded streams onto the communication-protocol
-// events the static skeleton predicts, one program-order list per rank.
+// CommLog projects the recorded streams onto their communication-protocol
+// events, one program-order list per rank.
 // Each tape is walked from the implicit phase "main": a phase transition
 // becomes a phase event, a send or receive an endpoint event, a SendRecv a
 // send to its destination then a receive from its source, and a collective

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
@@ -33,24 +34,45 @@ const (
 // step and derives its own part from its rank and the two parameters.
 type fuzzStep struct{ kind, a, b byte }
 
+// fuzzMsg is one message of a batch step.
+type fuzzMsg struct{ src, dst, size int }
+
+// batch returns the messages of a batch step at n ≥ 2 ranks in issue
+// order.
+func (s fuzzStep) batch(n int) []fuzzMsg {
+	rng := rand.New(rand.NewPCG(uint64(s.a), uint64(s.b)))
+	msgs := make([]fuzzMsg, 1+int(s.a)%6)
+	for j := range msgs {
+		src := rng.IntN(n)
+		dst := (src + 1 + rng.IntN(n-1)) % n
+		msgs[j] = fuzzMsg{src, dst, fuzzSizes[rng.IntN(len(fuzzSizes))]}
+	}
+	return msgs
+}
+
 // fuzzProgram is a generated program and the worlds it runs in: n ranks,
 // recorded at gear rec and run directly and replayed at gear run, under
-// the chaos config when chaos is set.
+// the chaos config when chaos is set. With drop set, the sender of the
+// first batch step's first message skips that Send.
 type fuzzProgram struct {
 	n        int
 	rec, run int
 	chaos    bool
+	drop     bool
 	seed     uint64
 	steps    []fuzzStep
 }
+
+// dropFlag in the first input byte sets fuzzProgram.drop.
+const dropFlag = 8
 
 // maxFuzzSteps bounds a generated program, so one input runs in
 // milliseconds.
 const maxFuzzSteps = 48
 
-// decodeProgram reads a program from fuzz input: the rank count (1 to 8),
-// the gear pair as indices into the P-state table, the chaos switch and
-// seed, then three bytes per step.
+// decodeProgram reads a program from fuzz input: the rank count (1 to 8)
+// and the drop switch, the gear pair as indices into the P-state table,
+// the chaos switch and seed, then three bytes per step.
 func decodeProgram(data []byte) (fuzzProgram, bool) {
 	if len(data) < 3 {
 		return fuzzProgram{}, false
@@ -58,6 +80,7 @@ func decodeProgram(data []byte) (fuzzProgram, bool) {
 	gears := len(testWorld(1, 600).Prof.States)
 	p := fuzzProgram{
 		n:     1 + int(data[0])%8,
+		drop:  data[0]&dropFlag != 0,
 		rec:   int(data[1]) % gears,
 		run:   int(data[1]) / gears % gears,
 		chaos: data[2]&1 == 1,
@@ -67,6 +90,21 @@ func decodeProgram(data []byte) (fuzzProgram, bool) {
 		p.steps = append(p.steps, fuzzStep{rest[0] % numStepKinds, rest[1], rest[2]})
 	}
 	return p, true
+}
+
+// droppedStep returns the index of the batch step whose first Send the
+// program skips: its first batch step when drop is set and it has more
+// than one rank, else -1.
+func (p fuzzProgram) droppedStep() int {
+	if !p.drop || p.n == 1 {
+		return -1
+	}
+	for i, s := range p.steps {
+		if s.kind == stepBatch {
+			return i
+		}
+	}
+	return -1
 }
 
 // world returns the program's world at P-state index gear, with a
@@ -95,6 +133,7 @@ var fuzzPhases = [...]string{"alpha", "beta", "gamma"}
 // send can deadlock: the first unfinished message's sender and receiver
 // have both finished every earlier message they take part in.
 func (p fuzzProgram) body() RankFunc {
+	drop := p.droppedStep()
 	return func(c *Ctx) error {
 		n, r := c.Size(), c.Rank()
 		buf := make([]float64, 8)
@@ -155,19 +194,19 @@ func (p fuzzProgram) body() RankFunc {
 				if n == 1 {
 					break
 				}
-				rng := rand.New(rand.NewPCG(uint64(a), uint64(b)))
-				for j := 0; j < 1+a%6 && err == nil; j++ {
-					src := rng.IntN(n)
-					dst := (src + 1 + rng.IntN(n-1)) % n
-					size, tag := fuzzSizes[rng.IntN(len(fuzzSizes))], 64*i+j
-					switch r {
-					case src:
-						err = c.Send(dst, tag, buf[:1+j%8], size)
-					case dst:
+				for j, m := range s.batch(n) {
+					tag := 64*i + j
+					switch {
+					case r == m.src && (i != drop || j != 0):
+						err = c.Send(m.dst, tag, buf[:1+j%8], m.size)
+					case r == m.dst:
 						var got []float64
-						if got, err = c.Recv(src, tag); err == nil {
+						if got, err = c.Recv(m.src, tag); err == nil {
 							c.Free(got)
 						}
+					}
+					if err != nil {
+						break
 					}
 				}
 			}
@@ -210,6 +249,18 @@ func fuzzSeed(n, recGear, runGear int, chaos bool, steps ...fuzzStep) []byte {
 	return data
 }
 
+// requireUnmatched fails unless err is how a run ends whose message m,
+// tagged tag, was never sent: ErrDeadlock, or the tag mismatch m's
+// receiver meets when a later message from the same sender is queued
+// first.
+func requireUnmatched(t *testing.T, label string, err error, m fuzzMsg, tag int) {
+	t.Helper()
+	mismatch := fmt.Sprintf("rank %d expected tag %d from rank %d, got ", m.dst, tag, m.src)
+	if err == nil || !errors.Is(err, ErrDeadlock) && !strings.Contains(err.Error(), mismatch) {
+		t.Fatalf("%s: err = %v, want ErrDeadlock or %q", label, err, mismatch+"…")
+	}
+}
+
 // FuzzReplay is the replay property over generated programs: a program
 // recorded at one gear and replayed at another equals its direct run at
 // the other gear in every Result field, the TimelineCSV bytes and the
@@ -218,6 +269,12 @@ func fuzzSeed(n, recGear, runGear int, chaos bool, steps ...fuzzStep) []byte {
 // or overridden sizes, permutation exchanges and batches of matched sends
 // and receives on both sides of the eager limit, at 1 to 8 ranks. The
 // seed corpus holds one input per step kind and one mixing them all.
+//
+// An input with the drop switch set checks the other side: when the first
+// batch step's first message is never sent, the direct run fails, and so
+// does the replay of the intact program's tape with that Send deleted,
+// each with ErrDeadlock or a tag mismatch, never a hang. Its seeds end
+// both ways.
 func FuzzReplay(f *testing.F) {
 	for kind := byte(0); kind < numStepKinds; kind++ {
 		f.Add(fuzzSeed(4, 0, 4, kind%2 == 1,
@@ -228,9 +285,35 @@ func FuzzReplay(f *testing.F) {
 		mix = append(mix, fuzzStep{kind, 2 + kind, 7 + 3*kind}, fuzzStep{stepCompute, kind, 1})
 	}
 	f.Add(fuzzSeed(5, 4, 1, true, mix...))
+	for _, seed := range [][]byte{
+		fuzzSeed(3, 0, 4, false, fuzzStep{stepCompute, 1, 2}, fuzzStep{stepBatch, 0, 1}, fuzzStep{stepBarrier, 0, 0}),
+		fuzzSeed(2, 4, 0, true, fuzzStep{stepBatch, 1, 1}, fuzzStep{stepAllreduceSum, 1, 3}),
+		fuzzSeed(3, 1, 3, false, fuzzStep{stepSendRecv, 3, 5}, fuzzStep{stepBatch, 1, 18}, fuzzStep{stepBatch, 2, 7}),
+		fuzzSeed(4, 1, 3, false, fuzzStep{stepSendRecv, 3, 5}, fuzzStep{stepBatch, 5, 3}, fuzzStep{stepBatch, 2, 7}),
+	} {
+		seed[0] |= dropFlag
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, ok := decodeProgram(data)
 		if !ok {
+			return
+		}
+		if i := p.droppedStep(); i >= 0 {
+			m, tag := p.steps[i].batch(p.n)[0], 64*i
+			_, err := Run(p.world(p.run), p.body())
+			requireUnmatched(t, "direct", err, m, tag)
+			intact := p
+			intact.drop = false
+			rw := intact.world(p.rec)
+			rec := NewRecording()
+			rw.Record = rec
+			if _, err := Run(rw, intact.body()); err != nil {
+				t.Fatalf("record: %v", err)
+			}
+			dropOp(t, rec, m.src, opSend)
+			_, err = Replay(p.world(p.run), rec)
+			requireUnmatched(t, "replay", err, m, tag)
 			return
 		}
 		rw := p.world(p.rec)

@@ -78,8 +78,7 @@ type World struct {
 	// Record, when non-nil, captures every rank's operation stream (phases,
 	// compute work, message and collective shapes) so the run can be
 	// re-timed at another frequency with Replay without re-executing kernel
-	// code, and checked against the statically extracted communication
-	// skeleton through its CommLog projection (cmd/paverify). Recording
+	// code, and its protocol read through the CommLog projection. Recording
 	// requires a nil OnPhase hook: kernel control flow and communication
 	// shapes are frequency-independent, but a DVFS scheduler's decisions need
 	// not be. A Recording captures exactly one run.

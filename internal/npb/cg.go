@@ -267,7 +267,9 @@ func (c CG) rank(ctx *mpi.Ctx) (CGResult, error) {
 	}
 	s.xExt = make([]float64, rows+2*s.halo)
 
-	ctx.SetPhase("cg-init") //palint:ignore phasebal -- cg-init labels allocation that bills no virtual time by design; the zero-width phase keeps the event stream stable
+	// cg-init labels allocation that bills no virtual time by design; the
+	// zero-width phase keeps the event stream stable.
+	ctx.SetPhase("cg-init")
 	// x starts as the all-ones vector, as in NPB.
 	x := make([]float64, rows)
 	for i := range x {

@@ -12,7 +12,7 @@ import (
 
 // commLogDigest hashes a comm log's events rank by rank, in program order,
 // rendered one per line as "rank kind name peer tag phase" — every field
-// paverify reads.
+// of a trace.CommEvent.
 func commLogDigest(log [][]trace.CommEvent) string {
 	var b strings.Builder
 	for rank, evs := range log {
@@ -24,10 +24,12 @@ func commLogDigest(log [][]trace.CommEvent) string {
 }
 
 // TestCommLogMatrix pins the communication log of every NAS kernel at
-// N ∈ {2, 4, 8, 16} — the protocol stream paverify checks against the
-// statically extracted skeleton. testdata/comm_log.golden was written by
-// the separate per-event recorder the runtime carried before this
-// projection of the replay tape replaced it, so the file is an oracle
+// N ∈ {2, 4, 8, 16}: each rank's phase transitions, messages and
+// collectives in program order, so a protocol change to any kernel — an
+// extra or missing operation, a changed peer, tag or phase label — fails
+// here even when the run still completes. testdata/comm_log.golden was
+// written by the separate per-event recorder the runtime carried before
+// this projection of the replay tape replaced it, so the file is an oracle
 // independent of Recording.CommLog.
 func TestCommLogMatrix(t *testing.T) {
 	var got []string

@@ -202,7 +202,7 @@ func (st *spState) solveZ(a []float64) error {
 		prevD := make([]float64, width)
 		// Unconditional: every rank walks the same phase sequence even when
 		// its rank skips the transfer, or per-(rank, phase) attribution
-		// diverges (commshape).
+		// diverges (TestSPPhaseSequenceUniform).
 		st.c.SetPhase("sp-z-forward")
 		if rank > 0 {
 			got, err := st.c.Recv(rank-1, spTagForward)

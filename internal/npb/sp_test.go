@@ -166,12 +166,11 @@ func TestSPDeterministic(t *testing.T) {
 	}
 }
 
-// TestSPPhaseSequenceUniform pins the commshape fix: SetPhase transitions
-// in the z-sweep are unconditional, so every rank walks the identical
-// phase sequence — the invariant the per-(rank, phase) energy attribution
-// and the statically extracted skeleton both assume. A recording's comm
-// log sees the transitions themselves (unlike the energy trace, whose phase
-// events only materialize where a rank spends time).
+// TestSPPhaseSequenceUniform pins that SetPhase transitions in the z-sweep
+// are unconditional, so every rank walks the identical phase sequence —
+// the invariant the per-(rank, phase) energy attribution assumes. A
+// recording's comm log sees the transitions themselves (unlike the energy
+// trace, whose phase events only materialize where a rank spends time).
 func TestSPPhaseSequenceUniform(t *testing.T) {
 	tape := mpi.NewRecording()
 	w := npbWorld(4, 600)

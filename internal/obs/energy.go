@@ -83,8 +83,6 @@ func AttributeEnergy(l *trace.Log, prof power.Profile, st power.PState, makespan
 	for _, r := range acc {
 		r.EDP = power.EDP(units.Joules(r.Joules), units.Seconds(r.Seconds))
 		rep.Rows = append(rep.Rows, *r)
-		rep.TotalSeconds += r.Seconds
-		rep.TotalJoules += r.Joules
 	}
 	sort.Slice(rep.Rows, func(i, j int) bool {
 		a, b := rep.Rows[i], rep.Rows[j]
@@ -93,6 +91,12 @@ func AttributeEnergy(l *trace.Log, prof power.Profile, st power.PState, makespan
 		}
 		return a.Phase < b.Phase
 	})
+	// Total in row order, not map order: float addition is not
+	// associative, so the map's random order would move the last bits.
+	for _, r := range rep.Rows {
+		rep.TotalSeconds += r.Seconds
+		rep.TotalJoules += r.Joules
+	}
 	return rep
 }
 

@@ -236,12 +236,13 @@ func TestAttributeEnergySums(t *testing.T) {
 	if math.Abs(rep.TotalJoules-wantTotal) > 1e-9*wantTotal {
 		t.Errorf("TotalJoules = %.12g, want %.12g", rep.TotalJoules, wantTotal)
 	}
+	// The total is the sum of the rows in their printed order, bit for bit.
 	var rowSum float64
 	for _, r := range rep.Rows {
 		rowSum += r.Joules
 	}
-	if math.Abs(rowSum-rep.TotalJoules) > 1e-12 {
-		t.Errorf("rows sum to %.12g, header says %.12g", rowSum, rep.TotalJoules)
+	if math.Float64bits(rowSum) != math.Float64bits(rep.TotalJoules) {
+		t.Errorf("rows sum to %.17g, header says %.17g", rowSum, rep.TotalJoules)
 	}
 	// Rank 0 finished at the makespan: no idle row. Rank 1 idles.
 	for _, r := range rep.Rows {

@@ -1,8 +1,7 @@
 package trace
 
-// CommEvent kinds. A comm log holds the communication-protocol events the
-// statically extracted skeleton (internal/commspec) predicts: phase
-// transitions, point-to-point endpoints and collective entries.
+// CommEvent kinds. A comm log holds a run's communication-protocol events:
+// phase transitions, point-to-point endpoints and collective entries.
 const (
 	CommPhase = "phase"
 	CommSend  = "send"

@@ -33,13 +33,17 @@ const timelineHeader = "rank,phase,kind,start,end,duration,watts"
 // share of all recorded time.
 func (l *Log) CriticalPhase() (phase string, share float64) {
 	by := l.ByPhase()
+	names := make([]string, 0, len(by))
+	for p := range by {
+		names = append(names, p)
+	}
+	// Sorted names fix the order of the float sum, and strict-greater then
+	// breaks a tie between equal durations toward the smaller name.
+	sort.Strings(names)
 	total := 0.0
-	for p, sec := range by {
-		total += sec
-		// Strict-greater with a name tie-break keeps the result independent
-		// of map iteration order when two phases have equal durations.
-		//palint:ignore floateq -- exact equality is the tie-break condition itself; a tolerance would reintroduce order dependence
-		if phase == "" || sec > by[phase] || (sec == by[phase] && p < phase) {
+	for _, p := range names {
+		total += by[p]
+		if phase == "" || by[p] > by[phase] {
 			phase = p
 		}
 	}

@@ -28,6 +28,7 @@ var keptUnreached = map[string]string{
 
 	"pasp/internal/experiments.Suite.ScaledEP": "the scaled twin of Eq. 12; grid_loops.golden pins it",
 	"pasp/internal/mpi.Ctx.Barrier":            "the runtime's barrier primitive, which no NPB kernel calls; TestReplayEveryOpKind and FuzzReplay hold its direct runs to replay",
+	"pasp/internal/mpi.Recording.CommLog":      "the protocol projection of a tape that comm_log.golden pins through TestCommLogMatrix, TestRecordingCommLog and TestSPPhaseSequenceUniform",
 	"pasp/internal/simnet.Config.PointToPoint": "the network's closed form, which TestPingPongMatchesModel holds the simulated ping-pong against",
 	"pasp/internal/trace.Log.Validate":         "the trace tests' ordering check",
 	"pasp/internal/obs.EventLog.SetClock":      "the seam tests use to substitute a clock",
